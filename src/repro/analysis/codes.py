@@ -310,13 +310,13 @@ _CODES: tuple[CodeInfo, ...] = (
     ),
     CodeInfo(
         "DQ409",
-        "incomplete plan-cache key",
+        "stale plan-cache entry",
         ERROR,
-        "A plan-cache entry omits (or pins a stale value of) an input "
-        "that affects plan shape — schema identity, tag schema, "
-        "catalog version, columnar mode, the columnar cost band, the "
-        "partition layout version, or the scoring-registry version — "
-        "so a hit could serve a plan built for different inputs.",
+        "Re-planning a plan-cache entry's statement against the live "
+        "source read a fact the entry did not record with the same "
+        "value (its validity check cannot see that dependency), or "
+        "produced a different plan than the cached one — so a hit "
+        "could serve a plan built for different inputs.",
     ),
     CodeInfo(
         "DQ410",

@@ -24,13 +24,13 @@ property the test suite enforces).
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro.analysis.diagnostics import Diagnostics
-from repro.errors import UnknownRelationError
 from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.sql.context import PlanContext
 from repro.sql.errors import SQLError
 from repro.sql.nodes import (
     AggregateCall,
@@ -49,8 +49,6 @@ from repro.sql.nodes import (
 from repro.sql.parser import parse
 from repro.tagging.indicators import TagSchema
 from repro.tagging.relation import TaggedRelation
-
-AnyRelation = Union[Relation, TaggedRelation]
 
 #: Domain names that compare freely with one another.
 _NUMERIC = frozenset({"INT", "FLOAT"})
@@ -122,8 +120,13 @@ class _Analyzer:
         sql: Optional[str],
         context: str,
     ) -> None:
+        #: Every catalog fact the verdict depends on is read through
+        #: this recorder (see :mod:`repro.sql.context`).
+        self.facts = (
+            source if isinstance(source, PlanContext) else PlanContext(source)
+        )
         self.statement = statement
-        self.source = source
+        self.source = self.facts.source
         self.sql = sql
         self.context = context
         self.diagnostics = Diagnostics()
@@ -147,65 +150,42 @@ class _Analyzer:
 
     def resolve(self) -> bool:
         """Resolve the FROM relation; False when analysis cannot continue."""
-        statement, source = self.statement, self.source
-        relation: Optional[AnyRelation] = None
-        if source is None:
+        statement, facts = self.statement, self.facts
+        if self.source is None:
             return False
-        if isinstance(source, (Relation, TaggedRelation)):
-            if source.schema.name != statement.relation:
-                self.add(
-                    "DQ201",
-                    f"FROM {statement.relation!r} does not match the "
-                    f"supplied relation {source.schema.name!r}",
-                    span=statement.relation_span,
-                )
-                return False
-            relation = source
-        elif isinstance(source, Database):
-            try:
-                relation = source.relation(statement.relation)
-            except UnknownRelationError:
-                self.add(
-                    "DQ201",
-                    f"database {source.name!r} has no relation "
-                    f"{statement.relation!r} "
-                    f"(relations: {list(source.relation_names)})",
-                    span=statement.relation_span,
-                )
-                return False
-        elif isinstance(source, Mapping):
-            if statement.relation not in source:
-                self.add(
-                    "DQ201",
-                    f"unknown relation {statement.relation!r} "
-                    f"(available: {sorted(source)})",
-                    span=statement.relation_span,
-                )
-                return False
-            relation = source[statement.relation]
-        elif hasattr(source, "relation") and hasattr(source, "relation_names"):
-            # QualityDatabase and catalog-likes.
-            if statement.relation not in getattr(source, "relation_names"):
-                self.add(
-                    "DQ201",
-                    f"unknown relation {statement.relation!r} "
-                    f"(available: {list(source.relation_names)})",
-                    span=statement.relation_span,
-                )
-                return False
-            relation = source.relation(statement.relation)
-        else:
+        name = statement.relation
+        kind = facts.kind(name)
+        if kind is None:
             self.add(
-                "DQ201",
-                f"cannot execute against source of type "
-                f"{type(source).__name__}",
-                span=statement.relation_span,
+                "DQ201", self._unresolved(name), span=statement.relation_span
             )
             return False
-        self.schema = relation.schema
-        self.tagged = isinstance(relation, TaggedRelation)
-        self.tag_schema = relation.tag_schema if self.tagged else None
+        self.schema = facts.schema(name)
+        self.tagged = kind == "tagged"
+        self.tag_schema = facts.tag_schema(name) if self.tagged else None
         return True
+
+    def _unresolved(self, name: str) -> str:
+        """Why ``name`` does not resolve in the source (DQ201 text)."""
+        source = self.source
+        if isinstance(source, (Relation, TaggedRelation)):
+            return (
+                f"FROM {name!r} does not match the supplied relation "
+                f"{source.schema.name!r}"
+            )
+        if isinstance(source, Database):
+            return (
+                f"database {source.name!r} has no relation {name!r} "
+                f"(relations: {list(source.relation_names)})"
+            )
+        if isinstance(source, Mapping):
+            return f"unknown relation {name!r} (available: {sorted(source)})"
+        if hasattr(source, "relation") and hasattr(source, "relation_names"):
+            return (
+                f"unknown relation {name!r} "
+                f"(available: {list(source.relation_names)})"
+            )
+        return f"cannot execute against source of type {type(source).__name__}"
 
     # -- reference checks ----------------------------------------------------
 
@@ -280,9 +260,7 @@ class _Analyzer:
                 span=ref.span,
             )
             return False
-        from repro.quality.materialize import profile_for
-
-        profile = profile_for(self.schema.name)
+        profile = self.facts.profile(self.statement.relation)
         if profile is None:
             self.add(
                 "DQ212",
@@ -885,7 +863,12 @@ def analyze_statement(
     sql: Optional[str] = None,
     context: str = "",
 ) -> Diagnostics:
-    """Analyze a parsed statement against ``source`` (see module doc)."""
+    """Analyze a parsed statement against ``source`` (see module doc).
+
+    ``source`` may be a :class:`~repro.sql.context.PlanContext`: every
+    catalog fact the verdict depends on is then recorded there, which
+    is how strict-mode verdicts are memoized and revalidated.
+    """
     return _Analyzer(statement, source, sql, context).run()
 
 

@@ -40,11 +40,12 @@ violations through the diagnostics engine as the DQ40x family:
   and rewrite cannot drift).  Pruning justified by a predicate that
   does not constrain the partition key is a hard error.
 
-:func:`verify_cache_entry` checks plan-cache key completeness (DQ409):
-every plan-shape-affecting input — schema identity, tag schema,
-catalog version, columnar mode, columnar cost band, partition layout
-version, scoring-registry version (for plans carrying a ScoreFilter) —
-is pinned by the entry and still matches the live relation.
+:func:`verify_cache_entry` audits one plan-cache entry (DQ409)
+mechanically: it re-plans the entry's statement against the live
+source with a fresh :class:`~repro.sql.context.PlanContext` and reports
+any read the fresh planning made that the entry did not record (a
+dependency its validity check cannot see), and any difference between
+the fresh plan and the cached one (a stale plan being served).
 
 Unknown base relations (a context that cannot resolve a scan) degrade
 gracefully: shape-dependent checks are skipped rather than reported,
@@ -57,14 +58,12 @@ environment flag (which also arms the columnar batch sanitizer in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.analysis.diagnostics import Diagnostics, QueryAnalysisError
 from repro.obs import metrics as _obs_metrics
-from repro.relational.catalog import Database
-from repro.relational.relation import Relation
+from repro.sql.context import same_read
 from repro.sql.nodes import (
     AggregateCall,
     BoolOp,
@@ -94,8 +93,8 @@ from repro.sql.plan import (
     TopK,
     render_expr,
 )
+from repro.sql.physical import sanitize_enabled as verify_plans_enabled
 from repro.tagging.query import OPERATORS as _STORE_OPERATORS
-from repro.tagging.relation import TaggedRelation
 
 __all__ = [
     "PlanVerificationError",
@@ -105,18 +104,8 @@ __all__ = [
     "verify_plans_enabled",
 ]
 
-#: The environment flag that turns on plan verification (optimizer +
-#: plan cache) and the columnar batch sanitizer.  Any value other than
-#: empty/"0" arms both.
-ENV_FLAG = "REPRO_VERIFY_PLANS"
-
 #: Operator types allowed between a columnar Scan and its Materialize.
 _FRAGMENT_WHITELIST = (Scan, Filter, Project, TopK, Limit)
-
-
-def verify_plans_enabled() -> bool:
-    """Whether the ``REPRO_VERIFY_PLANS`` environment flag is set."""
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
 
 
 class PlanVerificationError(QueryAnalysisError):
@@ -237,10 +226,11 @@ class _PlanVerifier:
                 f"Materialize boundary; row operators above it would see "
                 f"column arrays",
             )
-        relation = self.context.relation(node.relation) if self.context else None
-        if relation is None:
+        context = self.context
+        kind = context.kind(node.relation) if context else None
+        if kind is None:
             return _Shape(None, node.tagged, None, False)
-        tagged = isinstance(relation, TaggedRelation)
+        tagged = kind == "tagged"
         if tagged != node.tagged:
             self.add(
                 "DQ402",
@@ -256,9 +246,9 @@ class _PlanVerifier:
                 f"only",
             )
         return _Shape(
-            tuple(relation.schema.column_names),
+            tuple(context.schema(node.relation).column_names),
             tagged,
-            relation.tag_schema if tagged else None,
+            context.tag_schema(node.relation) if tagged else None,
             True,
         )
 
@@ -337,12 +327,7 @@ class _PlanVerifier:
             return child_shape
         profile = None
         if child_shape.known:
-            from repro.quality.materialize import profile_for
-
-            relation = (
-                self.context.relation(scan.relation) if self.context else None
-            )
-            profile = profile_for(relation) if relation is not None else None
+            profile = self.context.profile(scan.relation)
             if profile is None:
                 self.add(
                     "DQ411",
@@ -691,12 +676,9 @@ class _PlanVerifier:
                 f"justifies eliminating the dropped partitions",
             )
             return
-        relation = (
-            self.context.relation(node.relation) if self.context else None
-        )
-        if relation is None:
+        if not self.context or self.context.kind(node.relation) is None:
             return  # unknown base relation: degrade gracefully
-        spec = getattr(relation, "partition_spec", None)
+        spec = self.context.partition_spec(node.relation)
         if spec is None:
             self.add(
                 "DQ410",
@@ -765,8 +747,8 @@ def verify_plan(
 ) -> Diagnostics:
     """Statically verify one optimized plan tree.
 
-    ``context`` is the :class:`~repro.sql.optimizer.PlanContext` (or
-    anything with ``.relation(name)``) the plan was optimized against;
+    ``context`` is the :class:`~repro.sql.context.PlanContext` the
+    plan was optimized against (None: every base relation unknown);
     ``sql`` anchors diagnostics back to the source statement via the
     AST spans the plan nodes carry.  Returns the diagnostics collected
     (never raises — see :func:`assert_plan_verifies`).
@@ -806,129 +788,52 @@ def assert_plan_verifies(
         raise PlanVerificationError(diagnostics, sql)
 
 
-# -- plan-cache key completeness ---------------------------------------------
-
-
-def _plan_has_columnar_scan(plan: PlanNode) -> bool:
-    if isinstance(plan, Scan):
-        return plan.columnar
-    return any(_plan_has_columnar_scan(child) for child in plan.children())
-
-
-def _plan_has_score_filter(plan: PlanNode) -> bool:
-    if isinstance(plan, ScoreFilter):
-        return True
-    return any(_plan_has_score_filter(child) for child in plan.children())
+# -- plan-cache entry audit ---------------------------------------------------
 
 
 def verify_cache_entry(
     entry: Any,
-    relation: Any,
-    source: Any = None,
+    source: Any,
     *,
     diagnostics: Optional[Diagnostics] = None,
 ) -> Diagnostics:
-    """Check one plan-cache entry's key completeness (DQ409).
+    """Audit one plan-cache entry against the live ``source`` (DQ409).
 
-    ``entry`` is a :class:`~repro.sql.plancache.PreparedStatement`;
-    ``relation`` is the live relation the lookup resolved; ``source``
-    the execute() source (checked for catalog-version pinning when it
-    is a :class:`~repro.relational.catalog.Database`).  Every input
-    that affects plan shape must be pinned by the entry and must still
-    match — a mismatch means the cache could serve a plan built for
-    different inputs.
+    ``entry`` is a :class:`~repro.sql.plancache.PreparedStatement` the
+    cache just validated for ``source``.  Its statement is re-planned
+    with a fresh recorder; DQ409 fires when that planning read a fact
+    the entry did not record with the same value (the entry's validity
+    check is blind to it), or produced a different plan (the cache is
+    serving a stale one).
     """
-    from repro.sql import optimizer as _optimizer
+    from repro.sql.plancache import plan_statement
 
     if diagnostics is None:
         diagnostics = Diagnostics()
-
-    def add(message: str) -> None:
+    sql, columnar, _ = entry.key
+    plan, _, context = plan_statement(entry.statement, source, columnar=columnar)
+    recorded = {(fact, name): value for fact, name, value in entry.reads}
+    unrecorded = [
+        f"{fact}({name})" if name is not None else fact
+        for fact, name, value in context.reads
+        if (fact, name) not in recorded
+        or not same_read(fact, recorded[(fact, name)], value)
+    ]
+    if unrecorded:
         diagnostics.add(
-            "DQ409", message, source=entry.sql, context=entry.relation_name
+            "DQ409",
+            f"planning read {', '.join(unrecorded)}, which the entry "
+            f"does not record as read; a change there would not "
+            f"invalidate it",
+            source=sql,
+            context=entry.statement.relation,
         )
-
-    tagged = isinstance(relation, TaggedRelation)
-    if entry.tagged != tagged:
-        add(
-            f"entry pins tagged={entry.tagged} but the live relation is "
-            f"{'tagged' if tagged else 'plain'}"
+    if plan != entry.plan:
+        diagnostics.add(
+            "DQ409",
+            "the cached plan differs from a fresh plan of its statement "
+            "against the live source; the cache is serving a stale plan",
+            source=sql,
+            context=entry.statement.relation,
         )
-    if relation.schema is not entry.schema:
-        add(
-            "entry pins a stale relation schema (identity mismatch); "
-            "the plan's column positions may be wrong"
-        )
-    if tagged and entry.tagged and relation.tag_schema is not entry.tag_schema:
-        add(
-            "entry pins a stale tag schema (identity mismatch); pushed "
-            "quality constraints may be illegal now"
-        )
-    if isinstance(source, Database):
-        if entry.catalog_version is None:
-            add(
-                "entry was planned without a catalog version but is "
-                "served from a Database source; create/drop would not "
-                "invalidate it"
-            )
-        elif entry.catalog_version != source.catalog_version:
-            add(
-                f"entry pins catalog version {entry.catalog_version} "
-                f"but the database is at {source.catalog_version}"
-            )
-    has_columnar = _plan_has_columnar_scan(entry.plan)
-    if has_columnar and not entry.columnar_mode:
-        add(
-            "entry's plan contains a columnar Scan but the entry is "
-            "keyed columnar_mode=False; a row-mode lookup would reuse "
-            "a columnar plan"
-        )
-    if entry.columnar_mode and isinstance(relation, Relation):
-        expected_band = (
-            len(relation) >= _optimizer.COLUMNAR_MIN_ROWS
-        )
-        if entry.columnar_band is None:
-            add(
-                "entry omits the columnar cost band from its cache key; "
-                "growing the relation across COLUMNAR_MIN_ROWS would "
-                "not replan"
-            )
-        elif entry.columnar_band != expected_band:
-            add(
-                f"entry pins columnar cost band {entry.columnar_band} "
-                f"but the relation is now on the "
-                f"{'columnar' if expected_band else 'row'} side of "
-                f"COLUMNAR_MIN_ROWS"
-            )
-    pinned_layout = getattr(entry, "partition_layout", None)
-    live_layout = getattr(relation, "partition_layout_version", 0)
-    if pinned_layout is None:
-        add(
-            "entry omits the partition layout version from its cache "
-            "key; repartition() would not invalidate baked partition "
-            "pruning"
-        )
-    elif pinned_layout != live_layout:
-        add(
-            f"entry pins partition layout version {pinned_layout} but "
-            f"the relation is at {live_layout}; the plan's baked "
-            f"surviving-bucket set may be stale"
-        )
-    pinned_scoring = getattr(entry, "scoring_version", None)
-    if _plan_has_score_filter(entry.plan):
-        from repro.quality.materialize import registry_version
-
-        if pinned_scoring is None:
-            add(
-                "entry's plan contains a ScoreFilter but omits the "
-                "scoring-registry version from its cache key; "
-                "re-registering a profile would not replan it"
-            )
-        elif pinned_scoring != registry_version():
-            add(
-                f"entry pins scoring-registry version {pinned_scoring} "
-                f"but the registry is at {registry_version()}; the "
-                f"pushed score constraints may target a superseded "
-                f"profile"
-            )
     return diagnostics

@@ -321,13 +321,35 @@ def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
         )
 
     # -- per-row evaluation ------------------------------------------------
+    def parameter_score(row: Any, parameter: str) -> Any:
+        """Mean of the bound profile's scorer over the row's scorable
+        tagged cells (NULL when none is scorable)."""
+        from repro.quality.materialize import profile_for
+
+        profile = profile_for(relation)
+        if profile is None or not profile.defines(parameter):
+            raise SQLError(
+                f"QUALITY({parameter}) has no registered scoring profile "
+                f"defining {parameter!r} for relation "
+                f"{relation.schema.name!r}"
+            )
+        scorer = profile.scorer(parameter)
+        scores = [
+            scorer.score(row[column], profile.context)
+            for column in relation.tag_schema.tagged_columns
+        ]
+        scores = [score for score in scores if score is not None]
+        return sum(scores) / len(scores) if scores else None
+
     def operand_value(row: Any, operand: Any, row_tagged: bool) -> Any:
         if isinstance(operand, nodes.Literal):
             return operand.value
         if isinstance(operand, nodes.ColumnRef):
             cell = row[operand.column]
             return cell.value if row_tagged else cell
-        # QualityRef (guaranteed tagged by the upfront check).
+        # QUALITY(...) forms are guaranteed tagged by the upfront check.
+        if isinstance(operand, nodes.QualityScoreRef):
+            return parameter_score(row, operand.parameter)
         return row[operand.column].tag_value(operand.indicator)
 
     def holds(row: Any, expr: Any, row_tagged: bool) -> bool:
@@ -382,6 +404,8 @@ def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
             operand = expr
         if isinstance(operand, nodes.ColumnRef):
             return relation.schema.column(operand.column).domain
+        if isinstance(operand, nodes.QualityScoreRef):
+            return FLOAT
         if tagged:
             try:
                 return relation.tag_schema.definition(operand.indicator).domain
@@ -445,7 +469,9 @@ def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
                     ]
             aggregated.insert(values)
         for order_item in statement.order_by:
-            if isinstance(order_item.key, nodes.QualityRef):
+            if isinstance(
+                order_item.key, (nodes.QualityRef, nodes.QualityScoreRef)
+            ):
                 raise SQLError(
                     "ORDER BY QUALITY(...) cannot follow aggregation"
                 )
@@ -482,7 +508,10 @@ def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
     # -- projection --------------------------------------------------------
     items = statement.select_items
     if items is not None:
-        if any(isinstance(item.expr, nodes.QualityRef) for item in items):
+        if any(
+            isinstance(item.expr, (nodes.QualityRef, nodes.QualityScoreRef))
+            for item in items
+        ):
             # QUALITY(...) value columns materialize a plain relation.
             out_schema = RelationSchema(
                 current_schema.name,

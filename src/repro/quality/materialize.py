@@ -41,6 +41,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.errors import AssessmentError
 from repro.obs import metrics as _obs_metrics
 from repro.quality.scoring import ParameterScorer
+from repro.relational.versioned import Versioned
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
 
@@ -122,7 +123,8 @@ class ScoringProfile:
                     f"got {threshold!r}"
                 )
         self.doc = doc
-        #: Assigned by :func:`register_profile`; plan caches pin it.
+        #: Assigned by :func:`register_profile`; cached plans, strict
+        #: verdicts and score blocks that read the profile record it.
         self.version = 0
 
     @property
@@ -162,7 +164,7 @@ _registry_version = 0
 
 
 def registry_version() -> int:
-    """Monotonic registry mutation counter (plan-cache pin)."""
+    """Monotonic registry mutation counter."""
     return _registry_version
 
 
@@ -172,8 +174,9 @@ def register_profile(
 ) -> ScoringProfile:
     """Register (or replace) a profile, optionally binding relations.
 
-    Every registration bumps :func:`registry_version`, so cached plans
-    keyed on the old version replan and stale materializations rebuild.
+    Every registration bumps :func:`registry_version` and stamps the
+    profile's ``version``, so cached plans and verdicts that read the
+    old registration replan and stale materializations rebuild.
     """
     global _registry_version
     with _registry_lock:
@@ -294,17 +297,11 @@ def _record_refresh(recomputed: int, reused: int, staleness: float) -> None:
 
 
 class _ScoreBlock:
-    """One segment's score arrays, pinned to the segment's version."""
+    """One segment's score arrays (cached against the segment's version)."""
 
-    __slots__ = ("token", "rows", "scores")
+    __slots__ = ("rows", "scores")
 
-    def __init__(
-        self,
-        token: int,
-        rows: int,
-        scores: dict[str, list[Optional[float]]],
-    ) -> None:
-        self.token = token
+    def __init__(self, rows: int, scores: dict[str, list[Optional[float]]]) -> None:
         self.rows = rows
         self.scores = scores
 
@@ -316,8 +313,8 @@ class ScoreMaterializer:
     shard (keyed by bucket) plus an on-demand flat block (canonical row
     order) for unpruned access.  :meth:`refresh` recomputes only the
     blocks whose segment version moved since the last build; a profile
-    re-registration or a ``repartition()`` (layout version bump) drops
-    every block.
+    re-registration or a ``repartition()`` (layout version bump) starts
+    a new generation of blocks.
     """
 
     def __init__(self, relation: TaggedRelation) -> None:
@@ -325,10 +322,9 @@ class ScoreMaterializer:
         # and a strong ref here would make those entries immortal.
         self._relation_ref = weakref.ref(relation)
         self._lock = threading.RLock()
-        self._profile: Optional[ScoringProfile] = None
-        self._profile_version = -1
-        self._layout_version = -1
-        self._blocks: dict[int, _ScoreBlock] = {}
+        #: bucket → Versioned block, for the current (profile, profile
+        #: version, layout version) generation.
+        self._generation = Versioned()
 
     # -- plumbing -------------------------------------------------------------
 
@@ -338,30 +334,9 @@ class ScoreMaterializer:
             raise AssessmentError("the materialized relation was dropped")
         return relation
 
-    def _resolve_profile(self, relation: TaggedRelation) -> ScoringProfile:
-        """Resolve the bound profile; any change drops every block."""
-        profile = profile_for(relation)
-        if profile is None:
-            raise AssessmentError(
-                f"no scoring profile is bound to relation "
-                f"{relation.schema.name!r}; register one with "
-                f"repro.quality.materialize.register_profile"
-            )
-        if (
-            profile is not self._profile
-            or profile.version != self._profile_version
-            or relation.partition_layout_version != self._layout_version
-        ):
-            self._blocks = {}
-            self._profile = profile
-            self._profile_version = profile.version
-            self._layout_version = relation.partition_layout_version
-        return profile
-
     def _compute_block(
         self, segment: TaggedRelation, profile: ScoringProfile
     ) -> _ScoreBlock:
-        token = segment.version
         rows = segment.row_batch()
         positions = tagged_positions(segment)
         scores: dict[str, list[Optional[float]]] = {}
@@ -370,7 +345,7 @@ class ScoreMaterializer:
                 row_parameter_score(profile, parameter, row, positions)
                 for row in rows
             ]
-        return _ScoreBlock(token, len(rows), scores)
+        return _ScoreBlock(len(rows), scores)
 
     def _segment(self, relation: TaggedRelation, bucket: int) -> TaggedRelation:
         if bucket == _FLAT:
@@ -379,30 +354,44 @@ class ScoreMaterializer:
 
     def _ensure_blocks(
         self, relation: TaggedRelation, buckets: Sequence[int]
-    ) -> dict[int, _ScoreBlock]:
-        """Bring the named blocks up to date; returns bucket → block."""
-        profile = self._resolve_profile(relation)
+    ) -> tuple[ScoringProfile, dict[int, _ScoreBlock]]:
+        """Bring the named blocks up to date; returns the bound profile
+        and bucket → block."""
+        profile = profile_for(relation)
+        if profile is None:
+            raise AssessmentError(
+                f"no scoring profile is bound to relation "
+                f"{relation.schema.name!r}; register one with "
+                f"repro.quality.materialize.register_profile"
+            )
+        generation = (profile, profile.version, relation.partition_layout_version)
+        blocks = self._generation.get(generation)
+        if blocks is None:
+            blocks = self._generation.put(generation, {})
         recomputed = 0
         reused = 0
         stale = 0
         out: dict[int, _ScoreBlock] = {}
         for bucket in buckets:
             segment = self._segment(relation, bucket)
-            block = self._blocks.get(bucket)
-            if block is not None and block.token == segment.version:
+            cached = blocks.get(bucket)
+            if cached is None:
+                cached = blocks[bucket] = Versioned()
+            block = cached.get(segment.version)
+            if block is None:
+                stale += 1
+                block = cached.put(
+                    segment.version, self._compute_block(segment, profile)
+                )
+                recomputed += block.rows
+            else:
                 reused += block.rows
-                out[bucket] = block
-                continue
-            stale += 1
-            block = self._compute_block(segment, profile)
-            recomputed += block.rows
-            self._blocks[bucket] = block
             out[bucket] = block
         if _obs_metrics.enabled():
             _record_refresh(
                 recomputed, reused, stale / len(buckets) if buckets else 0.0
             )
-        return out
+        return profile, out
 
     # -- public API -----------------------------------------------------------
 
@@ -429,9 +418,8 @@ class ScoreMaterializer:
         relation = self._relation()
         key = _FLAT if bucket is None else bucket
         with self._lock:
-            block = self._ensure_blocks(relation, [key])[key]
-            profile = self._profile
-            assert profile is not None
+            profile, blocks = self._ensure_blocks(relation, [key])
+            block = blocks[key]
             if parameter not in block.scores:
                 raise AssessmentError(
                     f"scoring profile {profile.name!r} defines no "
@@ -457,9 +445,8 @@ class ScoreMaterializer:
         relation = self._relation()
         key = _FLAT if bucket is None else bucket
         with self._lock:
-            block = self._ensure_blocks(relation, [key])[key]
-            profile = self._profile
-            assert profile is not None
+            profile, blocks = self._ensure_blocks(relation, [key])
+            block = blocks[key]
             hits: Optional[list[int]] = (
                 None if candidates is None else list(candidates)
             )

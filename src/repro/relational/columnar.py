@@ -130,9 +130,7 @@ class ColumnarRelation:
         entry is moved to the new version instead of being rebuilt on
         the next query.
         """
-        cached = self.relation._columnar_cache
-        if cached is not None and cached[1] is self:
-            self.relation._columnar_cache = (self.relation.version, self)
+        self.relation._columnar_cache.restamp(self, self.relation.version)
 
     def check_aligned(self) -> None:
         """Raise if the backing relation's length diverges from any array."""

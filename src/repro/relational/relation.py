@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from repro.errors import SchemaError, SnapshotWriteError, UnknownColumnError
 from repro.relational.partition import PartitionSpec
 from repro.relational.schema import RelationSchema
+from repro.relational.versioned import Versioned
 
 
 class Row(Mapping[str, Any]):
@@ -128,10 +129,10 @@ class Relation:
         self.schema = schema
         self._rows: list[Row] = []
         #: Mutation counter; bumped by every insert/delete/update so
-        #: caches derived from the rows (the columnar store, cached
-        #: query plans) can detect staleness cheaply.
+        #: caches derived from the rows (the columnar store, the read
+        #: snapshot) can detect staleness cheaply.
         self._version = 0
-        self._columnar_cache: Optional[tuple[int, Any]] = None
+        self._columnar_cache = Versioned()
         #: Partitioning state.  The flat ``_rows`` list stays canonical
         #: (all read accessors are partition-oblivious); ``_partitions``
         #: holds one shard Relation per bucket, each with its own
@@ -140,8 +141,8 @@ class Relation:
         self._partition_spec: Optional[PartitionSpec] = None
         self._partitions: list["Relation"] = []
         self._partition_position: Optional[int] = None
-        #: Bumped by :meth:`repartition`; cached plans pin this so a
-        #: layout change forces a replan (see ``sql/plancache.py``).
+        #: Bumped by :meth:`repartition`; gates the read snapshot and
+        #: the score materializer's blocks.
         self._partition_layout_version = 0
         self._dirty_partitions: set[int] = set()
         #: Mutation lock.  Every write path (and every version-gated
@@ -151,7 +152,7 @@ class Relation:
         #: writers compose (``delete`` → ``_replace_rows``).
         self._lock = threading.RLock()
         #: Version-gated read snapshot (see :meth:`read_snapshot`).
-        self._snapshot_cache: Optional[tuple[tuple[int, int], "Relation"]] = None
+        self._snapshot_cache = Versioned()
         #: Frozen relations (read snapshots) reject every mutation.
         self._frozen = False
         for row in rows:
@@ -260,7 +261,7 @@ class Relation:
         """Swap in a new backing row list (trusted; bumps the version).
 
         Every wholesale row replacement must flow through here so
-        version-gated caches (the columnar store, cached plans) observe
+        version-gated caches (the columnar store, the read snapshot) observe
         the mutation — including replacements performed by side-tables
         such as :class:`~repro.tagging.columnar.ColumnarTagStore`.
         """
@@ -387,8 +388,8 @@ class Relation:
 
         Rows are redistributed into ``spec.count`` shard relations (one
         per bucket, all sharing this relation's schema object) and every
-        bucket is marked dirty.  Bumps :attr:`partition_layout_version`
-        so cached plans pinned to the old layout replan.
+        bucket is marked dirty.  Bumps :attr:`partition_layout_version`;
+        cached plans that read the old layout replan.
         """
         position: Optional[int] = None
         if spec is not None:
@@ -434,7 +435,7 @@ class Relation:
 
     @property
     def partition_layout_version(self) -> int:
-        """Bumped by every :meth:`repartition` (plan-cache pin)."""
+        """Bumped by every :meth:`repartition` (gates snapshots and score blocks)."""
         return self._partition_layout_version
 
     @property
@@ -462,20 +463,16 @@ class Relation:
         changed since the last build, so batch execution paths can scan
         contiguous per-column arrays without ever reading stale data.
         """
-        cached = self._columnar_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        from repro.relational.columnar import ColumnarRelation
-
         # Built under the mutation lock so two sessions racing on a cold
         # cache agree on one store (and neither sees a half-built one).
-        with self._lock:
-            cached = self._columnar_cache
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-            store = ColumnarRelation.from_relation(self)
-            self._columnar_cache = (self._version, store)
-            return store
+        return self._columnar_cache.fetch(
+            self._version, self._build_columnar_store, self._lock
+        )
+
+    def _build_columnar_store(self):
+        from repro.relational.columnar import ColumnarRelation
+
+        return ColumnarRelation.from_relation(self)
 
     # -- snapshot reads --------------------------------------------------------
 
@@ -505,9 +502,9 @@ class Relation:
             if self._frozen:
                 return self
             token = (self._version, self._partition_layout_version)
-            cached = self._snapshot_cache
-            if cached is not None and cached[0] == token:
-                return cached[1]
+            cached = self._snapshot_cache.get(token)
+            if cached is not None:
+                return cached
             snapshot = Relation(self.schema)
             snapshot._rows = list(self._rows)
             snapshot._partition_spec = self._partition_spec
@@ -520,8 +517,7 @@ class Relation:
                     shard.read_snapshot() for shard in self._partitions
                 ]
             snapshot._frozen = True
-            self._snapshot_cache = (token, snapshot)
-            return snapshot
+            return self._snapshot_cache.put(token, snapshot)
 
     # -- access -------------------------------------------------------------------
 

@@ -31,9 +31,9 @@ logical plan (:mod:`repro.sql.plan`), rewrite rules route
 ``QUALITY(...)`` predicates into columnar tag-array scans and fuse
 ORDER BY + LIMIT into a bounded heap (:mod:`repro.sql.optimizer`), a
 batch physical executor runs the plan (:mod:`repro.sql.physical`), and
-a plan cache keyed on statement text + schema identity skips
-lexing/parsing/planning for repeated statements
-(:mod:`repro.sql.plancache`).  ``EXPLAIN SELECT ...`` returns the
+a plan cache keyed on statement text, and valid while the facts its
+planning read are unchanged, skips lexing/parsing/planning for
+repeated statements (:mod:`repro.sql.plancache`).  ``EXPLAIN SELECT ...`` returns the
 rendered optimized plan; ``execute(..., planner=False)`` is the
 planner-free reference path.
 

@@ -55,24 +55,25 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 
 
 def _resolve_relation(
-    statement: SelectStatement,
+    name: str,
     source: AnyRelation | Database | Mapping[str, AnyRelation],
 ) -> AnyRelation:
+    """The relation a FROM name denotes in ``source``; raises SQLError."""
     if isinstance(source, (Relation, TaggedRelation)):
-        if source.schema.name != statement.relation:
+        if source.schema.name != name:
             raise SQLError(
-                f"FROM {statement.relation!r} does not match the supplied "
+                f"FROM {name!r} does not match the supplied "
                 f"relation {source.schema.name!r}"
             )
         return source
     if isinstance(source, Database):
-        return source.relation(statement.relation)
+        return source.relation(name)
     if isinstance(source, Mapping):
         try:
-            return source[statement.relation]
+            return source[name]
         except KeyError:
             raise SQLError(
-                f"unknown relation {statement.relation!r} "
+                f"unknown relation {name!r} "
                 f"(available: {sorted(source)})"
             ) from None
     raise SQLError(
@@ -502,7 +503,7 @@ def _execute_unplanned(
             )
         return result
 
-    relation = _resolve_relation(statement, source)
+    relation = _resolve_relation(statement.relation, source)
     tagged = isinstance(relation, TaggedRelation)
     _check_columns(statement, relation)
     if statement.uses_quality() and not tagged:

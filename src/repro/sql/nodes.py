@@ -204,14 +204,8 @@ class SelectStatement:
     def uses_quality(self) -> bool:
         """True when the statement references any QUALITY(...) form
         (tag references or parameter-score references)."""
-        return self._references_quality((QualityRef, QualityScoreRef))
+        quality_refs = (QualityRef, QualityScoreRef)
 
-    def uses_quality_scores(self) -> bool:
-        """True when the statement references the ``QUALITY(parameter)``
-        score form specifically (the plan-cache's scoring-registry pin)."""
-        return self._references_quality((QualityScoreRef,))
-
-    def _references_quality(self, quality_refs: tuple) -> bool:
         def walk(expr: Any) -> bool:
             if isinstance(expr, quality_refs):
                 return True

@@ -39,12 +39,17 @@ reference executor:
   and, where batch execution wins, flip the :class:`~repro.sql.plan.Scan`
   to columnar and bound the fragment with a
   :class:`~repro.sql.plan.Materialize` (late row materialization).
+
+Rules never see relation objects: every fact they consult (relation
+kind, schemas, partition layout, bound scoring profile, cost band) is
+read through a :class:`~repro.sql.context.PlanContext`, which records
+it — those recorded reads are what the plan cache revalidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Optional, Union
+from dataclasses import replace
+from typing import Any, Callable, Optional
 
 from repro.sql.nodes import (
     BoolOp,
@@ -58,9 +63,8 @@ from repro.sql.nodes import (
     QualityScoreRef,
     SelectItem,
 )
-from repro.relational.relation import Relation
+from repro.sql.context import PlanContext
 from repro.sql.plan import (
-    Aggregate,
     Distinct,
     Filter,
     HashJoin,
@@ -75,7 +79,6 @@ from repro.sql.plan import (
     TopK,
     derive_plan_columns,
 )
-from repro.tagging.relation import TaggedRelation
 
 #: QSQL comparison operator → tagging-store operator vocabulary.
 _TAG_OPS = {"=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=",
@@ -93,34 +96,6 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
-
-
-@dataclass(frozen=True)
-class PlanContext:
-    """What the optimizer may know about the plan's base relations."""
-
-    relations: Mapping[str, Any]
-
-    @classmethod
-    def from_relations(cls, relations: Mapping[str, Any]) -> "PlanContext":
-        return cls(dict(relations))
-
-    def relation(self, name: str) -> Any:
-        return self.relations.get(name)
-
-    def cardinality(self, name: str) -> int:
-        relation = self.relations.get(name)
-        return len(relation) if relation is not None else 0
-
-    def tag_schema(self, name: str):
-        relation = self.relations.get(name)
-        if isinstance(relation, TaggedRelation):
-            return relation.tag_schema
-        return None
-
-    def schema(self, name: str):
-        relation = self.relations.get(name)
-        return relation.schema if relation is not None else None
 
 
 def _transform(plan: PlanNode, visit: Callable[[PlanNode], PlanNode]) -> PlanNode:
@@ -428,8 +403,7 @@ def prune_partitions(plan: PlanNode, context: PlanContext) -> PlanNode:
             return node
         if scan.partitions is not None:
             return node
-        relation = context.relation(scan.relation)
-        spec = getattr(relation, "partition_spec", None)
+        spec = context.partition_spec(scan.relation)
         if spec is None:
             return node
         buckets = derive_partition_buckets(spec, node.predicate)
@@ -451,9 +425,11 @@ def prune_partitions(plan: PlanNode, context: PlanContext) -> PlanNode:
 # -- score-predicate pushdown ------------------------------------------------
 
 
-def _as_score_constraint(conjunct: Any, profile) -> Optional[tuple]:
-    """(parameter, op, operand) when the conjunct can route through the
-    materialized score arrays with identical semantics, else None."""
+def _as_score_constraint(conjunct: Any) -> Optional[tuple]:
+    """(parameter, op, operand) when the conjunct has the shape the
+    materialized score arrays answer with identical semantics, else
+    None (whether the bound profile defines the parameter is checked
+    separately)."""
     if isinstance(conjunct, Comparison):
         left, right, op = conjunct.left, conjunct.right, conjunct.op
         if isinstance(right, QualityScoreRef) and isinstance(left, Literal):
@@ -479,10 +455,6 @@ def _as_score_constraint(conjunct: Any, profile) -> Optional[tuple]:
         operand = conjunct.options
     else:
         return None
-    # Unregistered parameters raise per-row in the executor; keep them
-    # in the residual predicate so the error surfaces identically.
-    if not profile.defines(score.parameter):
-        return None
     return (score.parameter, tag_op, operand)
 
 
@@ -496,7 +468,6 @@ def push_score_predicates(plan: PlanNode, context: PlanContext) -> PlanNode:
     :class:`~repro.quality.materialize.ScoringProfile` defining every
     routed parameter; the residual predicate stays a row Filter above.
     """
-    from repro.quality.materialize import profile_for
 
     def visit(node: PlanNode) -> PlanNode:
         if not isinstance(node, Filter):
@@ -512,20 +483,23 @@ def push_score_predicates(plan: PlanNode, context: PlanContext) -> PlanNode:
             return node
         if not scan.tagged:
             return node
-        relation = context.relation(scan.relation)
-        if relation is None:
-            return node
-        profile = profile_for(relation)
+        conjuncts = split_conjuncts(node.predicate)
+        shapes = [_as_score_constraint(conjunct) for conjunct in conjuncts]
+        if not any(shapes):
+            return node  # score-free: the registry is never read
+        profile = context.profile(scan.relation)
         if profile is None:
             return node
         constraints: list[tuple] = []
         residual: list[Any] = []
-        for conjunct in split_conjuncts(node.predicate):
-            constraint = _as_score_constraint(conjunct, profile)
-            if constraint is None:
-                residual.append(conjunct)
+        for conjunct, shape in zip(conjuncts, shapes):
+            # Unregistered parameters raise per-row in the executor; keep
+            # them in the residual predicate so the error surfaces
+            # identically.
+            if shape is not None and profile.defines(shape[0]):
+                constraints.append(shape)
             else:
-                constraints.append(constraint)
+                residual.append(conjunct)
         if not constraints:
             return node
         rewritten: PlanNode = ScoreFilter(child, tuple(constraints))
@@ -805,10 +779,9 @@ def _vectorizable_chain(
         node = node.children()[0]
     if not worthwhile or node.tagged or node.columnar:
         return None
-    relation = context.relation(node.relation)
-    if not isinstance(relation, Relation):
+    if context.kind(node.relation) != "plain":
         return None
-    if len(relation) < COLUMNAR_MIN_ROWS:
+    if not context.cost_band(node.relation):
         return None
     return chain, node
 

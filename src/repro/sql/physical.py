@@ -31,7 +31,7 @@ planner-only operators are:
 Compiled plans close over *names and schemas only*, never over relation
 instances: the binding supplies relations at run time, which is what
 makes cached plans safe to re-execute after data mutations (the plan
-cache revalidates schema identity, not data).
+cache revalidates the facts planning read, not data).
 
 Instrumentation (:mod:`repro.obs`): every compiled operator's batch
 function takes ``(binding, stats)``.  With ``stats=None`` — the default
@@ -117,10 +117,19 @@ Binding = Mapping[str, Any]
 OpIds = Optional[dict[int, int]]
 
 
+#: The environment flag that turns on plan verification (optimizer +
+#: plan cache) and the columnar batch sanitizer.  Any value other than
+#: empty/"0" arms both.
+ENV_FLAG = "REPRO_VERIFY_PLANS"
+
+
 def sanitize_enabled() -> bool:
-    """The ``REPRO_VERIFY_PLANS`` flag: plan verification and the
-    columnar sanitizer arm together."""
-    return os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
+    """Whether ``REPRO_VERIFY_PLANS`` is set: the one reader of the flag.
+
+    Plan verification and the columnar sanitizer arm together, so the
+    verifier re-exports this as ``verify_plans_enabled``.
+    """
+    return os.environ.get(ENV_FLAG, "") not in ("", "0")
 
 
 class ColumnarSanitizerError(SQLError):

@@ -1,66 +1,52 @@
 """QSQL plan cache: skip lexing/parsing/planning on repeated statements.
 
-A :class:`PlanCache` maps statement text to
+A :class:`PlanCache` maps a statement and the caller's options to
 :class:`PreparedStatement` entries — the parsed AST, the optimized
-plan, and the compiled physical plan.  A cached entry is reused only
-when the resolved relation still has the *identical* schema objects the
-plan was compiled against (``relation.schema is entry.schema``), so
-dropping and recreating a relation, or pointing the same statement at a
-different catalog, always recompiles.  :class:`RelationSchema` and
-:class:`TagSchema` instances are immutable, which makes identity a
-sound validity token; row-level mutations never invalidate plans
-because compiled plans bind relations at *execution* time, not compile
-time (and the columnar store the plan routes through revalidates
-against the relation's own mutation counter).
+plan, and the compiled physical plan.  The lookup key is
+``(statement text, columnar mode, REPRO_VERIFY_PLANS)``: caller options
+select which plan is wanted, they are not state.
 
-For :class:`~repro.relational.catalog.Database` sources, the entry
-additionally records the database's ``catalog_version`` (bumped on
-create/drop), making the cache key effectively
-``(statement text, catalog version)``.
+Validity has one rule.  Planning reads the source's mutable state only
+through a :class:`~repro.sql.context.PlanContext`, which records every
+fact it read — relation kind, schema and tag-schema identity, catalog
+version, partition layout, bound scoring profile, columnar cost band —
+and the entry keeps that record.  A lookup re-reads exactly those facts
+against the live source; the entry is served iff all are unchanged.
+Nothing else invalidates a plan: compiled plans bind relations at
+*execution* time, so row mutations matter only when they move the cost
+band (and only to plans whose costing read it), and score-free
+statements never read the scoring registry, so profile churn leaves
+them cached.
 
-Two more facts participate in validation because the optimizer's plan
-*shape* depends on them:
+One statement key keeps a few entries, most recently used first, one
+per distinct source state it was answered for (a flat and a partitioned
+relation of the same name alternate without replanning); older ones —
+dropped schemas, superseded layouts — age out past
+:data:`ENTRIES_PER_KEY`, so a hit never walks a long tail of dead
+entries.
 
-- the columnar execution mode (``execute(..., columnar=False)`` plans
-  differently from the default — an entry compiled in one mode is never
-  served to the other);
-- the relation's columnar cost band — whether it cleared
-  :data:`~repro.sql.optimizer.COLUMNAR_MIN_ROWS` at plan time.  Row
-  mutations normally never invalidate plans, but growing a relation
-  across the threshold (or shrinking below it) changes which access
-  path the optimizer would pick, so the entry is replanned.
-- the columnar sanitizer mode (``REPRO_VERIFY_PLANS``): sanitized
-  compiled plans carry per-batch check wrappers, so an entry compiled
-  in one mode is never served to the other;
-- the relation's partition layout version: the optimizer bakes static
-  partition pruning (the surviving bucket set) into the plan, so
-  ``repartition()`` bumps the version and forces a replan.
-- the scoring-profile registry version, for statements referencing the
-  ``QUALITY(parameter)`` score form: the optimizer's
-  ``push_score_predicates`` rewrite consults the registry (which
-  profile is bound, which parameters it defines), so registering or
-  re-binding a profile must replan such statements.
+With ``REPRO_VERIFY_PLANS=1`` every entry is audited on install and on
+each hit by :func:`~repro.analysis.verifier.verify_cache_entry`
+(DQ409): a fresh re-plan must read nothing the entry did not record
+and produce the cached plan.
 
-The plan-IR verifier (:mod:`repro.analysis.verifier`) audits exactly
-this key-completeness contract as DQ409; with ``REPRO_VERIFY_PLANS=1``
-every entry is re-verified on install and on each cache hit.
-
-Strict-mode analysis is memoized alongside the plan cache in an
-:class:`AnalysisMemo` keyed the same way (statement text + schema
-identity + catalog version), so ``execute(..., strict=True)`` pays the
-analysis pass once per (statement, schema) — including for statements
-that *fail* analysis, which never reach the plan cache, and for the
+Strict-mode analysis is memoized in an :class:`AnalysisMemo` under the
+same rule — the analyzer reads through a recorder too, so a verdict is
+replayed only while the schemas, catalog and scoring profile it read
+are unchanged.  Both execute paths share the memo, so
+``execute(..., strict=True)`` pays the analysis pass once per
+(statement, source state) — including for statements that *fail*
+analysis, which never reach the plan cache, and for the
 ``planner=False`` reference path, which has no prepared entries.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from time import perf_counter
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Hashable, Mapping, Optional, Union
 
 from repro.obs import metrics as _obs_metrics
 from repro.obs.stats import ExecutionStats, StatsCollector
@@ -68,42 +54,27 @@ from repro.obs.trace import global_tracer
 from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
+from repro.sql.context import PlanContext, Reads
 from repro.sql.errors import SQLError
-from repro.sql.executor import (
-    _check_columns,
-    _resolve_relation,
-)
-from repro.sql import optimizer as _optimizer
-from repro.sql.optimizer import PlanContext, optimize
+from repro.sql.executor import _check_columns
+from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
-from repro.sql.physical import CompiledPlan, compile_plan
+from repro.sql.physical import CompiledPlan, compile_plan, sanitize_enabled
 from repro.sql.plan import PlanNode, logical_plan, render_plan
 from repro.tagging.relation import TaggedRelation
 
 AnyRelation = Union[Relation, TaggedRelation]
 Source = Union[AnyRelation, Database, Mapping[str, AnyRelation]]
 
+#: Entries kept per statement key, most recently used first.
+ENTRIES_PER_KEY = 4
+
 
 class PreparedStatement:
-    """One cached statement: AST + optimized plan + compiled plan."""
+    """One cached statement: AST + optimized plan + compiled plan, and
+    the reads planning made (its whole validity condition)."""
 
-    __slots__ = (
-        "sql",
-        "statement",
-        "plan",
-        "compiled",
-        "relation_name",
-        "schema",
-        "tag_schema",
-        "tagged",
-        "catalog_version",
-        "columnar_mode",
-        "columnar_band",
-        "sanitize",
-        "partition_layout",
-        "scoring_version",
-        "strict_checked",
-    )
+    __slots__ = ("key", "statement", "plan", "compiled", "reads")
 
     def __init__(
         self,
@@ -111,134 +82,98 @@ class PreparedStatement:
         statement: Any,
         plan: PlanNode,
         compiled: CompiledPlan,
-        relation: AnyRelation,
-        catalog_version: Optional[int],
+        reads: Reads,
         columnar: bool = True,
         sanitize: Optional[bool] = None,
     ) -> None:
-        self.sql = sql
+        #: The lookup key: statement text plus the options it was
+        #: planned and compiled under (``sanitize`` defaults to the
+        #: current REPRO_VERIFY_PLANS flag, like compile_plan's own).
+        self.key = _plan_key(sql, columnar, sanitize)
         self.statement = statement
         self.plan = plan
         self.compiled = compiled
-        self.relation_name = statement.relation
-        self.schema = relation.schema
-        self.tagged = isinstance(relation, TaggedRelation)
-        self.tag_schema = relation.tag_schema if self.tagged else None
-        self.catalog_version = catalog_version
-        #: The columnar on/off mode the plan was optimized under.
-        self.columnar_mode = columnar
-        #: The relation's cost band at plan time (cleared
-        #: COLUMNAR_MIN_ROWS or not), when access-path costing could
-        #: have applied — i.e. columnar mode on and a plain relation.
-        #: None when costing never looked at the size.
-        self.columnar_band = _columnar_band(relation, columnar)
-        #: Whether the compiled plan carries columnar sanitizer
-        #: wrappers (REPRO_VERIFY_PLANS at compile time): part of the
-        #: cache key so toggling the flag never serves the wrong build.
-        #: Defaults to the current flag, matching compile_plan's own
-        #: default.
-        self.sanitize = _verify_enabled() if sanitize is None else sanitize
-        #: The relation's partition layout version at plan time.  The
-        #: optimizer bakes static partition pruning into the plan, so
-        #: any ``repartition()`` (which bumps the version) must force a
-        #: replan — the baked bucket set may be wrong for the new
-        #: layout.  Unpartitioned relations report 0 and never bump.
-        self.partition_layout = getattr(
-            relation, "partition_layout_version", 0
-        )
-        #: The scoring-profile registry version at plan time, when the
-        #: statement references QUALITY(parameter) score form (None
-        #: otherwise).  ``push_score_predicates`` bakes the registry's
-        #: answers into the plan shape, so any registry mutation must
-        #: force a replan of score-referencing statements.
-        self.scoring_version = _scoring_version_pin(statement, self.tagged)
-        #: True once strict-mode analysis passed for this entry (the
-        #: diagnostics depend only on the statement and the schemas the
-        #: entry already pins by identity, so one clean run is enough).
-        self.strict_checked = False
+        self.reads = reads
 
-    def valid_for(
-        self,
-        relation: AnyRelation,
-        source: Source,
-        columnar: bool = True,
-        sanitize: Optional[bool] = None,
-    ) -> bool:
-        if columnar != self.columnar_mode:
-            return False
-        if sanitize is None:
-            sanitize = _verify_enabled()
-        if sanitize != self.sanitize:
-            return False
-        if isinstance(relation, TaggedRelation) != self.tagged:
-            return False
-        if relation.schema is not self.schema:
-            return False
-        if self.tagged and relation.tag_schema is not self.tag_schema:
-            return False
-        if (
-            self.columnar_band is not None
-            and _columnar_band(relation, columnar) != self.columnar_band
-        ):
-            return False
-        if (
-            getattr(relation, "partition_layout_version", 0)
-            != self.partition_layout
-        ):
-            return False
-        if self.scoring_version is not None:
-            from repro.quality.materialize import registry_version
-
-            if registry_version() != self.scoring_version:
-                return False
-        if isinstance(source, Database):
-            return source.catalog_version == self.catalog_version
-        return True
+    @property
+    def sql(self) -> str:
+        return self.key[0]
 
 
-def _scoring_version_pin(statement: Any, tagged: bool) -> Optional[int]:
-    """The scoring-registry version a plan's shape depends on, or None.
-
-    Only tagged statements referencing the ``QUALITY(parameter)`` score
-    form consult the registry at plan time; pinning anything else would
-    needlessly invalidate unrelated plans on every profile registration.
-    """
-    if not tagged or not statement.uses_quality_scores():
-        return None
-    from repro.quality.materialize import registry_version
-
-    return registry_version()
+def _plan_key(
+    sql: str, columnar: bool, sanitize: Optional[bool]
+) -> tuple[str, bool, bool]:
+    if sanitize is None:
+        sanitize = sanitize_enabled()
+    return sql, columnar, sanitize
 
 
-def _columnar_band(relation: AnyRelation, columnar: bool) -> Optional[bool]:
-    """Which side of the access-path size threshold a relation is on.
+class _ValidatedLRU:
+    """A bounded LRU of cached values, each valid while its reads hold.
 
-    ``None`` when costing cannot apply (mode off, or not a plain
-    relation).  Read through the optimizer module so tests that
-    monkeypatch ``COLUMNAR_MIN_ROWS`` see consistent planning *and*
-    cache validation.
-    """
-    if not columnar or not isinstance(relation, Relation):
-        return None
-    return len(relation) >= _optimizer.COLUMNAR_MIN_ROWS
-
-
-class PlanCache:
-    """Statement-text → prepared-statement cache with LRU eviction.
-
-    Thread-safe: lookup/store/clear/stats hold an internal lock, so
-    concurrent sessions sharing the default cache never corrupt the
-    LRU order (``move_to_end``/``popitem``) or lose hit/miss counts.
+    Keys map to at most :data:`ENTRIES_PER_KEY` ``(reads, value)``
+    pairs, most recently used first; at most ``max_statements`` keys
+    are kept.  Thread-safe: lookup/store/clear/stats hold an internal
+    lock, so concurrent sessions sharing a cache never corrupt the LRU
+    order or lose hit/miss counts.
     """
 
     def __init__(self, max_statements: int = 256) -> None:
         self.max_statements = max_statements
-        self._entries: OrderedDict[str, list[PreparedStatement]] = (
+        self._entries: OrderedDict[Hashable, list[tuple[Reads, Any]]] = (
             OrderedDict()
         )
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
+
+    def _find(
+        self, key: Hashable, source: Any
+    ) -> Optional[tuple[Any, PlanContext]]:
+        """The value whose reads still hold in ``source`` (and the
+        context that re-read them), or None."""
+        with self._lock:
+            entries = self._entries.get(key)
+            if entries is not None:
+                live = PlanContext(source)
+                for index, (reads, value) in enumerate(entries):
+                    if live.unchanged(reads):
+                        if index:
+                            entries.insert(0, entries.pop(index))
+                        self._entries.move_to_end(key)
+                        self.hits += 1
+                        return value, live
+            self.misses += 1
+            return None
+
+    def _put(self, key: Hashable, reads: Reads, value: Any) -> None:
+        with self._lock:
+            entries = self._entries.get(key)
+            if entries is None:
+                entries = self._entries[key] = []
+            entries.insert(0, (reads, value))
+            del entries[ENTRIES_PER_KEY:]
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_statements:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "statements": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
+class PlanCache(_ValidatedLRU):
+    """Statement → prepared-statement cache (see the module doc)."""
 
     def lookup(
         self,
@@ -247,145 +182,30 @@ class PlanCache:
         columnar: bool = True,
         sanitize: Optional[bool] = None,
     ) -> Optional[tuple[PreparedStatement, AnyRelation]]:
-        """A (prepared, resolved relation) pair, or None on miss."""
-        with self._lock:
-            entries = self._entries.get(sql)
-            if entries is None:
-                self.misses += 1
-                return None
-            for entry in entries:
-                try:
-                    relation = _resolve_relation(entry.statement, source)
-                except SQLError:
-                    continue  # cold path re-raises with identical context
-                if entry.valid_for(relation, source, columnar, sanitize):
-                    self._entries.move_to_end(sql)
-                    self.hits += 1
-                    return entry, relation
-            self.misses += 1
+        """A (prepared, bound relation) pair, or None on miss."""
+        found = self._find(_plan_key(sql, columnar, sanitize), source)
+        if found is None:
             return None
+        entry, live = found
+        return entry, live.bind(entry.statement.relation)
 
     def store(self, entry: PreparedStatement) -> None:
-        with self._lock:
-            entries = self._entries.setdefault(entry.sql, [])
-            # Drop entries this one supersedes (same relation shape but a
-            # stale catalog version or dropped schema).  Entries differing
-            # in columnar mode or cost band answer *different* lookups, so
-            # they coexist rather than replace each other.
-            entries[:] = [
-                e
-                for e in entries
-                if e.schema is not entry.schema
-                or e.columnar_mode != entry.columnar_mode
-                or e.columnar_band != entry.columnar_band
-                or e.sanitize != entry.sanitize
-            ]
-            entries.append(entry)
-            self._entries.move_to_end(entry.sql)
-            while len(self._entries) > self.max_statements:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "statements": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        self._put(entry.key, entry.reads, entry)
 
 
-class _AnalysisVerdict:
-    """One memoized strict-analysis result and its validity tokens."""
+class AnalysisMemo(_ValidatedLRU):
+    """Memoized ``strict=True`` analysis verdicts, keyed by statement
+    text and validated by the reads the analyzer made.  Stores failing
+    verdicts too — rejected statements never reach the plan cache, so
+    without the memo every retry would re-run the full analysis pass."""
 
-    __slots__ = ("schema", "tagged", "tag_schema", "catalog_version", "diagnostics")
-
-    def __init__(
-        self, relation: AnyRelation, source: Source, diagnostics: Any
-    ) -> None:
-        self.schema = relation.schema
-        self.tagged = isinstance(relation, TaggedRelation)
-        self.tag_schema = relation.tag_schema if self.tagged else None
-        self.catalog_version = (
-            source.catalog_version if isinstance(source, Database) else None
-        )
-        self.diagnostics = diagnostics
-
-    def valid_for(self, relation: AnyRelation, source: Source) -> bool:
-        if isinstance(relation, TaggedRelation) != self.tagged:
-            return False
-        if relation.schema is not self.schema:
-            return False
-        if self.tagged and relation.tag_schema is not self.tag_schema:
-            return False
-        if isinstance(source, Database):
-            return source.catalog_version == self.catalog_version
-        return True
-
-
-class AnalysisMemo:
-    """Memoized ``strict=True`` analysis verdicts, keyed like the plan
-    cache: statement text, validated by schema/tag-schema identity and
-    catalog version.  Stores failing verdicts too — rejected statements
-    never reach the plan cache, so without the memo every retry would
-    re-run the full analysis pass."""
-
-    def __init__(self, max_statements: int = 256) -> None:
-        self.max_statements = max_statements
-        self._entries: OrderedDict[str, list[_AnalysisVerdict]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.RLock()
-
-    def lookup(
-        self, sql: str, relation: AnyRelation, source: Source
-    ) -> Optional[Any]:
+    def lookup(self, sql: str, source: Source) -> Optional[Any]:
         """The memoized Diagnostics, or None when analysis must run."""
-        with self._lock:
-            entries = self._entries.get(sql)
-            if entries is not None:
-                for entry in entries:
-                    if entry.valid_for(relation, source):
-                        self._entries.move_to_end(sql)
-                        self.hits += 1
-                        return entry.diagnostics
-            self.misses += 1
-            return None
+        found = self._find(sql, source)
+        return None if found is None else found[0]
 
-    def store(
-        self,
-        sql: str,
-        relation: AnyRelation,
-        source: Source,
-        diagnostics: Any,
-    ) -> None:
-        with self._lock:
-            verdict = _AnalysisVerdict(relation, source, diagnostics)
-            entries = self._entries.setdefault(sql, [])
-            entries[:] = [e for e in entries if e.schema is not verdict.schema]
-            entries.append(verdict)
-            self._entries.move_to_end(sql)
-            while len(self._entries) > self.max_statements:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "statements": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+    def store(self, sql: str, reads: Reads, diagnostics: Any) -> None:
+        self._put(sql, reads, diagnostics)
 
 
 #: The process-wide default cache used by ``execute(..., planner=True)``.
@@ -419,18 +239,23 @@ def plan_cache_stats() -> dict[str, int]:
 
 def plan_statement(
     statement: Any, source: Source, *, columnar: bool = True
-) -> tuple[PlanNode, AnyRelation, bool]:
-    """Resolve, pre-check, lower, and optimize one parsed statement."""
-    relation = _resolve_relation(statement, source)
-    tagged = isinstance(relation, TaggedRelation)
+) -> tuple[PlanNode, AnyRelation, PlanContext]:
+    """Resolve, pre-check, lower, and optimize one parsed statement.
+
+    Returns the plan, the relation it binds, and the
+    :class:`~repro.sql.context.PlanContext` whose recorded reads are
+    the plan's validity condition.
+    """
+    context = PlanContext(source)
+    relation = context.bind(statement.relation)
+    tagged = context.kind(statement.relation) == "tagged"
     _check_columns(statement, relation)
     if statement.uses_quality() and not tagged:
         raise SQLError(
             "QUALITY(...) requires a tagged relation; the source is untagged"
         )
     plan = logical_plan(statement, tagged)
-    context = PlanContext.from_relations({statement.relation: relation})
-    return optimize(plan, context, columnar=columnar), relation, tagged
+    return optimize(plan, context, columnar=columnar), relation, context
 
 
 _EXPLAIN_SCHEMA = RelationSchema("explain", [Column("plan", "STR")])
@@ -452,12 +277,6 @@ def explain_analyze_relation(stats: ExecutionStats) -> Relation:
     return result
 
 
-def _verify_enabled() -> bool:
-    """The REPRO_VERIFY_PLANS flag (read directly; the verifier module
-    itself is only imported when the flag is actually on)."""
-    return os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
-
-
 def _span(name: str, **attributes: Any):
     """A tracer span when ambient instrumentation is on, else a no-op."""
     if _obs_metrics.enabled():
@@ -473,46 +292,36 @@ def run_strict_analysis(
 ) -> None:
     """Strict-mode gate: analyze (or recall) and raise on errors.
 
-    Consults the :class:`AnalysisMemo` first; the analysis verdict
-    depends only on the statement and the schemas the memo validates
-    by identity, so a hit replays the memoized diagnostics without
-    re-running the analyzer.  Statements whose relation cannot be
-    resolved are analyzed uncached (the diagnostics explain the
-    unknown relation; there is nothing to key validity on).
+    Consults the :class:`AnalysisMemo` first: a verdict is replayed
+    while every catalog fact the analyzer read for it is unchanged.
+    Statements whose relation cannot be resolved are analyzed uncached
+    (the diagnostics list the source's relations, which are not a
+    recorded read).
     """
-    from repro.analysis.diagnostics import QueryAnalysisError
-    from repro.analysis.query import analyze_statement
-
     if memo is None:
         memo = _DEFAULT_ANALYSIS_MEMO
-    relation: Optional[AnyRelation] = None
-    try:
-        relation = _resolve_relation(statement, source)
-    except SQLError:
-        pass
-    if relation is not None:
-        cached = memo.lookup(sql, relation, source)
-        if cached is not None:
-            if cached.has_errors:
-                raise QueryAnalysisError(cached, sql)
-            return
-    diagnostics = analyze_statement(statement, source, sql=sql)
-    if relation is not None:
-        memo.store(sql, relation, source, diagnostics)
+    diagnostics = memo.lookup(sql, source)
+    if diagnostics is None:
+        from repro.analysis.query import analyze_statement
+
+        context = PlanContext(source)
+        diagnostics = analyze_statement(statement, context, sql=sql)
+        if context.kind(statement.relation) is not None:
+            memo.store(sql, context.reads, diagnostics)
     if diagnostics.has_errors:
+        from repro.analysis.diagnostics import QueryAnalysisError
+
         raise QueryAnalysisError(diagnostics, sql)
 
 
-def _verify_entry(
-    entry: PreparedStatement, relation: AnyRelation, source: Source
-) -> None:
+def _verify_entry(entry: PreparedStatement, source: Source) -> None:
     """REPRO_VERIFY_PLANS hook: audit one cache entry, raise on DQ409."""
     from repro.analysis.verifier import (
         PlanVerificationError,
         verify_cache_entry,
     )
 
-    diagnostics = verify_cache_entry(entry, relation, source)
+    diagnostics = verify_cache_entry(entry, source)
     if diagnostics.has_errors:
         raise PlanVerificationError(diagnostics, entry.sql)
 
@@ -575,7 +384,7 @@ def execute_planned(
     if cache is None:
         cache = _DEFAULT_CACHE
     obs_on = _obs_metrics.enabled()
-    verify = _verify_enabled()
+    verify = sanitize_enabled()
     found = cache.lookup(sql, source, columnar, sanitize=verify)
     if found is not None:
         if obs_on:
@@ -584,11 +393,10 @@ def execute_planned(
             ).inc()
         prepared, relation = found
         if verify:
-            _verify_entry(prepared, relation, source)
-        if strict and not prepared.strict_checked:
+            _verify_entry(prepared, source)
+        if strict:
             run_strict_analysis(prepared.statement, source, sql)
-            prepared.strict_checked = True
-        binding = {prepared.relation_name: relation}
+        binding = {prepared.statement.relation: relation}
         result, _ = _record_execution(
             sql, prepared.compiled, binding, collector, cache_hit=True
         )
@@ -603,7 +411,9 @@ def execute_planned(
     if strict:
         run_strict_analysis(statement, source, sql)
     with _span("qsql.plan", relation=statement.relation):
-        plan, relation, _ = plan_statement(statement, source, columnar=columnar)
+        plan, relation, context = plan_statement(
+            statement, source, columnar=columnar
+        )
     if statement.explain and not statement.analyze:
         return explain_relation(plan)
     binding = {statement.relation: relation}
@@ -624,22 +434,11 @@ def execute_planned(
                 cache_hit=False,
             )
         return explain_analyze_relation(stats)
-    catalog_version = (
-        source.catalog_version if isinstance(source, Database) else None
-    )
     entry = PreparedStatement(
-        sql,
-        statement,
-        plan,
-        compiled,
-        relation,
-        catalog_version,
-        columnar,
-        sanitize=verify,
+        sql, statement, plan, compiled, context.reads, columnar, verify
     )
-    entry.strict_checked = strict
     if verify:
-        _verify_entry(entry, relation, source)
+        _verify_entry(entry, source)
     cache.store(entry)
     result, _ = _record_execution(
         sql, compiled, binding, collector, cache_hit=False

@@ -10,17 +10,13 @@ paper's Table-2 style and convert to/from plain relations.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
-from repro.errors import (
-    SchemaError,
-    SnapshotWriteError,
-    TagSchemaError,
-    UnknownColumnError,
-)
+from repro.errors import SnapshotWriteError, UnknownColumnError
 from repro.relational.partition import PartitionSpec
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import RelationSchema
+from repro.relational.versioned import Versioned
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorValue, TagSchema
 
@@ -160,10 +156,10 @@ class TaggedRelation:
         self.tag_schema.check_against(schema)
         self._rows: list[TaggedRow] = []
         #: Mutation counter; bumped by every insert/delete so caches
-        #: derived from the rows (the columnar store, cached query
-        #: plans) can detect staleness cheaply.
+        #: derived from the rows (the columnar store, the read snapshot,
+        #: score blocks) can detect staleness cheaply.
         self._version = 0
-        self._columnar_cache: Optional[tuple[int, Any]] = None
+        self._columnar_cache = Versioned()
         #: Partitioning state, mirroring ``Relation``: the flat
         #: ``_rows`` list stays canonical; shards are TaggedRelations
         #: (one per bucket) each carrying its own version-gated
@@ -176,9 +172,7 @@ class TaggedRelation:
         #: Mutation lock + frozen flag, mirroring ``Relation`` (see
         #: DESIGN.md §15 for the locking discipline).
         self._lock = threading.RLock()
-        self._snapshot_cache: Optional[
-            tuple[tuple[int, int], "TaggedRelation"]
-        ] = None
+        self._snapshot_cache = Versioned()
         self._frozen = False
         for row in rows:
             self.insert(row)
@@ -269,8 +263,8 @@ class TaggedRelation:
 
         Mirrors :meth:`repro.relational.relation.Relation.repartition`:
         rows route on the *cell value* of the partition column, shards
-        share both schema objects, and the layout version bump forces
-        cached plans to replan.
+        share both schema objects, and cached plans that read the old
+        layout replan.
         """
         position: Optional[int] = None
         if spec is not None:
@@ -320,7 +314,7 @@ class TaggedRelation:
 
     @property
     def partition_layout_version(self) -> int:
-        """Bumped by every :meth:`repartition` (plan-cache pin)."""
+        """Bumped by every :meth:`repartition` (gates snapshots and score blocks)."""
         return self._partition_layout_version
 
     @property
@@ -348,20 +342,16 @@ class TaggedRelation:
         indicator-constrained scans through contiguous tag arrays
         without ever reading stale data.
         """
-        cached = self._columnar_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        from repro.tagging.columnar import ColumnarTagStore
-
         # Built under the mutation lock so two sessions racing on a cold
         # cache agree on one store (and neither sees a half-built one).
-        with self._lock:
-            cached = self._columnar_cache
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-            store = ColumnarTagStore.from_tagged_relation(self)
-            self._columnar_cache = (self._version, store)
-            return store
+        return self._columnar_cache.fetch(
+            self._version, self._build_columnar_store, self._lock
+        )
+
+    def _build_columnar_store(self):
+        from repro.tagging.columnar import ColumnarTagStore
+
+        return ColumnarTagStore.from_tagged_relation(self)
 
     # -- snapshot reads --------------------------------------------------------
 
@@ -384,9 +374,9 @@ class TaggedRelation:
             if self._frozen:
                 return self
             token = (self._version, self._partition_layout_version)
-            cached = self._snapshot_cache
-            if cached is not None and cached[0] == token:
-                return cached[1]
+            cached = self._snapshot_cache.get(token)
+            if cached is not None:
+                return cached
             snapshot = TaggedRelation(self.schema, self.tag_schema)
             snapshot._rows = list(self._rows)
             snapshot._partition_spec = self._partition_spec
@@ -399,8 +389,7 @@ class TaggedRelation:
                     shard.read_snapshot() for shard in self._partitions
                 ]
             snapshot._frozen = True
-            self._snapshot_cache = (token, snapshot)
-            return snapshot
+            return self._snapshot_cache.put(token, snapshot)
 
     # -- access -------------------------------------------------------------------
 

@@ -210,25 +210,36 @@ class TestAssertAndOptimizeHooks:
 
 
 class TestCacheEntryAudit:
+    """DQ409 fires on entries whose recorded reads are incomplete or
+    out of date.  The cache itself never serves such an entry (see the
+    state machine in tests/sql/test_plancache_machine.py); here the
+    record is tampered with, or audited against a changed source, to
+    show the audit catches it."""
+
     SQL = "SELECT name FROM big WHERE score > 3"
 
     def make_entry(self, relation=BIG, sanitize=False):
         statement = parse(self.SQL)
-        plan, resolved, _ = plan_statement(statement, {"big": relation})
+        plan, resolved, context = plan_statement(statement, {"big": relation})
         compiled = compile_plan(plan, {"big": relation}, sanitize=sanitize)
         return PreparedStatement(
-            self.SQL, statement, plan, compiled, resolved, None,
+            self.SQL, statement, plan, compiled, context.reads,
             columnar=True, sanitize=sanitize,
         )
 
+    @staticmethod
+    def without(entry, fact):
+        entry.reads = tuple(read for read in entry.reads if read[0] != fact)
+        return entry
+
     def test_fresh_entry_is_clean(self):
         entry = self.make_entry()
-        assert not verify_cache_entry(entry, BIG)
+        assert not verify_cache_entry(entry, {"big": BIG})
 
     def test_stale_schema_identity(self):
         entry = self.make_entry()
         # Same column layout, freshly constructed schema object: the
-        # entry's identity pin must notice the swap.
+        # entry recorded the old schema object, so the audit flags it.
         rebuilt_schema = schema(
             "big",
             [("id", "INT"), ("name", "STR"), ("score", "INT")],
@@ -237,44 +248,41 @@ class TestCacheEntryAudit:
         replacement = Relation(rebuilt_schema)
         for i in range(80):
             replacement.insert({"id": i, "name": f"n{i}", "score": i % 7})
-        diagnostics = verify_cache_entry(entry, replacement)
+        diagnostics = verify_cache_entry(entry, {"big": replacement})
         assert diagnostics.codes() == ["DQ409"]
-        assert "stale relation schema" in diagnostics.render()
+        assert "schema(big)" in diagnostics.render()
 
     def test_missing_columnar_band(self):
-        entry = self.make_entry()
-        entry.columnar_band = None  # simulate an incomplete cache key
-        diagnostics = verify_cache_entry(entry, BIG)
+        entry = self.without(self.make_entry(), "band")
+        diagnostics = verify_cache_entry(entry, {"big": BIG})
         assert diagnostics.codes() == ["DQ409"]
-        assert "columnar cost band" in diagnostics.render()
+        assert "band(big)" in diagnostics.render()
 
     def test_band_mismatch_after_growth(self):
         small = make_big(4)  # row side of COLUMNAR_MIN_ROWS
         entry = self.make_entry()
-        diagnostics = verify_cache_entry(entry, small)
-        assert "DQ409" in diagnostics.codes()
+        diagnostics = verify_cache_entry(entry, {"big": small})
+        # The band read changed and the fresh plan is a row plan.
+        assert diagnostics.codes() == ["DQ409"]
+        assert len(diagnostics) == 2
+        assert "band(big)" in diagnostics.render()
+        assert "stale plan" in diagnostics.render()
 
     def test_missing_partition_layout(self):
-        entry = self.make_entry()
-        entry.partition_layout = None  # simulate an incomplete cache key
-        diagnostics = verify_cache_entry(entry, BIG)
+        entry = self.without(self.make_entry(), "layout")
+        diagnostics = verify_cache_entry(entry, {"big": BIG})
         assert diagnostics.codes() == ["DQ409"]
-        assert "partition layout" in diagnostics.render()
+        assert "layout(big)" in diagnostics.render()
 
     def test_stale_partition_layout(self):
         from repro.relational import hash_partitions
 
         relation = make_big()
-        statement = parse(self.SQL)
-        plan, resolved, _ = plan_statement(statement, {"big": relation})
-        compiled = compile_plan(plan, {"big": relation})
-        entry = PreparedStatement(
-            self.SQL, statement, plan, compiled, resolved, None,
-        )
+        entry = self.make_entry(relation)
         relation.repartition(hash_partitions("score", 4))
-        diagnostics = verify_cache_entry(entry, relation)
-        assert diagnostics.codes() == ["DQ409"]
-        assert "partition layout version" in diagnostics.render()
+        diagnostics = verify_cache_entry(entry, {"big": relation})
+        assert "DQ409" in diagnostics.codes()
+        assert "layout(big)" in diagnostics.render()
 
     def test_hit_path_catches_tampered_entry(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
@@ -286,7 +294,7 @@ class TestCacheEntryAudit:
             hit = default_plan_cache().lookup(self.SQL, {"big": relation})
             assert hit is not None
             entry, _ = hit
-            entry.columnar_band = None  # tamper with the installed entry
+            self.without(entry, "band")  # tamper with the installed entry
             with pytest.raises(PlanVerificationError) as excinfo:
                 execute(self.SQL, {"big": relation})
             assert "DQ409" in str(excinfo.value)

@@ -222,11 +222,13 @@ def test_plan_cache_concurrent_lookup_store_is_safe():
                     )
 
                     statement = parse(sql)
-                    plan, resolved, _ = plan_statement(statement, relation)
+                    plan, resolved, context = plan_statement(
+                        statement, relation
+                    )
                     compiled = compile_plan(plan, {statement.relation: resolved})
                     cache.store(
                         PreparedStatement(
-                            sql, statement, plan, compiled, resolved, None
+                            sql, statement, plan, compiled, context.reads
                         )
                     )
         except BaseException as exc:  # noqa: BLE001 - recorded for assert

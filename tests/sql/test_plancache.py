@@ -187,12 +187,20 @@ class TestTaggedPlans:
         assert cache.hits == 1
 
     def test_strict_mode_checked_once_then_cached(self):
+        from repro.sql.plancache import AnalysisMemo, run_strict_analysis
+
         relation = make_relation()
         cache = PlanCache()
         sql = "SELECT a FROM t"
         execute_planned(sql, relation, cache=cache, strict=True)
-        entry = cache.lookup(sql, relation)[0]
-        assert entry.strict_checked is True
+        execute_planned(sql, relation, cache=cache, strict=True)
+        assert cache.hits == 1
+        # The hit replays the memoized verdict instead of re-analyzing.
+        memo = AnalysisMemo()
+        for _ in range(2):
+            run_strict_analysis(cache.lookup(sql, relation)[0].statement,
+                                relation, sql, memo)
+        assert memo.stats()["misses"] == 1 and memo.stats()["hits"] == 1
 
     def test_strict_errors_still_raise_on_cached_plan(self):
         from repro.analysis.diagnostics import QueryAnalysisError
@@ -208,14 +216,13 @@ class TestTaggedPlans:
 
 
 class TestColumnarKeying:
-    """The cache key must cover columnar mode and the costing band.
+    """Columnar mode is part of the lookup key; the costing band is a
+    recorded read of plans whose access-path choice looked at it.
 
-    Before this keying existed, a plan compiled under ``columnar=True``
-    would be served to a ``columnar=False`` caller (wrong mode), and a
-    row plan compiled while the relation sat under COLUMNAR_MIN_ROWS
-    would keep being served after the relation grew past it (stale
-    access-path choice).  Both assertions below fail under the old
-    keying.
+    Without either, a plan compiled under ``columnar=True`` would be
+    served to a ``columnar=False`` caller (wrong mode), or a row plan
+    compiled while the relation sat under COLUMNAR_MIN_ROWS would keep
+    being served after it grew past (stale access-path choice).
     """
 
     SQL = "SELECT a FROM t WHERE a >= 0"
@@ -234,9 +241,10 @@ class TestColumnarKeying:
         execute_planned(self.SQL, relation, cache=cache, columnar=True)
         execute_planned(self.SQL, relation, cache=cache, columnar=False)
         assert cache.misses == 2  # the row-path call must NOT hit
-        entries = cache._entries[self.SQL]
-        assert sorted(e.columnar_mode for e in entries) == [False, True]
-        by_mode = {e.columnar_mode: e for e in entries}
+        by_mode = {
+            mode: cache.lookup(self.SQL, relation, columnar=mode)[0]
+            for mode in (True, False)
+        }
         assert isinstance(by_mode[True].plan, Materialize)
         assert not isinstance(by_mode[False].plan, Materialize)
 
@@ -257,16 +265,16 @@ class TestColumnarKeying:
         relation = make_relation(rows=[(i, "x") for i in range(4)])
         execute_planned(self.SQL, relation, cache=cache)
         entry = cache.lookup(self.SQL, relation)[0]
-        assert entry.columnar_band is False
+        assert ("band", "t", False) in entry.reads
         assert not isinstance(entry.plan, Materialize)
-        # Grow past the costing threshold: the cached row plan's band
-        # no longer matches, so the lookup must miss and replan.
+        # Grow past the costing threshold: the recorded band read no
+        # longer holds, so the lookup must miss and replan.
         for i in range(optimizer.COLUMNAR_MIN_ROWS + 10):
             relation.insert({"a": 100 + i, "b": "y"})
         result = execute_planned(self.SQL, relation, cache=cache)
         assert len(result) == 4 + optimizer.COLUMNAR_MIN_ROWS + 10
         fresh = cache.lookup(self.SQL, relation)[0]
-        assert fresh.columnar_band is True
+        assert ("band", "t", True) in fresh.reads
         assert isinstance(fresh.plan, Materialize)
 
     def test_shrink_below_threshold_replans_rows(self):
@@ -300,7 +308,7 @@ class TestColumnarKeying:
         entry = cache.lookup(self.SQL, relation)[0]
         # Costing never applies to tagged sources, so size changes must
         # not invalidate their plans.
-        assert entry.columnar_band is None
+        assert "band" not in {fact for fact, _, _ in entry.reads}
         relation.insert({"a": QualityCell(999)})
         assert cache.lookup(self.SQL, relation) is not None
 
@@ -391,3 +399,46 @@ class TestAnalysisMemo:
             assert len(calls) == 1
         finally:
             clear_plan_cache()
+
+
+class TestEntryBound:
+    """Entries for dropped schemas age out: one statement keeps a
+    bounded number of entries, and a hit checks only the live one."""
+
+    CYCLES = 300
+
+    def test_drop_recreate_cycles_stay_bounded(self, monkeypatch):
+        from repro.sql.context import PlanContext
+        from repro.sql.plancache import AnalysisMemo, run_strict_analysis
+        from repro.sql.parser import parse
+
+        database = Database("db")
+        cache = PlanCache()
+        memo = AnalysisMemo()
+        sql = "SELECT a FROM t WHERE b = 'x'"
+        statement = parse(sql)
+        for cycle in range(self.CYCLES):
+            if "t" in database:
+                database.drop_relation("t")
+            database.create_relation(
+                RelationSchema("t", [Column("a", "INT"), Column("b", "STR")])
+            ).insert({"a": cycle, "b": "x"})
+            execute_planned(sql, database, cache=cache)
+            run_strict_analysis(statement, database, sql, memo)
+
+        def entries(lru):
+            return sum(len(kept) for kept in lru._entries.values())
+
+        assert entries(cache) <= 4
+        assert entries(memo) <= 4
+        checked = []
+        real = PlanContext.unchanged
+
+        def counting(context, reads):
+            checked.append(reads)
+            return real(context, reads)
+
+        monkeypatch.setattr(PlanContext, "unchanged", counting)
+        result = execute_planned(sql, database, cache=cache)
+        assert values(result) == [(self.CYCLES - 1,)]
+        assert cache.hits == 1 and len(checked) == 1

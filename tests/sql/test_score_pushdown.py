@@ -290,10 +290,141 @@ class TestPlanCacheInvalidation:
         )
         execute_planned(plain_sql, relation, cache=cache)
         execute_planned(scored_sql, relation, cache=cache)
-        assert cache.lookup(plain_sql, relation)[0].scoring_version is None
-        scored = cache.lookup(scored_sql, relation)[0]
-        assert scored.scoring_version is not None
+        def facts(sql):
+            return {fact for fact, _, _ in cache.lookup(sql, relation)[0].reads}
+
+        assert "profile" not in facts(plain_sql)
+        assert "profile" in facts(scored_sql)
         # A registry mutation stales only the score-reading entry.
         register(ratings={"audit": 0.8})
         assert cache.lookup(plain_sql, relation) is not None
         assert cache.lookup(scored_sql, relation) is None
+
+
+class TestStrictVerdictFollowsProfiles:
+    """A memoized strict verdict records the scoring profile it read:
+    registering or clearing a profile re-decides the statement, on both
+    execute paths and through a service session."""
+
+    SQL = "SELECT co_name FROM customer WHERE QUALITY(credibility) > 0.5"
+
+    @staticmethod
+    def register_fund_raising():
+        register_profile(
+            ScoringProfile(
+                "fund_raising",
+                [credibility_scorer({"acct'g": 0.9, "sales": 0.6,
+                                     "estimate": 0.3})],
+            ),
+            relations=["customer"],
+        )
+
+    def assert_rejected(self, run):
+        from repro.analysis.diagnostics import QueryAnalysisError
+
+        with pytest.raises(QueryAnalysisError) as excinfo:
+            run()
+        assert "DQ212" in excinfo.value.diagnostics.codes()
+
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_register_profile_lifts_dq212(self, planner):
+        from repro.experiments.scenarios import table2_relation
+
+        relation = table2_relation()
+
+        def run():
+            return execute(self.SQL, relation, strict=True, planner=planner)
+
+        self.assert_rejected(run)
+        self.register_fund_raising()
+        expected = execute(self.SQL, relation, planner=False)
+        assert len(expected) > 0
+        assert run().rows == expected.rows
+
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_clear_profiles_restores_dq212(self, planner):
+        from repro.experiments.scenarios import table2_relation
+
+        relation = table2_relation()
+
+        def run():
+            return execute(self.SQL, relation, strict=True, planner=planner)
+
+        self.register_fund_raising()
+        assert len(run()) > 0
+        clear_profiles()
+        # The analyzer's DQ212, not the executor's runtime SQLError.
+        self.assert_rejected(run)
+
+    def test_service_session_follows_profiles(self):
+        from repro.experiments.scenarios import table2_relation
+        from repro.service.core import QueryService
+
+        service = QueryService(table2_relation(), workers=1)
+        try:
+            with service.session(strict=True) as session:
+                self.assert_rejected(lambda: session.execute(self.SQL))
+                self.register_fund_raising()
+                assert len(session.execute(self.SQL)) > 0
+                clear_profiles()
+                self.assert_rejected(lambda: session.execute(self.SQL))
+        finally:
+            service.close()
+
+
+class TestNaiveOracleScores:
+    """``naive_execute`` answers QUALITY(parameter) like the reference
+    path: a row's score is the mean over its scorable tagged cells."""
+
+    FUND_RAISING = [
+        "SELECT co_name, employees FROM customer WHERE employees > 100 "
+        "AND QUALITY(address.source) <> 'estimate' "
+        "AND QUALITY(timeliness) > 0.2 ORDER BY employees DESC LIMIT 20",
+        "SELECT co_name, QUALITY(credibility) AS c, "
+        "QUALITY(timeliness) AS t FROM customer "
+        "ORDER BY QUALITY(credibility) DESC, co_name",
+        "SELECT co_name FROM customer WHERE QUALITY(credibility) >= 0.6 "
+        "ORDER BY QUALITY(timeliness), co_name LIMIT 7",
+    ]
+
+    @staticmethod
+    def bound_customers():
+        from repro.experiments.scenarios import customer_database
+
+        world, _, relation = customer_database(n_companies=60, seed=5)
+        register_profile(
+            ScoringProfile(
+                "fund_raising",
+                [
+                    credibility_scorer({"acct'g": 0.9, "estimate": 0.3}),
+                    timeliness_scorer(90.0),
+                ],
+                context={"today": world.today},
+            ),
+            relations=["customer"],
+        )
+        return relation
+
+    @pytest.mark.parametrize("sql", FUND_RAISING)
+    def test_matches_reference_path(self, sql):
+        from repro.experiments.naive import naive_execute
+
+        relation = self.bound_customers()
+        expected = execute(sql, relation, planner=False)
+        assert len(expected) > 0
+        got = naive_execute(sql, relation)
+        assert got.schema.column_names == expected.schema.column_names
+        assert [c.domain for c in got.schema.columns] == [
+            c.domain for c in expected.schema.columns
+        ]
+        assert [r.values_tuple() for r in got] == [
+            r.values_tuple() for r in expected
+        ]
+
+    def test_unbound_parameter_raises_sqlerror(self):
+        from repro.experiments.naive import naive_execute
+
+        relation = self.bound_customers()
+        clear_profiles()
+        with pytest.raises(SQLError):
+            naive_execute(self.FUND_RAISING[1], relation)
