@@ -32,6 +32,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.sql.context import PlanContext
 from repro.sql.errors import SQLError
+from repro.sql.executor import _FLIPPED, _sql_compare
 from repro.sql.nodes import (
     AggregateCall,
     BoolOp,
@@ -826,9 +827,6 @@ def _operand_key(operand: Any) -> Optional[tuple]:
     return None
 
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>", "!=": "!="}
-
-
 def _normalize_comparison(
     node: Comparison,
 ) -> tuple[Optional[tuple], str, Any, bool]:
@@ -844,16 +842,7 @@ def _normalize_comparison(
 
 def _constant_truth(node: Comparison) -> bool:
     """Evaluate a literal-vs-literal comparison with executor semantics."""
-    from repro.sql.executor import _COMPARATORS
-
-    a = node.left.value
-    b = node.right.value
-    if a is None or b is None:
-        return False
-    try:
-        return bool(_COMPARATORS[node.op](a, b))
-    except TypeError:
-        return False
+    return bool(_sql_compare(node.op, node.left.value, node.right.value))
 
 
 def analyze_statement(

@@ -25,6 +25,12 @@ Built on :class:`http.server.ThreadingHTTPServer`: each connection
 gets a handler thread, and the handler blocks on the service ticket —
 so the *service's* worker pool and bounded queue remain the real
 concurrency and admission limits.
+
+Connections are keep-alive (HTTP/1.1).  Each response leaves in one
+send with ``TCP_NODELAY`` set, so a client waiting for it never waits
+on its own delayed ACK.  A reply sent before the request body was read
+(unknown path, bad or oversized ``Content-Length``) closes the
+connection: the unread bytes would otherwise parse as the next request.
 """
 
 from __future__ import annotations
@@ -93,6 +99,15 @@ def make_server(
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body must not leave as two small writes: Nagle's
+    # algorithm holds the second until the client ACKs the first, and a
+    # keep-alive client delays that ACK (~40 ms on Linux).  So they
+    # collect in a buffered wfile that the stdlib flushes after each
+    # request (one send when they fit its 8 KiB), and Nagle is off.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    #: Whether the current request declares a body not yet read.
+    _unread_body = False
 
     server: ServiceHTTPServer  # narrowed for attribute access
 
@@ -117,15 +132,36 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            # The body's bytes would parse as the next request line, so
+            # end the connection.
+            self.close_connection = True
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _reply_error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
 
+    def handle_expect_100(self) -> bool:
+        # A client that sent "Expect: 100-continue" withholds the body
+        # until it sees the interim reply, which the buffered wfile
+        # would otherwise hold until the final response.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _declares_body(self) -> bool:
+        """Whether the request's headers announce a body."""
+        length = self.headers.get("Content-Length")
+        return "Transfer-Encoding" in self.headers or (
+            length is not None and length.strip() != "0"
+        )
+
     # -- GET -------------------------------------------------------------------
 
     def do_GET(self) -> None:
+        self._unread_body = self._declares_body()
         if self.path == "/health":
             self._reply(
                 200, {"status": "ok", "service": self.server.service.name}
@@ -146,6 +182,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- POST ------------------------------------------------------------------
 
     def do_POST(self) -> None:
+        self._unread_body = self._declares_body()
         if self.path != "/query":
             self._reply_error(404, f"no such endpoint: {self.path}")
             return
@@ -176,15 +213,24 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self,
     ) -> Optional[tuple[str, dict[str, Any], bool]]:
         """Parse the POST body; replies 400 and returns None on errors."""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        if "Transfer-Encoding" in self.headers:
+            self._reply_error(400, "send the body with a Content-Length")
+            return None
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._reply_error(400, f"invalid Content-Length: {declared!r}")
+            return None
+        length = int(declared)
+        if length == 0:
             self._reply_error(400, "request body required")
             return None
         if length > MAX_BODY_BYTES:
             self._reply_error(400, "request body too large")
             return None
+        raw = self.rfile.read(length)
+        self._unread_body = False
         try:
-            document = json.loads(self.rfile.read(length).decode("utf-8"))
+            document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._reply_error(400, f"invalid JSON body: {exc}")
             return None

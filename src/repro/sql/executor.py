@@ -17,7 +17,8 @@ model), plain sources yield plain relations.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Union
+import operator
+from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.relational import algebra as plain_algebra
 from repro.relational.catalog import Database
@@ -43,15 +44,30 @@ from repro.tagging.relation import TaggedRelation, TaggedRow
 
 AnyRelation = Union[Relation, TaggedRelation]
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+#: QSQL comparison operator → Python comparison.  The planner, the
+#: analyzer and both executors share this table (and :data:`_FLIPPED`).
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
+#: Mirror of each comparison when its operands swap sides.
+_FLIPPED = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=",
+            ">": "<", ">=": "<="}
+
+
+def _sql_compare(op: str, a: Any, b: Any) -> Any:
+    """``a op b`` under QSQL semantics: NULL or incomparable types → false."""
+    if a is None or b is None:
+        return False
+    try:
+        return _COMPARATORS[op](a, b)
+    except TypeError:
+        return False
 
 
 def _resolve_relation(
@@ -175,6 +191,9 @@ def _compile_predicate(
     AND/OR without re-dispatching on node types per row.
     """
     if isinstance(expr, Comparison):
+        kernel = _column_literal_test(expr, schema, tagged)
+        if kernel is not None:
+            return kernel
         left = _compile_operand(expr.left, schema, tagged, tag_schema)
         right = _compile_operand(expr.right, schema, tagged, tag_schema)
         compare = _COMPARATORS[expr.op]
@@ -218,6 +237,53 @@ def _compile_predicate(
         inner = _compile_predicate(expr.operand, schema, tagged, tag_schema)
         return lambda row: not inner(row)
     raise SQLError(f"unknown expression node {expr!r}")
+
+
+def _column_literal_test(
+    expr: Comparison, schema: Any, tagged: bool
+) -> Optional[Callable[[Row | TaggedRow], bool]]:
+    """``column op literal`` (either side) as one flat per-row closure.
+
+    The general comparison closure calls a getter per operand, three
+    Python frames per row; this one reads the cell value inline and
+    compares it with the bound constant through the C-level
+    ``operator`` function.  A literal on the left flips the operator.
+    Same semantics as the general closure: NULL on either side and
+    incomparable types are false.  Returns None for other shapes.
+    """
+    column, literal, op = expr.left, expr.right, expr.op
+    if isinstance(column, Literal):
+        column, literal, op = literal, column, _FLIPPED[op]
+    if not (isinstance(column, ColumnRef) and isinstance(literal, Literal)):
+        return None
+    position = schema.position(column.column)
+    constant = literal.value
+    if constant is None:
+        return lambda row: False
+    compare = _COMPARATORS[op]
+    if tagged:
+
+        def test_cell(row: TaggedRow) -> bool:
+            value = row.cells[position].value
+            if value is None:
+                return False
+            try:
+                return compare(value, constant)
+            except TypeError:
+                return False
+
+        return test_cell
+
+    def test_value(row: Row) -> bool:
+        value = row.at(position)
+        if value is None:
+            return False
+        try:
+            return compare(value, constant)
+        except TypeError:
+            return False
+
+    return test_value
 
 
 def _sort_key_function(items: tuple, schema: Any, tagged: bool, tag_schema: Any = None):

@@ -64,6 +64,7 @@ from repro.sql.nodes import (
     SelectItem,
 )
 from repro.sql.context import PlanContext
+from repro.sql.executor import _FLIPPED, _sql_compare
 from repro.sql.plan import (
     Distinct,
     Filter,
@@ -83,19 +84,6 @@ from repro.sql.plan import (
 #: QSQL comparison operator → tagging-store operator vocabulary.
 _TAG_OPS = {"=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=",
             ">": ">", ">=": ">="}
-#: Mirror of each comparison when its operands swap sides.
-_FLIPPED = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=",
-            ">": "<", ">=": "<="}
-
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def _transform(plan: PlanNode, visit: Callable[[PlanNode], PlanNode]) -> PlanNode:
@@ -114,22 +102,12 @@ def _transform(plan: PlanNode, visit: Callable[[PlanNode], PlanNode]) -> PlanNod
 # -- constant folding --------------------------------------------------------
 
 
-def _literal_compare(op: str, a: Any, b: Any) -> bool:
-    """The executor's comparison semantics, applied to two constants."""
-    if a is None or b is None:
-        return False
-    try:
-        return _COMPARATORS[op](a, b)
-    except TypeError:
-        return False
-
-
 def fold_expr(expr: Any) -> Any:
     """Fold constant subtrees of a WHERE expression to boolean literals."""
     if isinstance(expr, Comparison):
         if isinstance(expr.left, Literal) and isinstance(expr.right, Literal):
             return Literal(
-                _literal_compare(expr.op, expr.left.value, expr.right.value)
+                _sql_compare(expr.op, expr.left.value, expr.right.value)
             )
         return expr
     if isinstance(expr, InList):

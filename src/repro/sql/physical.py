@@ -72,11 +72,13 @@ from repro.relational.schema import Column, RelationSchema
 from repro.sql.errors import SQLError
 from repro.sql.executor import (
     _COMPARATORS,
+    _FLIPPED,
     _compile_predicate,
     _computed_projection,
     _execute_aggregate,
     _item_output_domain,
     _sort_key_function,
+    _sql_compare,
 )
 from repro.sql.nodes import (
     BoolOp,
@@ -1256,9 +1258,17 @@ def _compile_columnar_predicate(
 def _columnar_comparison(
     expr: Comparison, schema: RelationSchema
 ) -> Callable[[list, Optional[list]], list]:
-    compare = _COMPARATORS[expr.op]
-    left, right = expr.left, expr.right
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
+    left, right, op = expr.left, expr.right, expr.op
+    if isinstance(left, Literal) and isinstance(right, Literal):
+        # fold_constants normally removes these; evaluate once anyway.
+        if _sql_compare(op, left.value, right.value):
+            return lambda columns, sel: list(_base_positions(columns, sel))
+        return lambda columns, sel: []
+    if isinstance(left, Literal):
+        # A literal on the left flips the operator, as on the row path.
+        left, right, op = right, left, _FLIPPED[op]
+    compare = _COMPARATORS[op]
+    if isinstance(right, ColumnRef):
         left_position = schema.position(left.column)
         right_position = schema.position(right.column)
 
@@ -1280,46 +1290,11 @@ def _columnar_comparison(
             return hits
 
         return run_col_col
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        # fold_constants normally removes these; evaluate once anyway.
-        a, b = left.value, right.value
-        if a is None or b is None:
-            result = False
-        else:
-            try:
-                result = compare(a, b)
-            except TypeError:
-                result = False
-        if result:
-            return lambda columns, sel: list(_base_positions(columns, sel))
-        return lambda columns, sel: []
-    if isinstance(left, Literal):
-        position = schema.position(right.column)
-        constant = left.value
-        if constant is None:
-            return lambda columns, sel: []
-
-        def run_const_col(columns: list, sel: Optional[list]) -> list:
-            array = columns[position]
-            hits: list = []
-            emit = hits.append
-            for i in _base_positions(columns, sel):
-                value = array[i]
-                if value is None:
-                    continue
-                try:
-                    if compare(constant, value):
-                        emit(i)
-                except TypeError:
-                    continue
-            return hits
-
-        return run_const_col
     position = schema.position(left.column)
     constant = right.value
     if constant is None:
         return lambda columns, sel: []
-    equality = expr.op == "="
+    equality = op == "="
 
     def run_col_const(columns: list, sel: Optional[list]) -> list:
         array = columns[position]

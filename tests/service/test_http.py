@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -12,7 +17,7 @@ import pytest
 from repro.relational.catalog import Database
 from repro.relational.schema import schema
 from repro.service import QueryService
-from repro.service.http import make_server, relation_to_payload
+from repro.service.http import MAX_BODY_BYTES, make_server, relation_to_payload
 from repro.sql import clear_plan_cache
 
 
@@ -55,6 +60,46 @@ def post_query(base, payload):
 def get(base, path):
     with urllib.request.urlopen(base + path, timeout=10) as response:
         return response.status, response.read().decode("utf-8")
+
+
+def raw_exchange(base, data):
+    """Send raw request bytes; return every reply byte until the close."""
+    url = urllib.parse.urlsplit(base)
+    chunks = []
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed with our pipelined bytes unread
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def split_responses(data):
+    """Parse back-to-back HTTP responses into (status, headers, body)."""
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, value in (line.split(":", 1) for line in lines)
+        }
+        length = int(headers["content-length"])
+        responses.append((int(status_line.split()[1]), headers, data[:length]))
+        data = data[length:]
+    return responses
+
+
+def raw_post(path, body, extra=b""):
+    return (
+        b"POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n%s\r\n%s" % (path, len(body), extra, body)
+    )
 
 
 def test_post_query_returns_rows(served):
@@ -118,6 +163,104 @@ def test_malformed_requests_get_400(served):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 400
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [
+        b"Content-Length: abc\r\n\r\n{}",
+        b"Content-Length: -5\r\n\r\n{}",
+        b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    ],
+)
+def test_malformed_content_length_gets_400(served, framing):
+    base, _, _ = served
+    request = b"POST /query HTTP/1.1\r\nHost: test\r\n" + framing
+    [(status, headers, body)] = split_responses(raw_exchange(base, request))
+    assert status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+    assert headers["connection"] == "close"
+
+
+def test_early_replies_close_instead_of_desynchronizing(served):
+    """A reply sent with the body unread ends the connection.
+
+    Kept open, the unread body bytes parse as the next request line, so
+    a valid request pipelined behind them got "400 Bad request syntax".
+    """
+    base, _, _ = served
+    valid = raw_post(
+        b"/query",
+        json.dumps({"sql": "SELECT a FROM t WHERE a = 1"}).encode(),
+        b"Connection: close\r\n",
+    )
+    unknown_path = raw_post(b"/elsewhere", b'{"sql": "SELECT a FROM t"}')
+    # Declares more than the cap; only the body's first bytes follow.
+    too_large = (
+        b"POST /query HTTP/1.1\r\nHost: test\r\n"
+        b'Content-Length: %d\r\n\r\n{"sql": ' % (MAX_BODY_BYTES + 1)
+    )
+    for early, status in ((unknown_path, 404), (too_large, 400)):
+        first, *rest = split_responses(raw_exchange(base, early + valid))
+        # The pipelined request gets its own answer or a clean close.
+        assert [reply[0] for reply in rest] in ([], [200])
+        assert first[0] == status
+        assert first[1]["connection"] == "close"
+    # A 400 sent after the body was read keeps the connection open.
+    bad_json = raw_post(b"/query", b"{no")
+    replies = split_responses(raw_exchange(base, bad_json + valid))
+    assert [reply[0] for reply in replies] == [400, 200]
+    assert json.loads(replies[1][2])["rows"] == [[1]]
+
+
+def test_expect_100_continue_is_answered_before_the_body(served):
+    base, _, _ = served
+    url = urllib.parse.urlsplit(base)
+    body = json.dumps({"sql": "SELECT a FROM t WHERE a = 1"}).encode()
+    head = raw_post(b"/query", body, b"Expect: 100-continue\r\n")[: -len(body)]
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(head)
+        # Like curl, send the body only once the interim reply arrived.
+        assert sock.recv(65536).startswith(b"HTTP/1.1 100 Continue\r\n")
+        sock.sendall(body)
+        reply = b""
+        while b'"row_count": 1}' not in reply:
+            chunk = sock.recv(65536)
+            assert chunk, reply
+            reply += chunk
+    [(status, _, payload)] = split_responses(reply)
+    assert status == 200 and json.loads(payload)["rows"] == [[1]]
+
+
+def test_keep_alive_requests_do_not_wait_for_delayed_acks(served):
+    """Sequential requests on one connection answer in a few ms.
+
+    Sent as two writes, each response's body waited for the client's
+    delayed ACK of the headers (~40 ms on Linux) under Nagle's algorithm.
+    """
+    base, _, _ = served
+    url = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    body = json.dumps({"sql": "SELECT a, b FROM t WHERE a = 4"}).encode()
+    latencies = []
+    try:
+        for _ in range(20):
+            began = time.perf_counter()
+            connection.request(
+                "POST", "/query", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            latencies.append(time.perf_counter() - began)
+            assert response.status == 200
+            assert payload == {
+                "columns": ["a", "b"],
+                "rows": [[4, "x1"]],
+                "row_count": 1,
+            }
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_unknown_paths_get_404(served):

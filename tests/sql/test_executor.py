@@ -215,3 +215,47 @@ class TestMultiKeyOrdering:
             ("a", 1),
             ("a", 2),
         ]
+
+
+class TestColumnLiteralComparison:
+    """``column op literal`` on either side, every operator, vs naive.
+
+    Literal/column comparisons compile to one flat closure per row; the
+    NULL literal, the mixed-type literal (``TypeError`` → false) and
+    the flipped left-literal forms are listed exhaustively here instead
+    of waiting for the random generator to draw them.
+    """
+
+    ROWS = [(1, "x"), (2, "y"), (3, None), (None, "x"), (2, "z")]
+
+    def relations(self):
+        from repro.relational.schema import schema
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.indicators import TagSchema
+
+        plain = Relation.from_tuples(
+            schema("t", [("a", "INT"), ("c", "STR")]), self.ROWS
+        )
+        tagged = TaggedRelation(plain.schema, TagSchema([]))
+        for a, c in self.ROWS:
+            tagged.insert({"a": QualityCell(a), "c": QualityCell(c)})
+        return plain, tagged
+
+    @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
+    def test_matches_naive_on_every_path(self, op):
+        from repro.experiments.naive import naive_execute
+
+        wheres = [
+            where
+            for column in ("a", "c")
+            for literal in ("NULL", "2", "'x'", "TRUE")
+            for where in (f"{column} {op} {literal}", f"{literal} {op} {column}")
+        ]
+        for relation in self.relations():
+            for where in wheres:
+                sql = f"SELECT a, c FROM t WHERE {where}"
+                expected = [r.values_tuple() for r in naive_execute(sql, relation)]
+                for options in ({"planner": False}, {"columnar": False}, {}):
+                    result = execute(sql, relation, **options)
+                    got = [r.values_tuple() for r in result]
+                    assert got == expected, (sql, options)
