@@ -1,13 +1,13 @@
-"""Columnar execution — the vectorized access path for base relations.
+"""Batch execution over column arrays — a scan-heavy statement.
 
-Not a paper artifact: a performance ablation of the QSQL engine.  The
-planner routes scan-heavy statements over plain relations through
-array-per-column batches with selection vectors (DESIGN.md §12); this
-benchmark quantifies that choice against the row-at-a-time planned
-path and the naive AST-walking reference on the same statement.
+Not a paper artifact: a performance ablation of the QSQL engine.
+Planned statements run over array-per-column batches with selection
+vectors (DESIGN.md §12); this benchmark quantifies that against the
+direct interpreter (``execute(..., planner=False)``, one row closure
+per clause) and the naive AST-walking reference on the same statement.
 
-All legs are measured *interleaved* (the naive baseline is re-timed in
-the same rounds as the fast paths), and every speedup recorded in
+All legs are measured *interleaved* (the baselines are re-timed in the
+same rounds as the planned path), and every speedup recorded in
 BENCH_COLUMNAR.json is a ratio of same-round numbers.
 """
 
@@ -31,8 +31,8 @@ READINGS_SCHEMA = RelationSchema(
 
 #: Equality-led conjunction: the leading ``station =`` runs as a
 #: C-level ``list.index`` hop over the whole array, and the remaining
-#: predicates only probe its survivors — the access pattern the
-#: columnar path is designed around (DESIGN.md §12).
+#: predicates only probe its survivors — the access pattern batch
+#: execution is designed around (DESIGN.md §12).
 QUERY = (
     "SELECT sensor_id, reading FROM readings "
     "WHERE station = 'st_7' AND reading >= 1000.0 AND grade IN (1, 2) "
@@ -60,29 +60,28 @@ def _relation():
     return _CACHE["rel"]
 
 
-def test_columnar_plan_chosen():
-    """The planner must actually route this statement through arrays."""
+def test_batch_plan_shape():
+    """The statement plans to one batch pipeline: filter, top-k, project."""
     clear_plan_cache()
-    plan = "\n".join(
-        row["plan"] for row in execute(f"EXPLAIN {QUERY}", _relation())
-    )
-    assert "Scan [readings (plain, columnar)]" in plan
-    assert "Materialize [columnar -> rows]" in plan
-    row_plan = "\n".join(
-        row["plan"]
-        for row in execute(f"EXPLAIN {QUERY}", _relation(), columnar=False)
-    )
-    assert "columnar" not in row_plan
+    plan = [
+        row["plan"].lstrip("│├└─ ")
+        for row in execute(f"EXPLAIN {QUERY}", _relation())
+    ]
+    assert [line.split(" [")[0] for line in plan] == [
+        "Project", "TopK", "Filter", "Scan",
+    ]
+    assert plan[-1] == "Scan [readings (plain)]"
 
 
-def test_columnar_json_vs_row_vs_naive():
-    """Emit BENCH_COLUMNAR.json: vectorized vs row path vs naive.
+def test_columnar_json_vs_interpreter_vs_naive():
+    """Emit BENCH_COLUMNAR.json: planned batches vs interpreter vs naive.
 
-    Floors enforced by the bench-trend CI gate: the columnar path must
-    hold 4x over the row-at-a-time planned path on this scan-heavy
-    statement (measured ~9x on a quiet machine, derated for CI noise),
+    Floors enforced by the bench-trend CI gate: the planned path must
+    hold 4.5x over the direct interpreter on this scan-heavy statement,
     and its advantage over the naive reference must be at least as
-    large.
+    large.  4.5x is the earlier 4x floor over the row-at-a-time planned
+    path times the interpreter's measured slowdown against that path
+    on this statement (1.06-1.12x), rounded up, so it is no looser.
     """
     from conftest import REPO_ROOT, best_seconds_interleaved
 
@@ -93,52 +92,56 @@ def test_columnar_json_vs_row_vs_naive():
     relation.columnar_store()  # build outside the timed region
 
     clear_plan_cache()
-    columnar_result = execute(QUERY, relation)  # warm the plan cache
-    row_result = execute(QUERY, relation, columnar=False)
+    planned_result = execute(QUERY, relation)  # warm the plan cache
+    interpreted_result = execute(QUERY, relation, planner=False)
     naive_result = naive_execute(QUERY, relation)
     canonical = lambda rel: [r.values_tuple() for r in rel]
-    assert canonical(columnar_result) == canonical(row_result)
-    assert canonical(columnar_result) == canonical(naive_result)
-    assert 0 < len(columnar_result) <= 50
+    assert canonical(planned_result) == canonical(interpreted_result)
+    assert canonical(planned_result) == canonical(naive_result)
+    assert 0 < len(planned_result) <= 50
 
-    columnar_s, row_s, naive_s = best_seconds_interleaved(
+    planned_s, interpreter_s, naive_s = best_seconds_interleaved(
         [
             lambda: execute(QUERY, relation),
-            lambda: execute(QUERY, relation, columnar=False),
+            lambda: execute(QUERY, relation, planner=False),
             lambda: naive_execute(QUERY, relation),
         ]
     )
-    vs_row = row_s / columnar_s
-    vs_naive = naive_s / columnar_s
+    vs_interpreter = interpreter_s / planned_s
+    vs_naive = naive_s / planned_s
     write_bench_json(
         "BENCH_COLUMNAR.json",
         [
             bench_record(
                 "columnar_scan_filter_topk",
                 N_ROWS,
-                columnar_s,
-                speedup=vs_row,
+                planned_s,
+                speedup=vs_interpreter,
             ),
             bench_record(
                 "columnar_vs_naive",
                 N_ROWS,
-                columnar_s,
+                planned_s,
                 speedup=vs_naive,
             ),
-            bench_record("row_scan_filter_topk", N_ROWS, row_s, speedup=1.0),
+            bench_record(
+                "interpreter_scan_filter_topk", N_ROWS, interpreter_s,
+                speedup=1.0,
+            ),
             bench_record(
                 "naive_scan_filter_topk", N_ROWS, naive_s,
-                speedup=row_s / naive_s if naive_s else 1.0,
+                speedup=interpreter_s / naive_s if naive_s else 1.0,
             ),
         ],
         REPO_ROOT,
     )
     emit(
-        "Columnar: vectorized vs row vs naive",
-        f"columnar {columnar_s * 1e3:.2f} ms, row {row_s * 1e3:.2f} ms, "
-        f"naive {naive_s * 1e3:.2f} ms over {N_ROWS} rows\n"
-        f"columnar vs row:   {vs_row:.1f}x\n"
-        f"columnar vs naive: {vs_naive:.1f}x",
+        "Batches: planned vs interpreter vs naive",
+        f"planned {planned_s * 1e3:.2f} ms, interpreter "
+        f"{interpreter_s * 1e3:.2f} ms, naive {naive_s * 1e3:.2f} ms over "
+        f"{N_ROWS} rows\n"
+        f"planned vs interpreter: {vs_interpreter:.1f}x\n"
+        f"planned vs naive:       {vs_naive:.1f}x",
     )
-    assert vs_row >= 4.0
-    assert vs_naive >= vs_row
+    assert vs_interpreter >= 4.5
+    assert vs_naive >= vs_interpreter

@@ -34,8 +34,8 @@ EVENTS_COLUMNS = [
 ]
 
 #: A selective equality on the partition key: the optimizer prunes the
-#: scan to the single bucket the literal hashes into, so the row path
-#: reads ~1/64 of the relation instead of all of it.
+#: scan to the single bucket the literal hashes into, so the planned
+#: scan reads ~1/64 of the relation instead of all of it.
 QUERY = (
     "SELECT event_id, amount FROM events WHERE region = 'region_7'"
 )
@@ -102,7 +102,7 @@ def test_partition_scan_reads_one_bucket():
     bucket = spec.bucket_of("region_7")
     with metrics.instrumented() as registry:
         clear_plan_cache()
-        result = execute(QUERY, database, columnar=False)
+        result = execute(QUERY, database)
         snapshot = registry.snapshot()
     assert 0 < len(result) < N_ROWS / N_BUCKETS
     scanned = snapshot["partition.scanned"]["value"]
@@ -116,11 +116,14 @@ def test_partition_scan_reads_one_bucket():
 def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
     """Emit BENCH_PART.json: pruned scan + incremental save speedups.
 
-    Floors enforced by the bench-trend CI gate: the pruned row scan
-    must hold 8x over the unpartitioned row scan (ideal is ~64x on
-    this layout, derated for per-statement overhead and CI noise), and
-    the one-dirty-partition save must hold 4x over a full snapshot
-    rewrite.
+    Floors enforced by the bench-trend CI gate: the pruned planned
+    scan must hold 8.3x over the direct interpreter's full scan of the
+    unpartitioned relation (ideal is ~64x on this layout, derated for
+    per-statement overhead and CI noise), and the one-dirty-partition
+    save must hold 4x over a full snapshot rewrite.  8.3x is the earlier
+    8x floor over the row-at-a-time planned flat scan times the
+    interpreter's measured slowdown against it (1.01-1.03x), rounded
+    up, so it is no looser.
     """
     from conftest import REPO_ROOT, best_seconds_interleaved
 
@@ -131,14 +134,14 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
     canonical = lambda rel: sorted(r.values_tuple() for r in rel)  # noqa: E731
 
     clear_plan_cache()
-    pruned_result = execute(QUERY, partitioned, columnar=False)
-    flat_result = execute(QUERY, flat, columnar=False)
+    pruned_result = execute(QUERY, partitioned)
+    flat_result = execute(QUERY, flat, planner=False)
     assert canonical(pruned_result) == canonical(flat_result)
 
     pruned_s, flat_s = best_seconds_interleaved(
         [
-            lambda: execute(QUERY, partitioned, columnar=False),
-            lambda: execute(QUERY, flat, columnar=False),
+            lambda: execute(QUERY, partitioned),
+            lambda: execute(QUERY, flat, planner=False),
         ]
     )
     scan_speedup = flat_s / pruned_s
@@ -189,14 +192,14 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
                 incremental_s,
                 speedup=save_speedup,
             ),
-            bench_record("flat_row_scan", N_ROWS, flat_s, speedup=1.0),
+            bench_record("flat_interpreter_scan", N_ROWS, flat_s, speedup=1.0),
             bench_record("partition_full_save", N_ROWS, full_s, speedup=1.0),
         ],
         REPO_ROOT,
     )
     emit(
         "Partitions: pruned scan + incremental save",
-        f"pruned scan {pruned_s * 1e3:.2f} ms, flat scan "
+        f"pruned scan {pruned_s * 1e3:.2f} ms, flat interpreter scan "
         f"{flat_s * 1e3:.2f} ms over {N_ROWS} rows "
         f"({N_BUCKETS} hash buckets)\n"
         f"incremental save {incremental_s * 1e3:.2f} ms, full save "
@@ -204,5 +207,5 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
         f"pruned vs flat scan:     {scan_speedup:.1f}x\n"
         f"incremental vs full save: {save_speedup:.1f}x",
     )
-    assert scan_speedup >= 8.0
+    assert scan_speedup >= 8.3
     assert save_speedup >= 4.0

@@ -13,15 +13,14 @@ The subsystem has three parts (DESIGN.md §8):
   checks over tag schemas and methodology artifacts;
 - the **plan verifier** (:mod:`repro.analysis.verifier`) — walks an
   optimized plan checking schema derivation, pushdown legality,
-  columnar boundaries, fusion parameters, and plan-cache keys
-  (``DQ40x``);
+  fusion parameters, and plan-cache entries (``DQ40x``);
 - the **workload analyzer** (:mod:`repro.analysis.workload`) —
   cross-statement lint over a corpus (``DQ42x``).
 
 Entry points: the ``repro-lint`` CLI (``python -m repro.analysis``),
 ``execute(sql, source, strict=True)`` in :mod:`repro.sql`, and the
 ``REPRO_VERIFY_PLANS=1`` environment flag (verify every plan and
-sanitize every columnar batch at runtime).
+sanitize every operator's batch at runtime).
 """
 
 from repro.analysis.codes import CODES, CodeInfo, code_info

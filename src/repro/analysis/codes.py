@@ -276,24 +276,6 @@ _CODES: tuple[CodeInfo, ...] = (
         "no per-cell tags exist.",
     ),
     CodeInfo(
-        "DQ405",
-        "columnar boundary violation",
-        ERROR,
-        "A columnar Scan's fragment does not reach a Materialize "
-        "boundary before row-only operators, a non-whitelisted operator "
-        "appears inside the fragment, or a Materialize sits over a "
-        "non-columnar subtree.",
-    ),
-    CodeInfo(
-        "DQ406",
-        "columnar-ineligible operator",
-        ERROR,
-        "A whitelisted operator inside a columnar fragment carries work "
-        "the vectorized path cannot run: a predicate with QUALITY "
-        "references, a computed projection item, or a non-column "
-        "TopK key.",
-    ),
-    CodeInfo(
         "DQ407",
         "illegal fusion parameters",
         ERROR,

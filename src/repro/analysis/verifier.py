@@ -25,9 +25,6 @@ violations through the diagnostics engine as the DQ40x family:
   operators the materialized score arrays answer, never compares
   against NULL, and every routed parameter is defined by the scanned
   relation's bound :class:`~repro.quality.materialize.ScoringProfile`;
-- **columnar discipline** (DQ405/DQ406) — a ``Scan(columnar=True)``
-  reaches its :class:`~repro.sql.plan.Materialize` boundary through
-  whitelisted, vector-executable operators only;
 - **fusion legality** (DQ407/DQ408) — TopK/Limit/Sort parameters are
   legal and LIMIT-over-ORDER-BY was fused;
 - **partition-pruning legality** (DQ410) — a pruned ``Scan`` (one
@@ -52,7 +49,7 @@ gracefully: shape-dependent checks are skipped rather than reported,
 so the verifier can run over partially-bound plans in tests.
 
 Wiring: ``optimize(..., verify=True)``, the ``REPRO_VERIFY_PLANS=1``
-environment flag (which also arms the columnar batch sanitizer in
+environment flag (which also arms the batch sanitizer in
 :mod:`repro.sql.physical`), and the plan cache's install/hit paths.
 """
 
@@ -83,7 +80,6 @@ from repro.sql.plan import (
     Filter,
     HashJoin,
     Limit,
-    Materialize,
     PlanNode,
     Project,
     QualityFilter,
@@ -103,10 +99,6 @@ __all__ = [
     "verify_plan",
     "verify_plans_enabled",
 ]
-
-#: Operator types allowed between a columnar Scan and its Materialize.
-_FRAGMENT_WHITELIST = (Scan, Filter, Project, TopK, Limit)
-
 
 class PlanVerificationError(QueryAnalysisError):
     """An optimized plan (or cache entry) failed static verification.
@@ -185,47 +177,31 @@ class _PlanVerifier:
 
     # -- per-node checks -----------------------------------------------------
 
-    def visit(self, node: PlanNode, in_fragment: bool) -> _Shape:
-        if in_fragment and not isinstance(node, _FRAGMENT_WHITELIST):
-            self.add(
-                "DQ405",
-                f"operator {type(node).__name__} is not allowed inside a "
-                f"columnar fragment (whitelist: Scan, Filter, Project, "
-                f"TopK, Limit)",
-            )
+    def visit(self, node: PlanNode) -> _Shape:
         if isinstance(node, Scan):
-            return self.visit_scan(node, in_fragment)
+            return self.visit_scan(node)
         if isinstance(node, QualityFilter):
-            return self.visit_quality_filter(node, in_fragment)
+            return self.visit_quality_filter(node)
         if isinstance(node, ScoreFilter):
-            return self.visit_score_filter(node, in_fragment)
+            return self.visit_score_filter(node)
         if isinstance(node, Filter):
-            return self.visit_filter(node, in_fragment)
+            return self.visit_filter(node)
         if isinstance(node, Project):
-            return self.visit_project(node, in_fragment)
+            return self.visit_project(node)
         if isinstance(node, HashJoin):
-            return self.visit_hash_join(node, in_fragment)
+            return self.visit_hash_join(node)
         if isinstance(node, Aggregate):
-            return self.visit_aggregate(node, in_fragment)
+            return self.visit_aggregate(node)
         if isinstance(node, (Sort, TopK)):
-            return self.visit_order(node, in_fragment)
+            return self.visit_order(node)
         if isinstance(node, Distinct):
-            return self.visit(node.child, in_fragment)
+            return self.visit(node.child)
         if isinstance(node, Limit):
-            return self.visit_limit(node, in_fragment)
-        if isinstance(node, Materialize):
-            return self.visit_materialize(node, in_fragment)
+            return self.visit_limit(node)
         self.add("DQ402", f"unknown plan node {node!r}")  # pragma: no cover
         return _Shape(None, False, None, False)  # pragma: no cover
 
-    def visit_scan(self, node: Scan, in_fragment: bool) -> _Shape:
-        if node.columnar and not in_fragment:
-            self.add(
-                "DQ405",
-                f"columnar Scan of {node.relation!r} never reaches a "
-                f"Materialize boundary; row operators above it would see "
-                f"column arrays",
-            )
+    def visit_scan(self, node: Scan) -> _Shape:
         context = self.context
         kind = context.kind(node.relation) if context else None
         if kind is None:
@@ -238,13 +214,6 @@ class _PlanVerifier:
                 f"{'tagged' if node.tagged else 'plain'} but the catalog "
                 f"relation is {'tagged' if tagged else 'plain'}",
             )
-        if node.columnar and tagged:
-            self.add(
-                "DQ405",
-                f"columnar Scan of {node.relation!r} over a tagged "
-                f"relation; the columnar path supports plain relations "
-                f"only",
-            )
         return _Shape(
             tuple(context.schema(node.relation).column_names),
             tagged,
@@ -252,10 +221,8 @@ class _PlanVerifier:
             True,
         )
 
-    def visit_quality_filter(
-        self, node: QualityFilter, in_fragment: bool
-    ) -> _Shape:
-        child_shape = self.visit(node.child, in_fragment)
+    def visit_quality_filter(self, node: QualityFilter) -> _Shape:
+        child_shape = self.visit(node.child)
         child = node.child
         if not (isinstance(child, Scan) and child.tagged):
             self.add(
@@ -307,10 +274,8 @@ class _PlanVerifier:
                     )
         return child_shape
 
-    def visit_score_filter(
-        self, node: ScoreFilter, in_fragment: bool
-    ) -> _Shape:
-        child_shape = self.visit(node.child, in_fragment)
+    def visit_score_filter(self, node: ScoreFilter) -> _Shape:
+        child_shape = self.visit(node.child)
         child = node.child
         if isinstance(child, QualityFilter):
             scan = child.child
@@ -360,21 +325,13 @@ class _PlanVerifier:
                 )
         return child_shape
 
-    def visit_filter(self, node: Filter, in_fragment: bool) -> _Shape:
-        shape = self.visit(node.child, in_fragment)
+    def visit_filter(self, node: Filter) -> _Shape:
+        shape = self.visit(node.child)
         predicate = node.predicate
         if isinstance(predicate, Literal):
             return shape
         columns, quality, scores = _expr_refs(predicate)
         span = getattr(predicate, "span", None)
-        if in_fragment and (quality or scores):
-            self.add(
-                "DQ406",
-                f"columnar Filter predicate {render_expr(predicate)} "
-                f"reads QUALITY(...) tags; the vectorized path has no "
-                f"per-cell tags",
-                span=span,
-            )
         if shape.known and shape.columns is not None:
             for column in sorted(columns - set(shape.columns)):
                 self.add(
@@ -397,8 +354,8 @@ class _PlanVerifier:
             )
         return shape
 
-    def visit_project(self, node: Project, in_fragment: bool) -> _Shape:
-        shape = self.visit(node.child, in_fragment)
+    def visit_project(self, node: Project) -> _Shape:
+        shape = self.visit(node.child)
         seen: dict[str, int] = {}
         materializes_quality = False
         for item in node.items:
@@ -420,14 +377,6 @@ class _PlanVerifier:
                     span=item.span,
                 )
                 continue
-            if in_fragment and not isinstance(expr, ColumnRef):
-                self.add(
-                    "DQ406",
-                    f"columnar Project item {name!r} is not a bare "
-                    f"column reference; the vectorized path only "
-                    f"reorders array references",
-                    span=item.span,
-                )
             if isinstance(expr, QualityScoreRef):
                 materializes_quality = True
                 if shape.known and not shape.tagged:
@@ -466,9 +415,9 @@ class _PlanVerifier:
             shape.known,
         )
 
-    def visit_hash_join(self, node: HashJoin, in_fragment: bool) -> _Shape:
-        left = self.visit(node.left, in_fragment)
-        right = self.visit(node.right, in_fragment)
+    def visit_hash_join(self, node: HashJoin) -> _Shape:
+        left = self.visit(node.left)
+        right = self.visit(node.right)
         if left.columns is not None and right.columns is not None:
             overlap = set(left.columns) & set(right.columns)
             if overlap:
@@ -543,8 +492,8 @@ class _PlanVerifier:
                 span=span,
             )
 
-    def visit_aggregate(self, node: Aggregate, in_fragment: bool) -> _Shape:
-        shape = self.visit(node.child, in_fragment)
+    def visit_aggregate(self, node: Aggregate) -> _Shape:
+        shape = self.visit(node.child)
         for key in node.group_by:
             self._check_operand(key, shape, "Aggregate GROUP BY", key.span)
         seen: dict[str, int] = {}
@@ -573,8 +522,8 @@ class _PlanVerifier:
             shape.known,
         )
 
-    def visit_order(self, node: "Sort | TopK", in_fragment: bool) -> _Shape:
-        shape = self.visit(node.child, in_fragment)
+    def visit_order(self, node: "Sort | TopK") -> _Shape:
+        shape = self.visit(node.child)
         kind = type(node).__name__
         if not node.order_by:
             self.add(
@@ -589,20 +538,11 @@ class _PlanVerifier:
                 f"validated non-negative at parse time",
             )
         for item in node.order_by:
-            if in_fragment and not isinstance(item.key, ColumnRef):
-                self.add(
-                    "DQ406",
-                    f"columnar {kind} key "
-                    f"{getattr(item.key, 'column', item.key)!r} is not a "
-                    f"bare column reference",
-                    span=item.span,
-                )
-                continue
             self._check_operand(item.key, shape, f"{kind} key", item.span)
         return shape
 
-    def visit_limit(self, node: Limit, in_fragment: bool) -> _Shape:
-        shape = self.visit(node.child, in_fragment)
+    def visit_limit(self, node: Limit) -> _Shape:
+        shape = self.visit(node.child)
         if node.count < 0:
             self.add(
                 "DQ407",
@@ -717,25 +657,6 @@ class _PlanVerifier:
                 span=getattr(predicate, "span", None),
             )
 
-    def visit_materialize(self, node: Materialize, in_fragment: bool) -> _Shape:
-        if in_fragment:
-            self.add(
-                "DQ405",
-                "nested Materialize inside a columnar fragment",
-            )
-        shape = self.visit(node.child, True)
-        scan = node.child
-        while not isinstance(scan, Scan) and scan.children():
-            scan = scan.children()[0]
-        if not (isinstance(scan, Scan) and scan.columnar):
-            self.add(
-                "DQ405",
-                f"Materialize over a non-columnar subtree (bottoms out "
-                f"at {scan.label() if isinstance(scan, Scan) else type(scan).__name__}); "
-                f"the boundary only converts columnar batches to rows",
-            )
-        return _Shape(shape.columns, False, None, shape.known)
-
 
 def verify_plan(
     plan: PlanNode,
@@ -757,7 +678,7 @@ def verify_plan(
         diagnostics = Diagnostics()
     before = len(diagnostics)
     verifier = _PlanVerifier(context, sql, context_label, diagnostics)
-    verifier.visit(plan, False)
+    verifier.visit(plan)
     verifier.check_partition_pruning(plan)
     if _obs_metrics.enabled():
         registry = _obs_metrics.global_registry()
@@ -810,8 +731,8 @@ def verify_cache_entry(
 
     if diagnostics is None:
         diagnostics = Diagnostics()
-    sql, columnar, _ = entry.key
-    plan, _, context = plan_statement(entry.statement, source, columnar=columnar)
+    sql = entry.sql
+    plan, _, context = plan_statement(entry.statement, source)
     recorded = {(fact, name): value for fact, name, value in entry.reads}
     unrecorded = [
         f"{fact}({name})" if name is not None else fact

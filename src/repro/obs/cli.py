@@ -111,7 +111,7 @@ def _build_e3(scale: int) -> tuple[Any, str, str]:
 
 
 def _build_columnar(scale: int) -> tuple[Any, str, str]:
-    """Columnar access path: a scan-heavy plan over a plain relation."""
+    """Batch execution: a scan-heavy plan over a plain relation's arrays."""
     from repro.relational.relation import Relation
     from repro.relational.schema import Column, RelationSchema
 

@@ -110,9 +110,9 @@ SPEEDUP_FLOORS: dict[str, float] = {
     "e3_federation_join_fast": 3.0,
     "qsql_columnar_scan": 10.0,
     "qsql_cached_statement": 5.0,
-    "columnar_scan_filter_topk": 4.0,
+    "columnar_scan_filter_topk": 4.5,
     "columnar_vs_naive": 8.0,
-    "partition_pruned_scan": 8.0,
+    "partition_pruned_scan": 8.3,
     "partition_incremental_save": 4.0,
     "scoring_incremental_rescore": 8.0,
     "scoring_pushdown_filter": 4.0,

@@ -36,7 +36,19 @@ __all__ = [
 
 # -- the instrumentation flag -------------------------------------------------
 
+#: What :func:`enabled` reads: an explicit :func:`enable` is in force, or
+#: at least one :func:`instrumented` block is open (on any thread).
 _ENABLED = False
+_explicit = False
+_open_blocks = 0
+_flag_lock = threading.Lock()
+
+
+def _set_flag(explicit: bool, open_blocks: int) -> None:
+    """Record the flag's inputs and recompute it (under ``_flag_lock``)."""
+    global _ENABLED, _explicit, _open_blocks
+    _explicit, _open_blocks = explicit, open_blocks
+    _ENABLED = explicit or open_blocks > 0
 
 
 def enabled() -> bool:
@@ -46,27 +58,29 @@ def enabled() -> bool:
 
 def enable() -> None:
     """Switch ambient instrumentation on (engine layers start reporting)."""
-    global _ENABLED
-    _ENABLED = True
+    with _flag_lock:
+        _set_flag(True, _open_blocks)
 
 
 def disable() -> None:
-    """Switch ambient instrumentation off (the default)."""
-    global _ENABLED
-    _ENABLED = False
+    """Switch explicit instrumentation off (the default); open
+    :func:`instrumented` blocks keep it on until they close."""
+    with _flag_lock:
+        _set_flag(False, _open_blocks)
 
 
 @contextmanager
 def instrumented() -> Iterator["MetricsRegistry"]:
-    """Enable instrumentation for a ``with`` block; restores the prior
-    state on exit and yields the global registry."""
-    previous = _ENABLED
-    enable()
+    """Enable instrumentation for a ``with`` block; yields the global
+    registry.  Blocks count: leaving one never switches metrics off for
+    another still open, on this thread or a concurrent one."""
+    with _flag_lock:
+        _set_flag(_explicit, _open_blocks + 1)
     try:
         yield global_registry()
     finally:
-        if not previous:
-            disable()
+        with _flag_lock:
+            _set_flag(_explicit, _open_blocks - 1)
 
 
 # -- instruments --------------------------------------------------------------

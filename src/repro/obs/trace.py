@@ -3,8 +3,8 @@
 Spans time nested phases of work — the plan cache uses them to account
 for parse → plan → compile on a cold statement.  Nesting is tracked
 per thread (a thread-local span stack), so concurrent queries trace
-independently; finished *root* spans accumulate on the tracer until
-:meth:`Tracer.clear`.
+independently; the tracer keeps the :data:`KEPT_ROOTS` most recently
+finished *root* spans (older ones drop) until :meth:`Tracer.clear`.
 
 Like the metric sinks, ambient tracing is wired through the
 :func:`repro.obs.metrics.enabled` flag at the call sites; the tracer
@@ -21,10 +21,15 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-__all__ = ["Span", "Tracer", "global_tracer"]
+__all__ = ["KEPT_ROOTS", "Span", "Tracer", "global_tracer"]
+
+#: Finished root spans a tracer keeps, newest last; older ones drop, so
+#: a long-running process with tracing on holds a bounded span history.
+KEPT_ROOTS = 256
 
 
 class Span:
@@ -72,7 +77,7 @@ class Tracer:
 
     def __init__(self) -> None:
         self._local = threading.local()
-        self._roots: list[Span] = []
+        self._roots: deque[Span] = deque(maxlen=KEPT_ROOTS)
         self._lock = threading.Lock()
 
     def _stack(self) -> list[Span]:
@@ -113,7 +118,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def roots(self) -> tuple[Span, ...]:
-        """Finished root spans, oldest first."""
+        """The most recent finished root spans, oldest first."""
         with self._lock:
             return tuple(self._roots)
 

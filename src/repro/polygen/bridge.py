@@ -95,7 +95,7 @@ def _intermediate_tag(cell: PolygenCell) -> Optional[IndicatorValue]:
 
 
 def polygen_to_tagged(relation: PolygenRelation) -> TaggedRelation:
-    """Materialize a polygen relation as a source-tagged relation.
+    """Render a polygen relation as a source-tagged relation.
 
     >>> # tagged = polygen_to_tagged(federation.union_all("quotes"))
     >>> # QualityQuery(tagged).require("price", "source", "==", "reuters")...
@@ -119,7 +119,7 @@ def polygen_to_tagged(relation: PolygenRelation) -> TaggedRelation:
 
 
 def federation_result_to_tagged(result: "FederationResult") -> TaggedRelation:
-    """Materialize a fault-tolerant federation result as a tagged relation.
+    """Render a fault-tolerant federation result as a tagged relation.
 
     Every cell carries the bridge provenance tags plus two acquisition
     indicators: ``source_status`` — the *worst* acquisition status among

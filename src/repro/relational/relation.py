@@ -474,6 +474,11 @@ class Relation:
 
         return ColumnarRelation.from_relation(self)
 
+    def value_array(self, position: int) -> list[Any]:
+        """One column's values, aligned with :meth:`row_batch`, from the
+        version-gated :meth:`columnar_store` (treat as read-only)."""
+        return self.columnar_store().column(self.schema.column_names[position])
+
     # -- snapshot reads --------------------------------------------------------
 
     @property

@@ -13,7 +13,7 @@ worker threads behind a *bounded* admission queue:
 - worker threads drain the queue and run each statement through the
   ordinary executor (:func:`repro.sql.executor.execute`), so every
   engine feature — strict analysis, the planner and its shared plan
-  cache, columnar execution, ``EXPLAIN [ANALYZE]`` — behaves exactly
+  cache, batch execution, ``EXPLAIN [ANALYZE]`` — behaves exactly
   as in the embedded API.
 
 Snapshot reads
@@ -242,7 +242,6 @@ class QueryService:
         *,
         strict: bool = False,
         planner: bool = True,
-        columnar: bool = True,
     ) -> "Session":
         """Open a session with these execution defaults."""
         self._require_open()
@@ -251,7 +250,6 @@ class QueryService:
             next(self._session_ids),
             strict=strict,
             planner=planner,
-            columnar=columnar,
         )
 
     # -- submission ------------------------------------------------------------
@@ -262,7 +260,6 @@ class QueryService:
         *,
         strict: bool = False,
         planner: bool = True,
-        columnar: bool = True,
         snapshot: Optional[Source] = None,
         stats: Optional[SessionStats] = None,
     ) -> Ticket:
@@ -283,7 +280,7 @@ class QueryService:
         job = _Job(
             sql,
             pinned,
-            {"strict": strict, "planner": planner, "columnar": columnar},
+            {"strict": strict, "planner": planner},
             future,
             stats,
         )
@@ -416,8 +413,8 @@ class QueryService:
 class Session:
     """One caller's handle on a :class:`QueryService`.
 
-    Sessions carry execution defaults (``strict`` / ``planner`` /
-    ``columnar``), per-session :class:`SessionStats`, and an optional
+    Sessions carry execution defaults (``strict`` / ``planner``),
+    per-session :class:`SessionStats`, and an optional
     explicit snapshot pin.  They are cheap (no dedicated thread) and
     are context managers::
 
@@ -432,13 +429,11 @@ class Session:
         *,
         strict: bool,
         planner: bool,
-        columnar: bool,
     ) -> None:
         self._service = service
         self.session_id = session_id
         self.strict = strict
         self.planner = planner
-        self.columnar = columnar
         self.stats = SessionStats()
         self._pinned: Optional[Source] = None
         self._closed = False
@@ -468,7 +463,6 @@ class Session:
         *,
         strict: Optional[bool] = None,
         planner: Optional[bool] = None,
-        columnar: Optional[bool] = None,
     ) -> Ticket:
         """Enqueue one statement under this session's defaults."""
         self._require_open()
@@ -476,7 +470,6 @@ class Session:
             sql,
             strict=self.strict if strict is None else strict,
             planner=self.planner if planner is None else planner,
-            columnar=self.columnar if columnar is None else columnar,
             snapshot=self._pinned,
             stats=self.stats,
         )

@@ -4,7 +4,7 @@ Endpoints
 ---------
 ``POST /query``
     Body: ``{"sql": "...", "strict": false, "planner": true,
-    "columnar": true, "tags": false}`` (only ``sql`` is required).
+    "tags": false}`` (only ``sql`` is required).
     Replies ``200`` with ``{"columns", "rows", "row_count"}`` —
     plus per-cell ``"tags"`` when requested against a tagged source —
     ``400`` on malformed requests or query errors, ``503`` with
@@ -242,7 +242,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self._reply_error(400, 'body must carry a non-empty "sql" string')
             return None
         options: dict[str, Any] = {}
-        for option in ("strict", "planner", "columnar"):
+        for option in ("strict", "planner"):
             if option in document:
                 value = document[option]
                 if not isinstance(value, bool):

@@ -15,7 +15,6 @@ fact            what is read                                    compared by
 ``catalog``     a Database source's ``catalog_version``         equality
 ``layout``      the relation's ``partition_spec``               equality
 ``profile``     the bound scoring profile and its registration  equality
-``band``        whether the size clears ``COLUMNAR_MIN_ROWS``   equality
 ``cardinality`` the row count (hash-join build side)            equality
 =============== =============================================== ===========
 
@@ -27,8 +26,8 @@ by identity because :class:`~repro.relational.schema.RelationSchema`
 equality is structural and a dropped-and-recreated relation must still
 replan; relation kind is its own fact because
 :meth:`~repro.tagging.relation.TaggedRelation.values_relation` shares
-the tagged relation's schema object.  Row mutations are not facts: an
-insert changes a decision only by moving the cost band.
+the tagged relation's schema object.  Row mutations are not facts,
+except through the row count a hash-join build side reads.
 """
 
 from __future__ import annotations
@@ -57,14 +56,6 @@ def _bound_profile(relation: Any) -> Any:
     return None if profile is None else (profile, profile.version)
 
 
-def _cost_band(relation: Any) -> bool:
-    # Read through the optimizer module so a monkeypatched threshold
-    # governs planning and validation alike.
-    from repro.sql import optimizer
-
-    return len(relation) >= optimizer.COLUMNAR_MIN_ROWS
-
-
 #: fact → how to read it off a resolved relation.
 _PROBES: dict[str, Callable[[Any], Any]] = {
     "kind": lambda r: "tagged" if isinstance(r, TaggedRelation) else "plain",
@@ -72,7 +63,6 @@ _PROBES: dict[str, Callable[[Any], Any]] = {
     "tag_schema": lambda r: r.tag_schema if isinstance(r, TaggedRelation) else None,
     "layout": lambda r: getattr(r, "partition_spec", None),
     "profile": _bound_profile,
-    "band": _cost_band,
     "cardinality": len,
 }
 
@@ -147,10 +137,6 @@ class PlanContext:
         """The scoring profile bound to the relation, or None."""
         bound = self._read("profile", name)
         return None if bound is None else bound[0]
-
-    def cost_band(self, name: str) -> bool:
-        """True when the relation clears ``COLUMNAR_MIN_ROWS``."""
-        return bool(self._read("band", name))
 
     def cardinality(self, name: str) -> int:
         return self._read("cardinality", name) or 0

@@ -406,7 +406,7 @@ def _execute_aggregate(
 def _computed_projection(
     statement: SelectStatement, relation: AnyRelation, tagged: bool
 ) -> Relation:
-    """Materialize a select list containing QUALITY(...) value columns."""
+    """Evaluate a select list containing QUALITY(...) value columns."""
     from repro.relational.schema import Column, RelationSchema
 
     items = statement.select_items or ()
@@ -455,7 +455,6 @@ def execute(
     *,
     strict: bool = False,
     planner: bool = True,
-    columnar: bool = True,
     stats: Any = None,
 ) -> AnyRelation:
     """Parse and execute a QSQL SELECT; returns a (tagged) relation.
@@ -479,13 +478,9 @@ def execute(
     closure per clause, no plan, no cache) — semantically equivalent,
     and kept as the reference baseline.
 
-    On the planner path, scan-heavy fragments over sufficiently large
-    plain relations execute *columnar*: per-column value arrays plus a
-    selection vector, with ``Row`` objects materialized only at the
-    plan's ``Materialize`` boundary (EXPLAIN shows the chosen access
-    path).  ``columnar=False`` is the escape hatch forcing row-at-a-
-    time plans; it is ignored by ``planner=False``, whose
-    interpretation path is always row-at-a-time.
+    Planned statements run over batches: per-column value arrays plus
+    a selection vector, with rows built once, for the result (see
+    :mod:`repro.sql.physical`).
 
     ``stats`` accepts a :class:`~repro.obs.stats.StatsCollector`: after
     the call it holds the per-operator execution tree (what
@@ -497,9 +492,7 @@ def execute(
         # Imported lazily: plancache depends on this module.
         from repro.sql.plancache import execute_planned
 
-        return execute_planned(
-            sql, source, strict=strict, collector=stats, columnar=columnar
-        )
+        return execute_planned(sql, source, strict=strict, collector=stats)
     return _execute_unplanned(sql, source, strict=strict, collector=stats)
 
 

@@ -34,14 +34,10 @@ reference executor:
   the smaller estimated cardinality;
 - :func:`fuse_topk` — rewrite LIMIT over ORDER BY into a bounded-heap
   :class:`~repro.sql.plan.TopK` (``heapq.nsmallest`` instead of a
-  full sort);
-- :func:`choose_access_paths` — cost each plain-relation scan fragment
-  and, where batch execution wins, flip the :class:`~repro.sql.plan.Scan`
-  to columnar and bound the fragment with a
-  :class:`~repro.sql.plan.Materialize` (late row materialization).
+  full sort).
 
 Rules never see relation objects: every fact they consult (relation
-kind, schemas, partition layout, bound scoring profile, cost band) is
+kind, schemas, partition layout, bound scoring profile, cardinality) is
 read through a :class:`~repro.sql.context.PlanContext`, which records
 it — those recorded reads are what the plan cache revalidates.
 """
@@ -70,7 +66,6 @@ from repro.sql.plan import (
     Filter,
     HashJoin,
     Limit,
-    Materialize,
     PlanNode,
     Project,
     QualityFilter,
@@ -706,98 +701,6 @@ def fuse_topk(plan: PlanNode) -> PlanNode:
     return _transform(plan, visit)
 
 
-# -- access-path selection ---------------------------------------------------
-
-#: Below this many rows the row path's lower fixed cost wins: building
-#: (or even consulting) the columnar store and running vectorized loops
-#: has setup overhead that tiny relations never amortize.  Tests may
-#: monkeypatch this to 0 to force columnar plans on small fixtures.
-COLUMNAR_MIN_ROWS = 64
-
-
-def _vectorizable_chain(
-    node: PlanNode, context: PlanContext
-) -> Optional[tuple[list[PlanNode], Scan]]:
-    """The operator chain from ``node`` down to an eligible plain Scan.
-
-    Returns ``(chain, scan)`` — ``chain`` top-down, excluding the scan —
-    when every operator between ``node`` and the scan runs batch-at-a-
-    time over column arrays with semantics identical to the row path:
-
-    - ``Filter`` whose predicate reads only columns/literals (QUALITY
-      references need per-cell tags, which plain relations lack anyway);
-    - ``Project`` of bare column references (renaming is free on
-      arrays; computed QUALITY items are not);
-    - ``TopK`` / ``Limit`` keyed on bare columns — they only shrink the
-      selection vector.
-
-    Costing: the fragment must contain at least one Filter or Project
-    (a bare scan, or Limit/TopK alone, is already O(1)/O(n) over the
-    backing row list — transposing to arrays would only add work), and
-    the base relation must be a plain :class:`Relation` with at least
-    :data:`COLUMNAR_MIN_ROWS` rows at plan time.
-    """
-    chain: list[PlanNode] = []
-    worthwhile = False
-    while not isinstance(node, Scan):
-        if isinstance(node, Filter):
-            if _expr_columns(node.predicate) is None:
-                return None
-            worthwhile = True
-        elif isinstance(node, Project):
-            if not all(isinstance(i.expr, ColumnRef) for i in node.items):
-                return None
-            worthwhile = True
-        elif isinstance(node, TopK):
-            if not all(isinstance(i.key, ColumnRef) for i in node.order_by):
-                return None
-        elif not isinstance(node, Limit):
-            return None
-        chain.append(node)
-        node = node.children()[0]
-    if not worthwhile or node.tagged or node.columnar:
-        return None
-    if context.kind(node.relation) != "plain":
-        return None
-    if not context.cost_band(node.relation):
-        return None
-    return chain, node
-
-
-def choose_access_paths(
-    plan: PlanNode, context: PlanContext, columnar: bool = True
-) -> PlanNode:
-    """Flip scan-heavy fragments over plain relations to columnar.
-
-    Top-down: at each node, try to claim the longest vectorizable
-    chain ending at an eligible scan; on success the whole fragment is
-    rebuilt over ``Scan(columnar=True)`` and bounded by a
-    :class:`Materialize`, so EXPLAIN shows exactly where arrays end
-    and rows begin.  With ``columnar=False`` (the ``execute(...,
-    columnar=False)`` escape hatch) the plan is returned untouched.
-    """
-    if not columnar:
-        return plan
-
-    def visit(node: PlanNode) -> PlanNode:
-        claimed = _vectorizable_chain(node, context)
-        if claimed is not None:
-            chain, scan = claimed
-            rebuilt: PlanNode = replace(scan, columnar=True)
-            for op in reversed(chain):
-                rebuilt = replace(op, child=rebuilt)
-            return Materialize(rebuilt)
-        if isinstance(node, HashJoin):
-            return replace(
-                node, left=visit(node.left), right=visit(node.right)
-            )
-        if node.children():
-            return replace(node, child=visit(node.child))
-        return node
-
-    return visit(plan)
-
-
 # -- the pipeline ------------------------------------------------------------
 
 
@@ -805,7 +708,6 @@ def optimize(
     plan: PlanNode,
     context: PlanContext,
     *,
-    columnar: bool = True,
     verify: Optional[bool] = None,
 ) -> PlanNode:
     """Apply every rewrite rule in its fixed order.
@@ -825,7 +727,6 @@ def optimize(
     plan = prune_projections(plan, context)
     plan = choose_build_side(plan, context)
     plan = fuse_topk(plan)
-    plan = choose_access_paths(plan, context, columnar)
     if verify is None:
         from repro.analysis.verifier import verify_plans_enabled
 

@@ -2,31 +2,39 @@
 
 :func:`compile_plan` lowers an (optimized) logical plan into a tree of
 closures that each map a *binding* (relation name → live relation) to a
-list of rows.  Compilation resolves every column position, output
-schema, and predicate closure once; execution then runs over whole row
-batches with no per-row name resolution.
+*batch*.  Every operator consumes and produces the same batch shape, for
+plain and tagged, flat and partitioned relations alike:
+``(segment, selection)``.
 
-Semantics are the reference executor's, by construction: filters and
-sort keys reuse :func:`repro.sql.executor._compile_predicate` /
-``_sort_key_function``, aggregation and QUALITY-materializing
-projections call the executor's own implementations over a trusted
-batch relation, and DISTINCT delegates to the algebra modules.  The
-planner-only operators are:
+- The :class:`Segment` is what a Scan reads — the bound relation (or
+  snapshot), or a pruned scan's surviving shards in bucket order —
+  addressed by position.  Its per-column value arrays are built on
+  first use and cached on the relation or shard against its version:
+  a plain relation's through its columnar store, a tagged one's
+  straight from its cells.  Tag arrays and score arrays are the tag
+  store's and the score materializer's.
+- The *selection vector* lists the positions still alive (``None``:
+  every position), ascending wherever row order is preserved.
 
-- ``QualityFilter`` — asks the scanned relation for its lazily cached
-  :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` and
-  scans contiguous tag arrays instead of evaluating per-cell closures;
-- ``TopK`` — ``heapq.nsmallest`` over a composite sort key (equivalent
-  to the executor's repeated stable sorts followed by LIMIT);
-- ``HashJoin`` — build-side hash index chosen by the optimizer;
-- ``Materialize`` + columnar ``Scan``/``Filter``/``Project``/``TopK``/
-  ``Limit`` — the vectorized fragment the optimizer's
-  :func:`~repro.sql.optimizer.choose_access_paths` emits.  Inside the
-  fragment, operators pass ``(column arrays, selection vector)``
-  batches: predicates run over whole arrays (same NULL/TypeError
-  semantics as the row closures), projection reorders array references,
-  TopK/Limit shrink the selection vector, and ``Materialize`` builds
-  ``Row`` objects late, only for the surviving positions.
+Scan hands out the segment.  Filter, QualityFilter and ScoreFilter
+narrow the selection: QualityFilter scans the
+:meth:`~repro.tagging.relation.TaggedRelation.columnar_store` tag arrays,
+ScoreFilter the materialized score arrays, and Filter runs
+column-vs-literal, IN and IS NULL tests over value arrays (an equality
+over a whole column hops hit to hit with the C-level ``list.index``)
+and every other predicate through the reference executor's per-row
+closure on the selected rows.  TopK, Sort and Limit reorder or cut the
+selection; Project remaps columns through a compile-time *layout*.  Rows
+are built once: in :meth:`CompiledPlan.execute`, or by the operators
+that need whole rows — Aggregate, Distinct, HashJoin and QUALITY-valued
+projections — which call the reference executor's and the algebra
+modules' own implementations and hand their result on as a new segment.
+
+Semantics are the reference executor's, by construction: value-array
+tests apply the executor's comparator table with its NULL (never true)
+and ``TypeError`` (false) rules, AND/OR/NOT compose selections so each
+leaf sees exactly the rows the row closure's short-circuit evaluates,
+and sort keys are the executor's None-safe ``(not None, value)`` pairs.
 
 Compiled plans close over *names and schemas only*, never over relation
 instances: the binding supplies relations at run time, which is what
@@ -38,28 +46,28 @@ function takes ``(binding, stats)``.  With ``stats=None`` — the default
 — the only cost is one ``None`` check per *operator* per execution
 (never per row).  With an :class:`~repro.obs.stats.ExecutionStats`, a
 thin per-operator wrapper (installed at compile time, shared by every
-execution of a cached plan) records rows out and inclusive wall time
-into the preorder-numbered stats tree; that tree is what
+execution of a cached plan) records rows out — the live positions of
+its batch; for a Scan, the rows fed from storage — and inclusive wall
+time into the preorder-numbered stats tree; that tree is what
 ``EXPLAIN ANALYZE`` renders.  ``compile_plan(..., instrument=False)``
 omits the wrappers entirely — the baseline the observability-overhead
 benchmark measures against.
 
 Sanitizer mode (``compile_plan(..., sanitize=True)``, defaulted from
-``REPRO_VERIFY_PLANS``): debug wrappers validate every columnar batch
-at every fragment operator — arrays match the operator's schema and
-share one length, the selection vector is in-bounds, duplicate-free,
-and ascending wherever the operator preserves row order (TopK emits
-key order, so order checks stop above it) — plus array↔row alignment
-at the Materialize boundary and bounds/monotonicity of tag-store scan
-indices.  This is the dynamic cross-check of the plan verifier's
-static columnar claims (:mod:`repro.analysis.verifier`); violations
-raise :class:`ColumnarSanitizerError`.
+``REPRO_VERIFY_PLANS``): debug wrappers check every operator's batch —
+the selection is in bounds, strictly ascending where the operator
+preserves row order and duplicate-free after TopK/Sort — every row list
+and value array an operator reads is as long as its segment, and
+tag-store and score hits are in bounds and ascending.  Violations raise
+:class:`ColumnarSanitizerError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
 
@@ -73,12 +81,11 @@ from repro.sql.errors import SQLError
 from repro.sql.executor import (
     _COMPARATORS,
     _FLIPPED,
+    _compile_operand,
     _compile_predicate,
     _computed_projection,
     _execute_aggregate,
     _item_output_domain,
-    _sort_key_function,
-    _sql_compare,
 )
 from repro.sql.nodes import (
     BoolOp,
@@ -98,7 +105,6 @@ from repro.sql.plan import (
     Filter,
     HashJoin,
     Limit,
-    Materialize,
     PlanNode,
     Project,
     QualityFilter,
@@ -118,24 +124,27 @@ Binding = Mapping[str, Any]
 #: instrumentation wrappers (see ``compile_plan(instrument=False)``).
 OpIds = Optional[dict[int, int]]
 
+#: One operator's output: (segment, selection vector or None for all).
+Batch = tuple["Segment", Optional[list]]
+
 
 #: The environment flag that turns on plan verification (optimizer +
-#: plan cache) and the columnar batch sanitizer.  Any value other than
-#: empty/"0" arms both.
+#: plan cache) and the batch sanitizer.  Any value other than empty/"0"
+#: arms both.
 ENV_FLAG = "REPRO_VERIFY_PLANS"
 
 
 def sanitize_enabled() -> bool:
     """Whether ``REPRO_VERIFY_PLANS`` is set: the one reader of the flag.
 
-    Plan verification and the columnar sanitizer arm together, so the
+    Plan verification and the batch sanitizer arm together, so the
     verifier re-exports this as ``verify_plans_enabled``.
     """
     return os.environ.get(ENV_FLAG, "") not in ("", "0")
 
 
 class ColumnarSanitizerError(SQLError):
-    """A columnar batch (or tag-store scan) violated the selection-
+    """A batch (or tag-store / score scan) violated the selection-
     vector / array invariants the executor relies on.
 
     Only raised in sanitizer mode; in normal operation these
@@ -158,22 +167,150 @@ class _Reversed:
         return isinstance(other, _Reversed) and self.value == other.value
 
 
-class CompiledNode:
-    """One compiled operator: a batch function plus output-shape facts."""
+class Segment:
+    """The rows one batch addresses by position.
 
-    __slots__ = ("run", "schema", "tagged", "tag_schema")
+    ``parts`` are the ``(bucket, relation)`` pairs the positions run
+    over, in order: the relation itself (bucket ``None``) or the
+    surviving shards of a pruned scan.  Rows and value arrays come from
+    the parts, which cache the arrays against their version; over
+    several parts they are concatenated once per execution.
+    """
+
+    __slots__ = ("relation", "parts", "length", "_rows", "_values")
+
+    def __init__(self, relation: Any, parts: Optional[tuple] = None) -> None:
+        self.relation = relation
+        if parts is None:
+            self.parts: tuple = ((None, relation),)
+            self.length = len(relation)
+        else:
+            self.parts = parts
+            self.length = sum(len(part) for _, part in parts)
+        self._rows: Optional[list] = None
+        self._values: dict[int, list] = {}
+
+    def rows(self) -> list:
+        """Every row, by position (treat as read-only)."""
+        parts = self.parts
+        if len(parts) == 1:
+            return parts[0][1].row_batch()
+        if self._rows is None:
+            self._rows = [row for _, part in parts for row in part.row_batch()]
+        return self._rows
+
+    def values(self, position: int) -> list:
+        """One column's values, by position (treat as read-only)."""
+        parts = self.parts
+        if len(parts) == 1:
+            return parts[0][1].value_array(position)
+        array = self._values.get(position)
+        if array is None:
+            array = []
+            for _, part in parts:
+                array += part.value_array(position)
+            self._values[position] = array
+        return array
+
+    def narrow(
+        self,
+        sel: Optional[list],
+        scan: Callable[[Any, Any, Optional[list]], list],
+    ) -> list:
+        """The positions of ascending ``sel`` (None: all) a storage scan keeps.
+
+        ``scan(bucket, part, candidates)`` returns one part's ascending
+        local hits among ``candidates`` (None: the whole part).
+        """
+        parts = self.parts
+        if len(parts) == 1:
+            bucket, part = parts[0]
+            return scan(bucket, part, sel)
+        hits: list = []
+        offset = 0
+        for bucket, part in parts:
+            end = offset + len(part)
+            candidates = None
+            if sel is not None:
+                low = bisect_left(sel, offset)
+                candidates = [
+                    i - offset for i in sel[low:bisect_left(sel, end, low)]
+                ]
+            hits.extend(offset + i for i in scan(bucket, part, candidates))
+            offset = end
+        return hits
+
+
+class _CheckedSegment(Segment):
+    """Sanitizer: every row list and value array read is segment-long."""
+
+    __slots__ = ()
+
+    def rows(self) -> list:
+        return self._checked("row batch", super().rows())
+
+    def values(self, position: int) -> list:
+        return self._checked(
+            f"value array of column {position}", super().values(position)
+        )
+
+    def _checked(self, what: str, array: list) -> list:
+        if len(array) != self.length:
+            raise ColumnarSanitizerError(
+                f"{what} holds {len(array)} entries but the segment has "
+                f"{self.length} rows; positions would address misaligned "
+                f"data"
+            )
+        return array
+
+
+def _positions(segment: Segment, sel: Optional[list]):
+    """The positions a batch keeps, in selection order."""
+    return range(segment.length) if sel is None else sel
+
+
+class CompiledNode:
+    """One compiled operator: a batch function plus output-shape facts.
+
+    ``layout`` maps each output column to its position in the segment's
+    rows; ``None`` means the segment's rows *are* the output rows, as
+    everywhere below a column-only Project.
+    """
+
+    __slots__ = ("run", "schema", "tagged", "tag_schema", "layout")
 
     def __init__(
         self,
-        run: Callable[[Binding, Optional[ExecutionStats]], list],
+        run: Callable[[Binding, Optional[ExecutionStats]], Batch],
         schema: RelationSchema,
         tagged: bool,
         tag_schema: Optional[TagSchema],
+        layout: Optional[tuple[int, ...]] = None,
     ) -> None:
         self.run = run
         self.schema = schema
         self.tagged = tagged
         self.tag_schema = tag_schema
+        self.layout = layout
+
+
+def _rows_of(node: CompiledNode, batch: Batch) -> list:
+    """The batch's selected rows, in ``node``'s output schema."""
+    segment, sel = batch
+    rows = segment.rows()
+    if sel is not None:
+        rows = [rows[i] for i in sel]
+    layout = node.layout
+    if layout is None:
+        return rows
+    pick = itemgetter(*layout)
+    if len(layout) == 1:
+        single = pick
+        pick = lambda fields: (single(fields),)  # noqa: E731
+    fields = attrgetter("cells") if node.tagged else Row.values_tuple
+    make = (TaggedRow if node.tagged else Row)._from_validated
+    schema = node.schema
+    return [make(schema, pick(fields(row))) for row in rows]
 
 
 class CompiledPlan:
@@ -210,12 +347,8 @@ class CompiledPlan:
     def execute(
         self, binding: Binding, stats: Optional[ExecutionStats] = None
     ) -> Any:
-        rows = self._root.run(binding, stats)
-        if self._root.tagged:
-            return TaggedRelation.from_rows(
-                self._root.schema, self._root.tag_schema, rows
-            )
-        return Relation.from_rows(self._root.schema, rows)
+        root = self._root
+        return _materialize(root, _rows_of(root, root.run(binding, stats)))
 
 
 def _materialize(node: CompiledNode, rows: list) -> Any:
@@ -259,8 +392,8 @@ def compile_plan(
     ``instrument=False`` skips the per-operator stats wrappers (the
     plan can no longer report into an ``ExecutionStats`` tree); it
     exists so the overhead benchmark has an uninstrumented baseline.
-    ``sanitize`` installs the columnar batch sanitizer wrappers; the
-    default follows the ``REPRO_VERIFY_PLANS`` environment flag.
+    ``sanitize`` installs the batch sanitizer wrappers; the default
+    follows the ``REPRO_VERIFY_PLANS`` environment flag.
     """
     if sanitize is None:
         sanitize = sanitize_enabled()
@@ -301,11 +434,83 @@ def _surviving_partitions(plan: Scan, relation: Any) -> Optional[list]:
     return [relation.partition(bucket) for bucket in plan.partitions]
 
 
+def _selection_ordered(plan: PlanNode) -> bool:
+    """Whether an operator's selection vector is in ascending row order.
+
+    TopK and Sort emit key order, and every operator above them that
+    keeps their segment (Filter, Project of columns, Limit) inherits
+    it; Scan and the operators that build a new segment start over.
+    """
+    if isinstance(plan, (Sort, TopK)):
+        return False
+    if isinstance(plan, (Filter, QualityFilter, ScoreFilter, Limit)) or (
+        isinstance(plan, Project) and not _computes_quality(plan)
+    ):
+        return _selection_ordered(plan.children()[0])
+    return True
+
+
+def _computes_quality(plan: Project) -> bool:
+    """Whether a projection materializes QUALITY(...) values."""
+    return any(
+        isinstance(item.expr, (QualityRef, QualityScoreRef))
+        for item in plan.items
+    )
+
+
+def _check_batch(label: str, batch: Batch, ordered: bool) -> None:
+    """Sanitizer: one batch's selection vector against its segment."""
+    segment, sel = batch
+    if sel is None:
+        return
+    length = segment.length
+    previous = -1
+    seen: set[int] = set()
+    for index in sel:
+        if not isinstance(index, int) or not -1 < index < length:
+            raise ColumnarSanitizerError(
+                f"{label}: selection vector holds out-of-bounds "
+                f"position {index!r} (segment has {length} rows)"
+            )
+        if ordered:
+            if index <= previous:
+                raise ColumnarSanitizerError(
+                    f"{label}: selection vector is not strictly "
+                    f"ascending ({index} after {previous}) although "
+                    f"this operator preserves row order"
+                )
+            previous = index
+        elif index in seen:
+            raise ColumnarSanitizerError(
+                f"{label}: selection vector selects position "
+                f"{index} twice"
+            )
+        else:
+            seen.add(index)
+
+
+def _check_scan_indices(label: str, indices: Any, length: int) -> None:
+    """Sanitizer: tag-store / score scan hits are in-bounds and ascending."""
+    previous = -1
+    for index in indices:
+        if not isinstance(index, int) or not -1 < index < length:
+            raise ColumnarSanitizerError(
+                f"{label}: tag-store scan returned out-of-bounds "
+                f"index {index!r} (relation has {length} rows)"
+            )
+        if index <= previous:
+            raise ColumnarSanitizerError(
+                f"{label}: tag-store scan indices are not strictly "
+                f"ascending ({index} after {previous})"
+            )
+        previous = index
+
+
 def _compile(
     plan: PlanNode, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
     if isinstance(plan, Scan):
-        node = _compile_scan(plan, relations, ids)
+        node = _compile_scan(plan, relations, ids, sanitize)
     elif isinstance(plan, QualityFilter):
         node = _compile_quality_filter(plan, relations, ids, sanitize)
     elif isinstance(plan, ScoreFilter):
@@ -326,28 +531,66 @@ def _compile(
         node = _compile_distinct(plan, relations, ids, sanitize)
     elif isinstance(plan, Limit):
         node = _compile_limit(plan, relations, ids, sanitize)
-    elif isinstance(plan, Materialize):
-        node = _compile_materialize(plan, relations, ids, sanitize)
     else:
         raise SQLError(f"cannot compile plan node {plan!r}")
-    if ids is None:
-        return node
-    op_id = ids[id(plan)]
-    inner = node.run
+    run = node.run
+    if sanitize:
+        label = plan.label()
+        ordered = _selection_ordered(plan)
+        unchecked = run
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        if stats is None:
-            return inner(binding, None)
-        start = perf_counter()
-        out = inner(binding, stats)
-        stats.record(op_id, len(out), perf_counter() - start)
-        return out
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+            batch = unchecked(binding, stats)
+            _check_batch(label, batch, ordered)
+            return batch
 
-    return CompiledNode(run, node.schema, node.tagged, node.tag_schema)
+    if ids is not None:
+        op_id = ids[id(plan)]
+        inner = run
+
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+            if stats is None:
+                return inner(binding, None)
+            start = perf_counter()
+            batch = inner(binding, stats)
+            segment, sel = batch
+            stats.record(
+                op_id,
+                segment.length if sel is None else len(sel),
+                perf_counter() - start,
+            )
+            return batch
+
+    return CompiledNode(
+        run, node.schema, node.tagged, node.tag_schema, node.layout
+    )
+
+
+def _segment_type(sanitize: bool) -> type[Segment]:
+    return _CheckedSegment if sanitize else Segment
+
+
+def _row_shaped(child: CompiledNode, sanitize: bool) -> CompiledNode:
+    """``child`` re-based onto rows of its own schema.
+
+    Filter, Sort and TopK address columns by schema position; above a
+    column-remapping Project (only hand-built plans put them there),
+    the projected rows are built first.
+    """
+    if child.layout is None:
+        return child
+    child_run = child.run
+    segment_type = _segment_type(sanitize)
+
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        rows = _rows_of(child, child_run(binding, stats))
+        return segment_type(_materialize(child, rows)), None
+
+    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
 
 
 def _compile_scan(
-    plan: Scan, relations: Binding, ids: OpIds = None
+    plan: Scan, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
     name = plan.relation
     try:
@@ -355,37 +598,33 @@ def _compile_scan(
     except KeyError:
         raise SQLError(f"unknown relation {name!r} in plan binding") from None
     tagged = isinstance(relation, TaggedRelation)
+    segment_type = _segment_type(sanitize)
 
     if plan.partitions is None:
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            return binding[name].row_batch()
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+            return segment_type(binding[name]), None
 
     else:
         op_id = None if ids is None else ids[id(plan)]
         pruned_count = plan.partition_total - len(plan.partitions)
         note = f"{len(plan.partitions)}/{plan.partition_total}"
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
             live = binding[name]
             shards = _surviving_partitions(plan, live)
             if shards is None:
-                return live.row_batch()
-            out: list = []
-            rows_by_partition: list[int] = []
-            for shard in shards:
-                batch = shard.row_batch()
-                rows_by_partition.append(len(batch))
-                out.extend(batch)
+                return segment_type(live), None
+            segment = segment_type(live, tuple(zip(plan.partitions, shards)))
             if _obs_metrics.enabled():
-                _record_partition_scan(len(out), pruned_count)
+                _record_partition_scan(segment.length, pruned_count)
             if stats is not None and op_id is not None:
                 stats.annotate(
                     op_id,
                     partitions=note,
-                    partition_rows=tuple(rows_by_partition),
+                    partition_rows=tuple(len(shard) for shard in shards),
                 )
-            return out
+            return segment, None
 
     return CompiledNode(
         run,
@@ -403,197 +642,222 @@ def _compile_quality_filter(
         raise SQLError(
             "QualityFilter must sit directly above a tagged Scan"
         )
-    child = _compile_scan(scan, relations)
-    name = scan.relation
+    child = _compile(scan, relations, ids, sanitize)
+    child_run = child.run
     constraints = list(plan.constraints)
-    # The columnar scan reads tag arrays + row batch directly, so the
-    # child Scan's closure never runs; credit its row count here (the
-    # scan's rows are exactly the relation's) so the annotated tree
-    # still shows the filter's input size — and thus its selectivity.
-    scan_id = None if ids is None else ids[id(scan)]
     label = plan.label()
 
-    if scan.partitions is None:
+    def scan_tags(bucket: Any, part: Any, candidates: Optional[list]) -> list:
+        hits = part.columnar_store().scan(constraints)
+        if sanitize:
+            _check_scan_indices(label, hits, len(part))
+        return hits
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            indices = relation.columnar_store().scan(constraints)
-            rows = relation.row_batch()
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, len(rows), 0.0)
-            if sanitize:
-                _check_scan_indices(label, indices, len(rows))
-            return [rows[index] for index in indices]
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, _ = child_run(binding, stats)
+        return segment, segment.narrow(None, scan_tags)
 
-    else:
-        pruned_count = scan.partition_total - len(scan.partitions)
-        note = f"{len(scan.partitions)}/{scan.partition_total}"
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            shards = _surviving_partitions(scan, relation)
-            if shards is None:
-                indices = relation.columnar_store().scan(constraints)
-                rows = relation.row_batch()
-                if stats is not None and scan_id is not None:
-                    stats.record(scan_id, len(rows), 0.0)
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                return [rows[index] for index in indices]
-            out: list = []
-            fed = 0
-            rows_by_partition: list[int] = []
-            for shard in shards:
-                indices = shard.columnar_store().scan(constraints)
-                rows = shard.row_batch()
-                fed += len(rows)
-                rows_by_partition.append(len(rows))
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                out.extend(rows[index] for index in indices)
-            if _obs_metrics.enabled():
-                _record_partition_scan(fed, pruned_count)
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, fed, 0.0)
-                stats.annotate(
-                    scan_id,
-                    partitions=note,
-                    partition_rows=tuple(rows_by_partition),
-                )
-            return out
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+    return CompiledNode(run, child.schema, True, child.tag_schema)
 
 
 def _compile_score_filter(
     plan: ScoreFilter, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
     inner = plan.child
-    if isinstance(inner, Scan):
-        scan = inner
-        tag_constraints: Optional[list] = None
-    elif isinstance(inner, QualityFilter) and isinstance(inner.child, Scan):
-        scan = inner.child
-        tag_constraints = list(inner.constraints)
-    else:
+    scan = inner.child if isinstance(inner, QualityFilter) else inner
+    if not isinstance(scan, Scan):
         raise SQLError(
             "ScoreFilter must sit directly above a tagged Scan or a "
             "QualityFilter over one"
         )
     if not scan.tagged:
         raise SQLError("ScoreFilter requires a tagged Scan")
-    child = _compile_scan(scan, relations)
-    name = scan.relation
+    child = _compile(inner, relations, ids, sanitize)
+    child_run = child.run
     constraints = list(plan.constraints)
-    # Like QualityFilter, this operator reads storage (score arrays +
-    # row batch) directly; credit the swallowed Scan's row count so the
-    # annotated tree still shows the filter's input size.
-    scan_id = None if ids is None else ids[id(scan)]
     label = plan.label()
-
-    def scan_segment(segment: Any, materializer: Any, bucket: Any) -> list:
-        """Surviving indices of one storage segment (shard or flat)."""
-        candidates = None
-        if tag_constraints is not None:
-            candidates = segment.columnar_store().scan(tag_constraints)
-        return materializer.filter_indices(
-            constraints, bucket=bucket, candidates=candidates
-        )
 
     from repro.quality.materialize import materializer_for
 
-    if scan.partitions is None:
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, sel = child_run(binding, stats)
+        materializer = materializer_for(segment.relation)
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            indices = scan_segment(relation, materializer_for(relation), None)
-            rows = relation.row_batch()
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, len(rows), 0.0)
+        def scan_scores(
+            bucket: Any, part: Any, candidates: Optional[list]
+        ) -> list:
+            hits = materializer.filter_indices(
+                constraints, bucket=bucket, candidates=candidates
+            )
             if sanitize:
-                _check_scan_indices(label, indices, len(rows))
-            return [rows[index] for index in indices]
+                _check_scan_indices(label, hits, len(part))
+            return hits
 
-    else:
-        pruned_count = scan.partition_total - len(scan.partitions)
-        note = f"{len(scan.partitions)}/{scan.partition_total}"
+        return segment, segment.narrow(sel, scan_scores)
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            materializer = materializer_for(relation)
-            shards = _surviving_partitions(scan, relation)
-            if shards is None:
-                indices = scan_segment(relation, materializer, None)
-                rows = relation.row_batch()
-                if stats is not None and scan_id is not None:
-                    stats.record(scan_id, len(rows), 0.0)
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                return [rows[index] for index in indices]
-            out: list = []
-            fed = 0
-            rows_by_partition: list[int] = []
-            for bucket, shard in zip(scan.partitions, shards):
-                indices = scan_segment(shard, materializer, bucket)
-                rows = shard.row_batch()
-                fed += len(rows)
-                rows_by_partition.append(len(rows))
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                out.extend(rows[index] for index in indices)
-            if _obs_metrics.enabled():
-                _record_partition_scan(fed, pruned_count)
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, fed, 0.0)
-                stats.annotate(
-                    scan_id,
-                    partitions=note,
-                    partition_rows=tuple(rows_by_partition),
-                )
-            return out
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-
-
-def _check_scan_indices(label: str, indices: Any, length: int) -> None:
-    """Sanitizer: tag-store scan hits are in-bounds and ascending."""
-    previous = -1
-    for index in indices:
-        if not isinstance(index, int) or not -1 < index < length:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan returned out-of-bounds "
-                f"index {index!r} (relation has {length} rows)"
-            )
-        if index <= previous:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan indices are not strictly "
-                f"ascending ({index} after {previous})"
-            )
-        previous = index
+    return CompiledNode(run, child.schema, True, child.tag_schema)
 
 
 def _compile_filter(
     plan: Filter, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
-    child = _compile(plan.child, relations, ids, sanitize)
-    predicate_expr = plan.predicate
-    if isinstance(predicate_expr, Literal):
+    child = _row_shaped(_compile(plan.child, relations, ids, sanitize), sanitize)
+    child_run = child.run
+    predicate = plan.predicate
+    if isinstance(predicate, Literal):
         # Only the optimizer produces literal predicates; TRUE filters
         # are dropped there, so a surviving literal is falsy.
-        if predicate_expr.value:
-            run = child.run
+        if predicate.value:
+            run = child_run
         else:
-            run = lambda binding, stats: []  # noqa: E731
-        return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-    predicate = _compile_predicate(
-        predicate_expr, child.schema, child.tagged, child.tag_schema
-    )
-    child_run = child.run
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        return [row for row in child_run(binding, stats) if predicate(row)]
+            def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+                return child_run(binding, stats)[0], []
+
+        return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+    select = _compile_selection(
+        predicate, child.schema, child.tagged, child.tag_schema
+    )
+
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, sel = child_run(binding, stats)
+        return segment, select(segment, sel)
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+
+
+#: A compiled WHERE tree: ``(segment, sel) -> kept positions``.
+Selection = Callable[[Segment, Optional[list]], list]
+
+
+def _compile_selection(
+    expr: Any, schema: RelationSchema, tagged: bool, tag_schema: Any
+) -> Selection:
+    """Compile a WHERE tree into a selection function.
+
+    The returned function maps a segment and a selection (None: every
+    position) to the selected positions whose rows satisfy ``expr``, in
+    selection order.  Column-vs-literal comparisons and IN / IS NULL
+    tests on a column run over the column's value array; any other
+    leaf tests the selected rows with the reference executor's
+    :func:`~repro.sql.executor._compile_predicate` closure.  AND feeds
+    the left side's hits to the right side and OR probes the right side
+    with the left side's misses, so every leaf sees exactly the rows
+    the row closure's short-circuit evaluates it on — same results,
+    same errors.
+    """
+    if isinstance(expr, BoolOp):
+        left = _compile_selection(expr.left, schema, tagged, tag_schema)
+        right = _compile_selection(expr.right, schema, tagged, tag_schema)
+        if expr.op == "AND":
+            return lambda segment, sel: right(segment, left(segment, sel))
+
+        def run_or(segment: Segment, sel: Optional[list]) -> list:
+            positions = _positions(segment, sel)
+            kept = set(left(segment, sel))
+            kept.update(right(segment, [i for i in positions if i not in kept]))
+            return [i for i in positions if i in kept]
+
+        return run_or
+    if isinstance(expr, NotOp):
+        inner = _compile_selection(expr.operand, schema, tagged, tag_schema)
+
+        def run_not(segment: Segment, sel: Optional[list]) -> list:
+            hits = set(inner(segment, sel))
+            return [i for i in _positions(segment, sel) if i not in hits]
+
+        return run_not
+    kernel = _value_kernel(expr, schema)
+    if kernel is not None:
+        return kernel
+    test = _compile_predicate(expr, schema, tagged, tag_schema)
+
+    def run_rows(segment: Segment, sel: Optional[list]) -> list:
+        rows = segment.rows()
+        return [i for i in _positions(segment, sel) if test(rows[i])]
+
+    return run_rows
+
+
+def _value_kernel(expr: Any, schema: RelationSchema) -> Optional[Selection]:
+    """A value-array test for a column-vs-literal comparison (either
+    side) or an IN / IS NULL test on a column; None for other leaves."""
+    if isinstance(expr, Comparison):
+        column, literal, op = expr.left, expr.right, expr.op
+        if isinstance(column, Literal):
+            # A literal on the left flips the operator, as in the executor.
+            column, literal, op = literal, column, _FLIPPED[op]
+        if isinstance(column, ColumnRef) and isinstance(literal, Literal):
+            return _comparison_kernel(
+                schema.position(column.column), op, literal.value
+            )
+        return None
+    if not (
+        isinstance(expr, (InList, IsNull))
+        and isinstance(expr.operand, ColumnRef)
+    ):
+        return None
+    position = schema.position(expr.operand.column)
+    negated = expr.negated
+    if isinstance(expr, IsNull):
+
+        def run_is_null(segment: Segment, sel: Optional[list]) -> list:
+            array = segment.values(position)
+            return [
+                i for i in _positions(segment, sel)
+                if (array[i] is None) != negated
+            ]
+
+        return run_is_null
+    options = expr.options
+
+    def run_in(segment: Segment, sel: Optional[list]) -> list:
+        array = segment.values(position)
+        return [
+            i
+            for i in _positions(segment, sel)
+            if array[i] is not None and (array[i] in options) != negated
+        ]
+
+    return run_in
+
+
+def _comparison_kernel(position: int, op: str, constant: Any) -> Selection:
+    """``column op constant`` over the column's value array."""
+    if constant is None:
+        return lambda segment, sel: []
+    compare = _COMPARATORS[op]
+    equality = op == "="
+
+    def run(segment: Segment, sel: Optional[list]) -> list:
+        array = segment.values(position)
+        hits: list = []
+        emit = hits.append
+        if sel is None and equality:
+            # A whole-column equality hops hit to hit with list.index, a
+            # C-level search (``==`` never raises TypeError, and a None
+            # constant was rejected above, so Nones cannot match).
+            find = array.index
+            index = -1
+            try:
+                while True:
+                    index = find(constant, index + 1)
+                    emit(index)
+            except ValueError:
+                pass
+            return hits
+        for i in _positions(segment, sel):
+            value = array[i]
+            if value is None:
+                continue
+            try:
+                if compare(value, constant):
+                    emit(i)
+            except TypeError:
+                continue
+        return hits
+
+    return run
 
 
 def _compile_project(
@@ -602,9 +866,7 @@ def _compile_project(
     child = _compile(plan.child, relations, ids, sanitize)
     items = plan.items
     child_run = child.run
-    if any(
-        isinstance(item.expr, (QualityRef, QualityScoreRef)) for item in items
-    ):
+    if _computes_quality(plan):
         # QUALITY(...) in the select list materializes tag values into a
         # plain relation — delegate to the executor's implementation.
         stub = SelectStatement(
@@ -614,10 +876,13 @@ def _compile_project(
         )
         probe = _materialize(child, [])
         out_schema = _computed_projection(stub, probe, child.tagged).schema
+        segment_type = _segment_type(sanitize)
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            temp = _materialize(child, child_run(binding, stats))
-            return _computed_projection(stub, temp, child.tagged).row_batch()
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+            temp = _materialize(child, _rows_of(child, child_run(binding, stats)))
+            return segment_type(
+                _computed_projection(stub, temp, child.tagged)
+            ), None
 
         return CompiledNode(run, out_schema, False, None)
 
@@ -630,32 +895,18 @@ def _compile_project(
         if item.alias and item.alias != item.expr.column  # type: ignore[union-attr]
     }
     positions = child.schema.positions_of(names)
+    if child.layout is not None:
+        positions = tuple(child.layout[p] for p in positions)
     out_schema = child.schema.project(names, None)
+    out_tags = None
+    if renames:
+        out_schema = out_schema.rename_columns(renames)
     if child.tagged:
         out_tags = child.tag_schema.project(names)
         if renames:
-            out_schema = out_schema.rename_columns(renames)
             out_tags = out_tags.rename_columns(renames)
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            make = TaggedRow._from_validated
-            return [
-                make(out_schema, tuple(row.cells[p] for p in positions))
-                for row in child_run(binding, stats)
-            ]
-
-        return CompiledNode(run, out_schema, True, out_tags)
-    if renames:
-        out_schema = out_schema.rename_columns(renames)
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        make = Row._from_validated
-        return [
-            make(out_schema, tuple(row.at(p) for p in positions))
-            for row in child_run(binding, stats)
-        ]
-
-    return CompiledNode(run, out_schema, False, None)
+    # Projection remaps columns; rows are built where they are needed.
+    return CompiledNode(child_run, out_schema, child.tagged, out_tags, positions)
 
 
 def _compile_hash_join(
@@ -681,6 +932,7 @@ def _compile_hash_join(
     single = len(plan.on) == 1
     left_run, right_run = left.run, right.run
     op_id = None if ids is None else ids[id(plan)]
+    segment_type = _segment_type(sanitize)
 
     def key_of(row: Row, positions: tuple[int, ...]) -> Any:
         if single:
@@ -692,9 +944,9 @@ def _compile_hash_join(
             return key is None
         return any(part is None for part in key)
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        left_rows = left_run(binding, stats)
-        right_rows = right_run(binding, stats)
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        left_rows = _rows_of(left, left_run(binding, stats))
+        right_rows = _rows_of(right, right_run(binding, stats))
         make = Row._from_validated
         out: list[Row] = []
         emit = out.append
@@ -736,7 +988,7 @@ def _compile_hash_join(
                 lvalues = lrow.values_tuple()
                 for rrow in index.get(key, ()):
                     emit(make(out_schema, lvalues + rrow.values_tuple()))
-        return out
+        return segment_type(Relation.from_rows(out_schema, out)), None
 
     return CompiledNode(run, out_schema, False, None)
 
@@ -761,10 +1013,11 @@ def _compile_aggregate(
     )
     child_run = child.run
     tagged = child.tagged
+    segment_type = _segment_type(sanitize)
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        temp = _materialize(child, child_run(binding, stats))
-        return _execute_aggregate(stub, temp, tagged).row_batch()
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        temp = _materialize(child, _rows_of(child, child_run(binding, stats)))
+        return segment_type(_execute_aggregate(stub, temp, tagged)), None
 
     return CompiledNode(run, out_schema, False, None)
 
@@ -777,30 +1030,57 @@ def _check_aggregate_order(plan: Sort | TopK, child: CompiledNode) -> None:
         child.schema.column(item.key.column)
 
 
+def _order_key(
+    item: Any, node: CompiledNode
+) -> Callable[[Segment], Callable[[int], tuple]]:
+    """One ORDER BY item as ``fetch(segment) -> key(position)``.
+
+    Keys are the executor's None-safe ``(not None, value)`` pairs: a
+    column's come from its value array, a QUALITY(...) key's from the
+    executor's operand closure over the position's row.
+    """
+    if isinstance(item.key, ColumnRef):
+        position = node.schema.position(item.key.column)
+
+        def fetch_column(segment: Segment) -> Callable[[int], tuple]:
+            array = segment.values(position)
+            return lambda i: (array[i] is not None, array[i])
+
+        return fetch_column
+    get = _compile_operand(item.key, node.schema, node.tagged, node.tag_schema)
+
+    def fetch_quality(segment: Segment) -> Callable[[int], tuple]:
+        rows = segment.rows()
+
+        def key(i: int) -> tuple:
+            value = get(rows[i])
+            return (value is not None, value)
+
+        return key
+
+    return fetch_quality
+
+
 def _compile_sort(
     plan: Sort, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
-    child = _compile(plan.child, relations, ids, sanitize)
+    child = _row_shaped(_compile(plan.child, relations, ids, sanitize), sanitize)
     if isinstance(plan.child, Aggregate):
         _check_aggregate_order(plan, child)
     # Repeated stable single-key sorts, least-significant first — the
     # executor's exact ordering semantics.
     passes = [
-        (
-            _sort_key_function(
-                (item,), child.schema, child.tagged, child.tag_schema
-            ),
-            item.descending,
-        )
+        (_order_key(item, child), item.descending)
         for item in reversed(plan.order_by)
     ]
     child_run = child.run
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        rows = list(child_run(binding, stats))
-        for key, descending in passes:
-            rows.sort(key=key, reverse=descending)
-        return rows
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, sel = child_run(binding, stats)
+        order = list(_positions(segment, sel))
+        for fetch, descending in passes:
+            order.sort(key=fetch(segment), reverse=descending)
+        return segment, order
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
 
@@ -808,35 +1088,52 @@ def _compile_sort(
 def _compile_topk(
     plan: TopK, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
-    child = _compile(plan.child, relations, ids, sanitize)
+    child = _row_shaped(_compile(plan.child, relations, ids, sanitize), sanitize)
     if isinstance(plan.child, Aggregate):
         _check_aggregate_order(plan, child)
     if plan.count < 0:
         raise QueryError("limit must be non-negative")
-    parts = [
-        (
-            _sort_key_function(
-                (item,), child.schema, child.tagged, child.tag_schema
-            ),
-            item.descending,
-        )
-        for item in plan.order_by
-    ]
+    fetches = [_order_key(item, child) for item in plan.order_by]
+    directions = [item.descending for item in plan.order_by]
     count = plan.count
     child_run = child.run
 
-    def composite_key(row: Any) -> tuple:
-        return tuple(
-            _Reversed(key(row)) if descending else key(row)
-            for key, descending in parts
-        )
+    if len(set(directions)) == 1:
+        # Uniform direction: plain tuple keys, no _Reversed wrappers.
+        # All-DESC is nlargest over the ascending key (both are
+        # sorted(..., reverse=...)[:n], stable on ties), so the heap
+        # compares native tuples at C speed.
+        select = heapq.nlargest if directions[0] else heapq.nsmallest
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        # nsmallest is stable and equivalent to sorted(...)[:k]; the
-        # composite key with per-part inversion equals the repeated
-        # stable sorts of the Sort operator.
-        return heapq.nsmallest(
-            count, child_run(binding, stats), key=composite_key
+        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+            segment, sel = child_run(binding, stats)
+            keys = [fetch(segment) for fetch in fetches]
+            if len(keys) == 1:
+                key = keys[0]
+            else:
+                key = lambda i: tuple(part(i) for part in keys)  # noqa: E731
+            return segment, select(count, _positions(segment, sel), key=key)
+
+        return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, sel = child_run(binding, stats)
+        keys = [
+            (fetch(segment), descending)
+            for fetch, descending in zip(fetches, directions)
+        ]
+
+        def composite_key(i: int) -> tuple:
+            # nsmallest is stable and equivalent to sorted(...)[:k]; the
+            # per-part inversion equals the Sort operator's repeated
+            # stable sorts.
+            return tuple(
+                _Reversed(part(i)) if descending else part(i)
+                for part, descending in keys
+            )
+
+        return segment, heapq.nsmallest(
+            count, _positions(segment, sel), key=composite_key
         )
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
@@ -847,12 +1144,14 @@ def _compile_distinct(
 ) -> CompiledNode:
     child = _compile(plan.child, relations, ids, sanitize)
     child_run = child.run
+    distinct = (
+        tagged_algebra.distinct_values if child.tagged else plain_algebra.distinct
+    )
+    segment_type = _segment_type(sanitize)
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        temp = _materialize(child, child_run(binding, stats))
-        if child.tagged:
-            return tagged_algebra.distinct_values(temp).row_batch()
-        return plain_algebra.distinct(temp).row_batch()
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        temp = _materialize(child, _rows_of(child, child_run(binding, stats)))
+        return segment_type(distinct(temp)), None
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
 
@@ -866,578 +1165,14 @@ def _compile_limit(
     count = plan.count
     child_run = child.run
 
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        return child_run(binding, stats)[:count]
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-
-
-# -- columnar execution ------------------------------------------------------
-#
-# Inside a Materialize boundary, operators exchange *columnar batches*:
-# ``(columns, sel)`` where ``columns`` is the list of per-column value
-# arrays in schema order and ``sel`` is the selection vector — the row
-# positions still alive, in ascending row order (``None`` means "every
-# position").  Filters shrink ``sel`` without touching the arrays;
-# Project reorders array references; only Materialize builds rows.
-
-#: A columnar batch: (column arrays in schema order, selection vector).
-ColumnarBatch = tuple[list, Optional[list]]
-
-
-class _ColumnarNode:
-    """One compiled columnar operator (always plain, untagged)."""
-
-    __slots__ = ("run", "schema")
-
-    def __init__(
-        self,
-        run: Callable[[Binding, Optional[ExecutionStats]], ColumnarBatch],
-        schema: RelationSchema,
-    ) -> None:
-        self.run = run
-        self.schema = schema
-
-
-def _batch_rows(batch: ColumnarBatch) -> int:
-    """Live rows in a columnar batch (selection size, or full length)."""
-    columns, sel = batch
-    if sel is not None:
-        return len(sel)
-    return len(columns[0]) if columns else 0
-
-
-def _compile_materialize(
-    plan: Materialize, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    """Columnar fragment → row land: gather survivors, build rows late."""
-    child = _compile_columnar(plan.child, relations, ids, sanitize)
-    out_schema = child.schema
-    child_run = child.run
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        columns, sel = child_run(binding, stats)
-        make = Row._from_validated
-        if sel is None:
-            # zip(*columns) transposes at C level — one tuple per row.
-            rows = [make(out_schema, values) for values in zip(*columns)]
-        else:
-            gathered = [[array[i] for i in sel] for array in columns]
-            rows = [make(out_schema, values) for values in zip(*gathered)]
-        if sanitize:
-            expected = _batch_rows((columns, sel))
-            if len(rows) != expected:
-                # zip() truncates to the shortest array, so a length
-                # mismatch the batch checks missed surfaces here as
-                # silently dropped rows.
-                raise ColumnarSanitizerError(
-                    f"Materialize: built {len(rows)} rows from a batch "
-                    f"selecting {expected} positions (array/row "
-                    f"misalignment)"
-                )
-        return rows
-
-    return CompiledNode(run, out_schema, False, None)
-
-
-def _fragment_ordered(plan: PlanNode) -> bool:
-    """Whether a fragment operator's selection vector is in row order.
-
-    Scans emit full batches (trivially ordered); Filter/Project/Limit
-    preserve their input's order; TopK emits *key* order (heap output),
-    so everything from it up is unordered.
-    """
-    if isinstance(plan, Scan):
-        return True
-    if isinstance(plan, TopK):
-        return False
-    return _fragment_ordered(plan.children()[0])
-
-
-def _check_columnar_batch(
-    label: str, schema: RelationSchema, batch: ColumnarBatch, ordered: bool
-) -> None:
-    """Sanitizer: one batch's array and selection-vector invariants."""
-    columns, sel = batch
-    if len(columns) != len(schema.column_names):
-        raise ColumnarSanitizerError(
-            f"{label}: batch carries {len(columns)} arrays but the "
-            f"operator schema has {len(schema.column_names)} columns"
-        )
-    lengths = {len(array) for array in columns}
-    if len(lengths) > 1:
-        raise ColumnarSanitizerError(
-            f"{label}: column arrays disagree on length "
-            f"({sorted(lengths)}); rows would be built misaligned"
-        )
-    if sel is None:
-        return
-    length = lengths.pop() if lengths else 0
-    previous = -1
-    seen: set[int] = set()
-    for index in sel:
-        if not isinstance(index, int) or not -1 < index < length:
-            raise ColumnarSanitizerError(
-                f"{label}: selection vector holds out-of-bounds "
-                f"position {index!r} (arrays have {length} entries)"
-            )
-        if ordered:
-            if index <= previous:
-                raise ColumnarSanitizerError(
-                    f"{label}: selection vector is not strictly "
-                    f"ascending ({index} after {previous}) although "
-                    f"this operator preserves row order"
-                )
-            previous = index
-        else:
-            if index in seen:
-                raise ColumnarSanitizerError(
-                    f"{label}: selection vector selects position "
-                    f"{index} twice"
-                )
-            seen.add(index)
-
-
-def _compile_columnar(
-    plan: PlanNode, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> _ColumnarNode:
-    """Compile one operator of a columnar fragment (plus stats wrapper)."""
-    if isinstance(plan, Scan):
-        node = _compile_columnar_scan(plan, relations, ids)
-    elif isinstance(plan, Filter):
-        node = _compile_columnar_filter(plan, relations, ids, sanitize)
-    elif isinstance(plan, Project):
-        node = _compile_columnar_project(plan, relations, ids, sanitize)
-    elif isinstance(plan, TopK):
-        node = _compile_columnar_topk(plan, relations, ids, sanitize)
-    elif isinstance(plan, Limit):
-        node = _compile_columnar_limit(plan, relations, ids, sanitize)
-    else:
-        raise SQLError(f"cannot compile columnar plan node {plan!r}")
-    if sanitize:
-        label = plan.label()
-        schema = node.schema
-        ordered = _fragment_ordered(plan)
-        checked = node.run
-
-        def run_checked(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            batch = checked(binding, stats)
-            _check_columnar_batch(label, schema, batch, ordered)
-            return batch
-
-        node = _ColumnarNode(run_checked, schema)
-    if ids is None:
-        return node
-    op_id = ids[id(plan)]
-    inner = node.run
-    is_scan = isinstance(plan, Scan)
-
-    def run(
-        binding: Binding, stats: Optional[ExecutionStats]
-    ) -> ColumnarBatch:
-        if stats is None:
-            return inner(binding, None)
-        start = perf_counter()
-        batch = inner(binding, stats)
-        stats.record(op_id, _batch_rows(batch), perf_counter() - start)
-        if is_scan:
-            stats.annotate(op_id, batch="columnar", columns=len(batch[0]))
-        else:
-            stats.annotate(op_id, batch="columnar")
-        return batch
-
-    return _ColumnarNode(run, node.schema)
-
-
-def _compile_columnar_scan(
-    plan: Scan, relations: Binding, ids: OpIds = None
-) -> _ColumnarNode:
-    name = plan.relation
-    try:
-        relation = relations[name]
-    except KeyError:
-        raise SQLError(f"unknown relation {name!r} in plan binding") from None
-    if isinstance(relation, TaggedRelation):
-        raise SQLError("columnar scans support plain relations only")
-
-    if plan.partitions is None:
-
-        def run(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            return binding[name].columnar_store().column_arrays(), None
-
-    else:
-        op_id = None if ids is None else ids[id(plan)]
-        pruned_count = plan.partition_total - len(plan.partitions)
-        note = f"{len(plan.partitions)}/{plan.partition_total}"
-        width = len(relation.schema.column_names)
-
-        def run(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            live = binding[name]
-            shards = _surviving_partitions(plan, live)
-            if shards is None:
-                return live.columnar_store().column_arrays(), None
-            if len(shards) == 1:
-                # Zero-copy: a single surviving partition serves its own
-                # version-gated column arrays directly.
-                columns = shards[0].columnar_store().column_arrays()
-                rows_by_partition = [len(columns[0]) if columns else 0]
-            else:
-                parts = [
-                    shard.columnar_store().column_arrays()
-                    for shard in shards
-                ]
-                rows_by_partition = [
-                    len(part[0]) if part else 0 for part in parts
-                ]
-                columns = [
-                    [value for part in parts for value in part[index]]
-                    for index in range(width)
-                ]
-            fed = sum(rows_by_partition)
-            if _obs_metrics.enabled():
-                _record_partition_scan(fed, pruned_count)
-            if stats is not None and op_id is not None:
-                stats.annotate(
-                    op_id,
-                    partitions=note,
-                    partition_rows=tuple(rows_by_partition),
-                )
-            return columns, None
-
-    return _ColumnarNode(run, relation.schema)
-
-
-def _compile_columnar_filter(
-    plan: Filter, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> _ColumnarNode:
-    child = _compile_columnar(plan.child, relations, ids, sanitize)
-    child_run = child.run
-    predicate_expr = plan.predicate
-    if isinstance(predicate_expr, Literal):
-        # As on the row path: TRUE filters were dropped by the
-        # optimizer, so a surviving literal is falsy — nothing passes.
-        if predicate_expr.value:
-            return _ColumnarNode(child_run, child.schema)
-
-        def run_empty(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            columns, _ = child_run(binding, stats)
-            return columns, []
-
-        return _ColumnarNode(run_empty, child.schema)
-    predicate = _compile_columnar_predicate(predicate_expr, child.schema)
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
-        return columns, predicate(columns, sel)
-
-    return _ColumnarNode(run, child.schema)
-
-
-def _base_positions(columns: list, sel: Optional[list]):
-    """The positions a predicate must examine, in ascending row order."""
-    if sel is not None:
-        return sel
-    return range(len(columns[0]) if columns else 0)
-
-
-def _compile_columnar_predicate(
-    expr: Any, schema: RelationSchema
-) -> Callable[[list, Optional[list]], list]:
-    """Compile a WHERE tree into a whole-array selection function.
-
-    Returns ``fn(columns, sel) -> hits`` where ``hits`` is the new
-    selection vector (ascending row positions).  Semantics mirror
-    :func:`repro.sql.executor._compile_predicate` exactly: comparisons
-    with NULL are never true, incomparable types (``TypeError``) read
-    as false, ``IN`` never sees NULL options specially, and NOT/OR
-    complement/merge those per-row outcomes — so a row survives the
-    columnar filter iff it survives the row closure.
-    """
-    if isinstance(expr, Comparison):
-        return _columnar_comparison(expr, schema)
-    if isinstance(expr, InList):
-        options = expr.options
-        negated = expr.negated
-        if isinstance(expr.operand, Literal):
-            value = expr.operand.value
-            if value is None:
-                return lambda columns, sel: []
-            result = value in options
-            if negated:
-                result = not result
-            if result:
-                return lambda columns, sel: list(
-                    _base_positions(columns, sel)
-                )
-            return lambda columns, sel: []
-        position = schema.position(expr.operand.column)
-        if negated:
-
-            def run_not_in(columns: list, sel: Optional[list]) -> list:
-                array = columns[position]
-                return [
-                    i
-                    for i in _base_positions(columns, sel)
-                    if array[i] is not None and array[i] not in options
-                ]
-
-            return run_not_in
-
-        def run_in(columns: list, sel: Optional[list]) -> list:
-            array = columns[position]
-            return [
-                i
-                for i in _base_positions(columns, sel)
-                if array[i] is not None and array[i] in options
-            ]
-
-        return run_in
-    if isinstance(expr, IsNull):
-        negated = expr.negated
-        if isinstance(expr.operand, Literal):
-            is_null = expr.operand.value is None
-            result = (not is_null) if negated else is_null
-            if result:
-                return lambda columns, sel: list(
-                    _base_positions(columns, sel)
-                )
-            return lambda columns, sel: []
-        position = schema.position(expr.operand.column)
-        if negated:
-            return lambda columns, sel: [
-                i
-                for i in _base_positions(columns, sel)
-                if columns[position][i] is not None
-            ]
-        return lambda columns, sel: [
-            i
-            for i in _base_positions(columns, sel)
-            if columns[position][i] is None
-        ]
-    if isinstance(expr, BoolOp):
-        left_run = _compile_columnar_predicate(expr.left, schema)
-        right_run = _compile_columnar_predicate(expr.right, schema)
-        if expr.op == "AND":
-            # Conjunction = composition: the right side only probes the
-            # left side's survivors (same short-circuit as the row path).
-            return lambda columns, sel: right_run(
-                columns, left_run(columns, sel)
-            )
-
-        def run_or(columns: list, sel: Optional[list]) -> list:
-            left_hits = left_run(columns, sel)
-            seen = set(left_hits)
-            remaining = [
-                i for i in _base_positions(columns, sel) if i not in seen
-            ]
-            # Disjoint ascending runs — sorted() restores row order.
-            return sorted(left_hits + right_run(columns, remaining))
-
-        return run_or
-    if isinstance(expr, NotOp):
-        inner_run = _compile_columnar_predicate(expr.operand, schema)
-
-        def run_not(columns: list, sel: Optional[list]) -> list:
-            hits = set(inner_run(columns, sel))
-            return [
-                i for i in _base_positions(columns, sel) if i not in hits
-            ]
-
-        return run_not
-    raise SQLError(f"unknown expression node {expr!r}")
-
-
-def _columnar_comparison(
-    expr: Comparison, schema: RelationSchema
-) -> Callable[[list, Optional[list]], list]:
-    left, right, op = expr.left, expr.right, expr.op
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        # fold_constants normally removes these; evaluate once anyway.
-        if _sql_compare(op, left.value, right.value):
-            return lambda columns, sel: list(_base_positions(columns, sel))
-        return lambda columns, sel: []
-    if isinstance(left, Literal):
-        # A literal on the left flips the operator, as on the row path.
-        left, right, op = right, left, _FLIPPED[op]
-    compare = _COMPARATORS[op]
-    if isinstance(right, ColumnRef):
-        left_position = schema.position(left.column)
-        right_position = schema.position(right.column)
-
-        def run_col_col(columns: list, sel: Optional[list]) -> list:
-            left_array = columns[left_position]
-            right_array = columns[right_position]
-            hits: list = []
-            emit = hits.append
-            for i in _base_positions(columns, sel):
-                a = left_array[i]
-                b = right_array[i]
-                if a is None or b is None:
-                    continue
-                try:
-                    if compare(a, b):
-                        emit(i)
-                except TypeError:
-                    continue
-            return hits
-
-        return run_col_col
-    position = schema.position(left.column)
-    constant = right.value
-    if constant is None:
-        return lambda columns, sel: []
-    equality = op == "="
-
-    def run_col_const(columns: list, sel: Optional[list]) -> list:
-        array = columns[position]
-        hits: list = []
-        emit = hits.append
-        if sel is None and equality:
-            # Full-column equality hops hit-to-hit with list.index — a
-            # C-level search, no Python per-element loop (same move as
-            # ColumnarTagStore.scan; `==` never raises TypeError, and a
-            # None constant was rejected above, so Nones cannot match).
-            find = array.index
-            index = -1
-            try:
-                while True:
-                    index = find(constant, index + 1)
-                    emit(index)
-            except ValueError:
-                pass
-            return hits
-        for i in _base_positions(columns, sel):
-            value = array[i]
-            if value is None:
-                continue
-            try:
-                if compare(value, constant):
-                    emit(i)
-            except TypeError:
-                continue
-        return hits
-
-    return run_col_const
-
-
-def _compile_columnar_project(
-    plan: Project, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> _ColumnarNode:
-    child = _compile_columnar(plan.child, relations, ids, sanitize)
-    names = [item.expr.column for item in plan.items]  # type: ignore[union-attr]
-    if not names:
-        raise QueryError("projection requires at least one column")
-    renames = {
-        item.expr.column: item.alias  # type: ignore[union-attr]
-        for item in plan.items
-        if item.alias and item.alias != item.expr.column  # type: ignore[union-attr]
-    }
-    positions = child.schema.positions_of(names)
-    out_schema = child.schema.project(names, None)
-    if renames:
-        out_schema = out_schema.rename_columns(renames)
-    child_run = child.run
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
-        # Projection over arrays is free: reorder the references.
-        return [columns[p] for p in positions], sel
-
-    return _ColumnarNode(run, out_schema)
-
-
-def _compile_columnar_topk(
-    plan: TopK, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> _ColumnarNode:
-    child = _compile_columnar(plan.child, relations, ids, sanitize)
-    if plan.count < 0:
-        raise QueryError("limit must be non-negative")
-    specs = [
-        (child.schema.position(item.key.column), item.descending)
-        for item in plan.order_by
-    ]
-    count = plan.count
-    child_run = child.run
-
-    directions = {descending for _, descending in specs}
-    if len(directions) == 1:
-        # Uniform direction: plain tuple keys, no _Reversed wrappers.
-        # All-DESC is nlargest over the ascending key (both are
-        # sorted(..., reverse=...)[:n], stable on ties), so the heap
-        # compares native tuples at C speed instead of calling
-        # _Reversed.__lt__ per comparison.
-        select = heapq.nlargest if directions.pop() else heapq.nsmallest
-        positions = [p for p, _ in specs]
-
-        def run(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            columns, sel = child_run(binding, stats)
-            arrays = [columns[p] for p in positions]
-            if len(arrays) == 1:
-                array = arrays[0]
-
-                def key(i: int) -> tuple:
-                    value = array[i]
-                    return (value is not None, value)
-
-            else:
-
-                def key(i: int) -> tuple:
-                    return tuple(
-                        (a[i] is not None, a[i]) for a in arrays
-                    )
-
-            base = _base_positions(columns, sel)
-            return columns, select(count, base, key=key)
-
-        return _ColumnarNode(run, child.schema)
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
-        arrays = [(columns[p], descending) for p, descending in specs]
-
-        def composite_key(i: int) -> tuple:
-            # Mirrors the row TopK's key exactly: each part is the
-            # None-safe ((not-None, value),) tuple, inverted per
-            # direction — so ordering and stability are identical.
-            parts = []
-            for array, descending in arrays:
-                value = array[i]
-                part = ((value is not None, value),)
-                parts.append(_Reversed(part) if descending else part)
-            return tuple(parts)
-
-        base = _base_positions(columns, sel)
-        return columns, heapq.nsmallest(count, base, key=composite_key)
-
-    return _ColumnarNode(run, child.schema)
-
-
-def _compile_columnar_limit(
-    plan: Limit, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> _ColumnarNode:
-    child = _compile_columnar(plan.child, relations, ids, sanitize)
-    if plan.count < 0:
-        raise QueryError("limit must be non-negative")
-    count = plan.count
-    child_run = child.run
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment, sel = child_run(binding, stats)
         if sel is not None:
-            return columns, sel[:count]
-        length = len(columns[0]) if columns else 0
-        if count >= length:
-            return columns, None
-        return columns, list(range(count))
+            return segment, sel[:count]
+        if count >= segment.length:
+            return segment, None
+        return segment, list(range(count))
 
-    return _ColumnarNode(run, child.schema)
+    return CompiledNode(
+        run, child.schema, child.tagged, child.tag_schema, child.layout
+    )

@@ -21,11 +21,7 @@ Node vocabulary:
 - :class:`Aggregate` — GROUP BY + aggregate evaluation;
 - :class:`Sort` / :class:`TopK` — full ordering vs. fused
   ORDER BY + LIMIT via a bounded heap;
-- :class:`Distinct`, :class:`Limit` — duplicate elimination, row cap;
-- :class:`Materialize` — the boundary between columnar (array +
-  selection-vector batches) and row-at-a-time execution: everything
-  below it runs over column arrays, everything above it sees ``Row``
-  objects, built late and only for the surviving positions.
+- :class:`Distinct`, :class:`Limit` — duplicate elimination, row cap.
 
 ``render_plan`` produces the tree text that ``EXPLAIN SELECT ...``
 returns.
@@ -72,7 +68,6 @@ PlanNode = Union[
     "TopK",
     "Distinct",
     "Limit",
-    "Materialize",
 ]
 
 #: Derived column names of a subtree, or None when underivable (an
@@ -83,11 +78,6 @@ Columns = Optional[tuple[str, ...]]
 @dataclass(frozen=True)
 class Scan:
     """Read all rows of one named relation.
-
-    With ``columnar=True`` (chosen by the optimizer's access-path
-    costing) the scan emits the relation's per-column value arrays
-    plus a selection vector instead of row tuples; the operators above
-    it up to the enclosing :class:`Materialize` run batch-at-a-time.
 
     ``partitions`` (set by the optimizer's ``prune_partitions``
     rewrite) statically restricts the scan to the named buckets of a
@@ -100,7 +90,6 @@ class Scan:
 
     relation: str
     tagged: bool = False
-    columnar: bool = False
     partitions: Optional[tuple[int, ...]] = None
     partition_total: int = 0
     partition_key: Optional[str] = None
@@ -110,8 +99,6 @@ class Scan:
 
     def label(self) -> str:
         flavor = "tagged" if self.tagged else "plain"
-        if self.columnar:
-            flavor += ", columnar"
         if self.partitions is not None:
             flavor += (
                 f", partitions={len(self.partitions)}/{self.partition_total}"
@@ -337,29 +324,6 @@ class Limit:
 
     def label(self) -> str:
         return f"Limit [{self.count}]"
-
-    def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
-        return inputs[0]
-
-
-@dataclass(frozen=True)
-class Materialize:
-    """Late materialization: columnar batch → ``Row`` objects.
-
-    The explicit boundary of a columnar pipeline fragment.  Its child
-    subtree carries ``(column arrays, selection vector)`` batches; this
-    operator gathers the selected positions and builds validated rows
-    via the trusted constructor — the only place the columnar path pays
-    per-row object cost.
-    """
-
-    child: PlanNode
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return "Materialize [columnar -> rows]"
 
     def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
         return inputs[0]

@@ -3,18 +3,18 @@
 A :class:`PlanCache` maps a statement and the caller's options to
 :class:`PreparedStatement` entries — the parsed AST, the optimized
 plan, and the compiled physical plan.  The lookup key is
-``(statement text, columnar mode, REPRO_VERIFY_PLANS)``: caller options
-select which plan is wanted, they are not state.
+``(statement text, REPRO_VERIFY_PLANS)``: the flag selects whether the
+compiled plan carries the batch sanitizer, it is not state.
 
 Validity has one rule.  Planning reads the source's mutable state only
 through a :class:`~repro.sql.context.PlanContext`, which records every
 fact it read — relation kind, schema and tag-schema identity, catalog
-version, partition layout, bound scoring profile, columnar cost band —
-and the entry keeps that record.  A lookup re-reads exactly those facts
-against the live source; the entry is served iff all are unchanged.
-Nothing else invalidates a plan: compiled plans bind relations at
-*execution* time, so row mutations matter only when they move the cost
-band (and only to plans whose costing read it), and score-free
+version, partition layout, bound scoring profile, a hash-join build
+side's row count — and the entry keeps that record.  A lookup re-reads
+exactly those facts against the live source; the entry is served iff
+all are unchanged.  Nothing else invalidates a plan: compiled plans
+bind relations at *execution* time, so row mutations matter only to
+join plans whose build-side choice read a row count, and score-free
 statements never read the scoring registry, so profile churn leaves
 them cached.
 
@@ -83,13 +83,12 @@ class PreparedStatement:
         plan: PlanNode,
         compiled: CompiledPlan,
         reads: Reads,
-        columnar: bool = True,
         sanitize: Optional[bool] = None,
     ) -> None:
-        #: The lookup key: statement text plus the options it was
-        #: planned and compiled under (``sanitize`` defaults to the
-        #: current REPRO_VERIFY_PLANS flag, like compile_plan's own).
-        self.key = _plan_key(sql, columnar, sanitize)
+        #: The lookup key: statement text plus whether it was compiled
+        #: with the sanitizer (``sanitize`` defaults to the current
+        #: REPRO_VERIFY_PLANS flag, like compile_plan's own).
+        self.key = _plan_key(sql, sanitize)
         self.statement = statement
         self.plan = plan
         self.compiled = compiled
@@ -100,12 +99,10 @@ class PreparedStatement:
         return self.key[0]
 
 
-def _plan_key(
-    sql: str, columnar: bool, sanitize: Optional[bool]
-) -> tuple[str, bool, bool]:
+def _plan_key(sql: str, sanitize: Optional[bool]) -> tuple[str, bool]:
     if sanitize is None:
         sanitize = sanitize_enabled()
-    return sql, columnar, sanitize
+    return sql, sanitize
 
 
 class _ValidatedLRU:
@@ -179,11 +176,10 @@ class PlanCache(_ValidatedLRU):
         self,
         sql: str,
         source: Source,
-        columnar: bool = True,
         sanitize: Optional[bool] = None,
     ) -> Optional[tuple[PreparedStatement, AnyRelation]]:
         """A (prepared, bound relation) pair, or None on miss."""
-        found = self._find(_plan_key(sql, columnar, sanitize), source)
+        found = self._find(_plan_key(sql, sanitize), source)
         if found is None:
             return None
         entry, live = found
@@ -238,7 +234,7 @@ def plan_cache_stats() -> dict[str, int]:
 
 
 def plan_statement(
-    statement: Any, source: Source, *, columnar: bool = True
+    statement: Any, source: Source
 ) -> tuple[PlanNode, AnyRelation, PlanContext]:
     """Resolve, pre-check, lower, and optimize one parsed statement.
 
@@ -255,7 +251,7 @@ def plan_statement(
             "QUALITY(...) requires a tagged relation; the source is untagged"
         )
     plan = logical_plan(statement, tagged)
-    return optimize(plan, context, columnar=columnar), relation, context
+    return optimize(plan, context), relation, context
 
 
 _EXPLAIN_SCHEMA = RelationSchema("explain", [Column("plan", "STR")])
@@ -369,7 +365,6 @@ def execute_planned(
     strict: bool = False,
     cache: Optional[PlanCache] = None,
     collector: Optional[StatsCollector] = None,
-    columnar: bool = True,
 ) -> AnyRelation:
     """The planner-backed execute path (see ``executor.execute``).
 
@@ -385,7 +380,7 @@ def execute_planned(
         cache = _DEFAULT_CACHE
     obs_on = _obs_metrics.enabled()
     verify = sanitize_enabled()
-    found = cache.lookup(sql, source, columnar, sanitize=verify)
+    found = cache.lookup(sql, source, sanitize=verify)
     if found is not None:
         if obs_on:
             _obs_metrics.global_registry().counter(
@@ -411,9 +406,7 @@ def execute_planned(
     if strict:
         run_strict_analysis(statement, source, sql)
     with _span("qsql.plan", relation=statement.relation):
-        plan, relation, context = plan_statement(
-            statement, source, columnar=columnar
-        )
+        plan, relation, context = plan_statement(statement, source)
     if statement.explain and not statement.analyze:
         return explain_relation(plan)
     binding = {statement.relation: relation}
@@ -435,7 +428,7 @@ def execute_planned(
             )
         return explain_analyze_relation(stats)
     entry = PreparedStatement(
-        sql, statement, plan, compiled, context.reads, columnar, verify
+        sql, statement, plan, compiled, context.reads, verify
     )
     if verify:
         _verify_entry(entry, source)

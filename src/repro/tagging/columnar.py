@@ -305,7 +305,7 @@ class ColumnarTagStore:
         return selected
 
     def select_rows(self, indices: Iterable[int]) -> Relation:
-        """Materialize selected rows as a plain relation."""
+        """Build the selected rows as a plain relation."""
         rows = self.relation.rows
         return Relation.from_rows(
             self.relation.schema, (rows[index] for index in indices)

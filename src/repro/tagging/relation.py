@@ -160,6 +160,8 @@ class TaggedRelation:
         #: score blocks) can detect staleness cheaply.
         self._version = 0
         self._columnar_cache = Versioned()
+        #: Per-column value arrays (see :meth:`value_array`).
+        self._value_arrays = Versioned()
         #: Partitioning state, mirroring ``Relation``: the flat
         #: ``_rows`` list stays canonical; shards are TaggedRelations
         #: (one per bucket) each carrying its own version-gated
@@ -352,6 +354,23 @@ class TaggedRelation:
         from repro.tagging.columnar import ColumnarTagStore
 
         return ColumnarTagStore.from_tagged_relation(self)
+
+    def value_array(self, position: int) -> list[Any]:
+        """One column's cell values, aligned with :meth:`row_batch`.
+
+        Read straight from the cells on first use — one column, not the
+        whole tag store — and cached against :attr:`version` like the
+        tag store.  Treat as read-only.
+        """
+        arrays = self._value_arrays.get(self._version)
+        if arrays is None or position not in arrays:
+            with self._lock:
+                arrays = self._value_arrays.fetch(self._version, dict, self._lock)
+                if position not in arrays:
+                    arrays[position] = [
+                        row._cells[position].value for row in self._rows
+                    ]
+        return arrays[position]
 
     # -- snapshot reads --------------------------------------------------------
 

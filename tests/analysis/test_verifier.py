@@ -38,7 +38,6 @@ from repro.sql.physical import compile_plan
 from repro.sql.plan import (
     Filter,
     Limit,
-    Materialize,
     QualityFilter,
     Scan,
     ScoreFilter,
@@ -93,18 +92,6 @@ MUTATIONS = {
     "DQ404": lambda: Filter(
         Scan("big"),
         Comparison("=", QualityRef("name", "source"), Literal("x")),
-    ),
-    # Columnar scan whose batches never reach a Materialize boundary.
-    "DQ405": lambda: Filter(
-        Scan("big", columnar=True),
-        Comparison(">", ColumnRef("score"), Literal(3)),
-    ),
-    # Vector-ineligible predicate inside a columnar fragment.
-    "DQ406": lambda: Materialize(
-        Filter(
-            Scan("big", columnar=True),
-            Comparison("=", QualityRef("name", "source"), Literal("x")),
-        )
     ),
     # Fusion produced an impossible parameter.
     "DQ407": lambda: TopK(Scan("big"), (OrderItem(ColumnRef("id")),), -1),
@@ -166,9 +153,11 @@ class TestCleanPlans:
         assert not diagnostics, diagnostics.render()
 
     def test_columnar_plan_verifies(self):
-        plan = _optimized("SELECT name FROM big WHERE score > 3")
-        # the fixture is large enough that costing chose the columnar path
-        assert "Materialize" in repr(plan)
+        plan = _optimized(
+            "SELECT name FROM big WHERE score > 3 ORDER BY id DESC LIMIT 4"
+        )
+        # One plan shape for every relation: no access-path boundary.
+        assert "Project" in repr(plan) and "TopK" in repr(plan)
         assert not verify_plan(plan, CONTEXT)
 
     def test_unknown_relation_is_lenient(self):
@@ -224,7 +213,7 @@ class TestCacheEntryAudit:
         compiled = compile_plan(plan, {"big": relation}, sanitize=sanitize)
         return PreparedStatement(
             self.SQL, statement, plan, compiled, context.reads,
-            columnar=True, sanitize=sanitize,
+            sanitize=sanitize,
         )
 
     @staticmethod
@@ -252,22 +241,6 @@ class TestCacheEntryAudit:
         assert diagnostics.codes() == ["DQ409"]
         assert "schema(big)" in diagnostics.render()
 
-    def test_missing_columnar_band(self):
-        entry = self.without(self.make_entry(), "band")
-        diagnostics = verify_cache_entry(entry, {"big": BIG})
-        assert diagnostics.codes() == ["DQ409"]
-        assert "band(big)" in diagnostics.render()
-
-    def test_band_mismatch_after_growth(self):
-        small = make_big(4)  # row side of COLUMNAR_MIN_ROWS
-        entry = self.make_entry()
-        diagnostics = verify_cache_entry(entry, {"big": small})
-        # The band read changed and the fresh plan is a row plan.
-        assert diagnostics.codes() == ["DQ409"]
-        assert len(diagnostics) == 2
-        assert "band(big)" in diagnostics.render()
-        assert "stale plan" in diagnostics.render()
-
     def test_missing_partition_layout(self):
         entry = self.without(self.make_entry(), "layout")
         diagnostics = verify_cache_entry(entry, {"big": BIG})
@@ -294,7 +267,7 @@ class TestCacheEntryAudit:
             hit = default_plan_cache().lookup(self.SQL, {"big": relation})
             assert hit is not None
             entry, _ = hit
-            self.without(entry, "band")  # tamper with the installed entry
+            self.without(entry, "layout")  # tamper with the installed entry
             with pytest.raises(PlanVerificationError) as excinfo:
                 execute(self.SQL, {"big": relation})
             assert "DQ409" in str(excinfo.value)

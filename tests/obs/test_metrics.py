@@ -132,6 +132,42 @@ class TestEnabledFlag:
             assert obs_metrics.enabled()
         assert not obs_metrics.enabled()
 
+    def test_leaving_one_block_keeps_a_concurrent_block_on(self):
+        # A enters, B enters, A leaves: B's block must still read on.
+        a_entered, b_entered, a_left = (threading.Event() for _ in range(3))
+        seen: list[bool] = []
+
+        def thread_a():
+            with obs_metrics.instrumented():
+                a_entered.set()
+                b_entered.wait(5)
+            a_left.set()
+
+        def thread_b():
+            a_entered.wait(5)
+            with obs_metrics.instrumented():
+                b_entered.set()
+                a_left.wait(5)
+                seen.append(obs_metrics.enabled())
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == [True]
+        assert not obs_metrics.enabled()
+
+    def test_explicit_enable_outlives_blocks_and_disable_ends_it(self):
+        obs_metrics.enable()
+        try:
+            with obs_metrics.instrumented():
+                assert obs_metrics.enabled()
+            assert obs_metrics.enabled()
+        finally:
+            obs_metrics.disable()
+        assert not obs_metrics.enabled()
+
 
 class TestExporters:
     def build(self) -> MetricsRegistry:

@@ -100,3 +100,32 @@ def test_threads_do_not_share_span_stacks():
 
 def test_global_tracer_is_a_singleton():
     assert global_tracer() is global_tracer()
+
+
+def test_cold_statements_keep_only_the_newest_roots():
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.trace import KEPT_ROOTS
+    from repro.relational.relation import Relation
+    from repro.relational.schema import schema
+    from repro.sql import clear_plan_cache, execute
+
+    relation = Relation.from_tuples(schema("t", [("a", "INT")]), [(1,), (2,)])
+    tracer = global_tracer()
+    tracer.clear()
+    clear_plan_cache()
+    try:
+        # Each cold statement leaves parse, plan and compile roots.
+        with obs_metrics.instrumented():
+            for i in range(KEPT_ROOTS):
+                execute(f"SELECT a FROM t WHERE a = {i}", relation)
+            execute("SELECT a FROM t WHERE a > 0", relation)
+        roots = tracer.roots()
+    finally:
+        tracer.clear()
+        clear_plan_cache()
+    assert len(roots) == KEPT_ROOTS
+    ends = [root.end for root in roots]
+    assert ends == sorted(ends)
+    assert [root.name for root in roots[-3:]] == [
+        "qsql.parse", "qsql.plan", "qsql.compile",
+    ]

@@ -125,7 +125,6 @@ def test_post_query_honors_execution_options(served):
         {
             "sql": "SELECT a FROM t WHERE a = 1",
             "planner": False,
-            "columnar": False,
         },
     )
     assert status == 200 and payload["row_count"] == 1

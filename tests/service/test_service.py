@@ -60,8 +60,8 @@ def test_execution_options_flow_through():
                 "SELECT a FROM t WHERE a = 'zzz'", strict=False
             )
             assert len(result) == 0
-        # planner/columnar toggles execute cleanly through the service
-        with service.session(planner=False, columnar=False) as session:
+        # the planner toggle executes cleanly through the service
+        with service.session(planner=False) as session:
             assert len(session.execute("SELECT a FROM t")) == 20
 
 

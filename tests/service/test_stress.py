@@ -120,9 +120,9 @@ def test_snapshots_never_observe_torn_batches():
 
 
 def test_service_readers_race_writer_over_columnar_scans():
-    """Service readers (columnar plans over pinned snapshots) racing a
+    """Service readers (batch plans over pinned snapshots) racing a
     live writer: every result is a whole-batch view, and concurrent
-    ``columnar_store()`` builds on the shared frozen snapshot are safe.
+    value-array builds on the shared frozen snapshot are safe.
     """
     database = _events_database(prepopulate=BATCH)
     writers_done = threading.Event()

@@ -1,15 +1,14 @@
-"""Columnar access paths: planner choice, escape hatch, edge cases."""
+"""Batch execution over column arrays: plan shapes, annotations, and
+selection-vector edge cases, each checked against the direct
+interpreter (``planner=False``) and the naive reference."""
 
 import pytest
 
+from repro.experiments.naive import naive_execute
 from repro.obs.stats import StatsCollector
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import clear_plan_cache, execute
-from repro.sql import optimizer
-from repro.tagging.cell import QualityCell
-from repro.tagging.indicators import IndicatorDefinition, IndicatorValue, TagSchema
-from repro.tagging.relation import TaggedRelation
 
 SCHEMA = RelationSchema(
     "t", [Column("a", "INT"), Column("b", "INT"), Column("c", "STR")]
@@ -26,10 +25,19 @@ def make_relation(n):
     )
 
 
-def explain(sql, source, **kwargs):
-    return "\n".join(
-        row["plan"] for row in execute(f"EXPLAIN {sql}", source, **kwargs)
-    )
+def explain(sql, source):
+    return "\n".join(row["plan"] for row in execute(f"EXPLAIN {sql}", source))
+
+
+def assert_same(result, expected):
+    assert [r.values_tuple() for r in result] == [
+        r.values_tuple() for r in expected
+    ]
+
+
+def arrays_built(relation):
+    """Whether the relation's value arrays exist for its current rows."""
+    return relation._columnar_cache.get(relation.version) is not None
 
 
 @pytest.fixture(autouse=True)
@@ -40,98 +48,77 @@ def fresh_cache():
 
 
 class TestAccessPathChoice:
-    def test_scan_heavy_plan_goes_columnar_over_threshold(self):
-        relation = make_relation(200)
-        plan = explain("SELECT a FROM t WHERE a > 10", relation)
-        assert "Materialize [columnar -> rows]" in plan
-        assert "Scan [t (plain, columnar)]" in plan
-
-    def test_small_relation_stays_on_row_path(self):
-        relation = make_relation(10)
-        assert len(relation) < optimizer.COLUMNAR_MIN_ROWS
-        plan = explain("SELECT a FROM t WHERE a > 1", relation)
-        assert "columnar" not in plan
-        assert "Scan [t (plain)]" in plan
-
-    def test_threshold_is_costing_not_hardcode(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "COLUMNAR_MIN_ROWS", 0)
-        relation = make_relation(10)
-        plan = explain("SELECT a FROM t WHERE a > 1", relation)
-        assert "Scan [t (plain, columnar)]" in plan
+    """Every plan shape runs on the one batch engine and matches the
+    direct interpreter; plain passthroughs never transpose the rows."""
 
     def test_bare_scan_stays_on_row_path(self):
-        # SELECT * is a row_batch() passthrough — transposing to arrays
-        # and materializing back would only add work.
-        plan = explain("SELECT * FROM t", make_relation(200))
-        assert "columnar" not in plan
+        # SELECT * hands the segment's row list straight through: no
+        # value arrays are built.
+        relation = make_relation(200)
+        result = execute("SELECT * FROM t", relation)
+        assert_same(result, execute("SELECT * FROM t", relation, planner=False))
+        assert not arrays_built(relation)
 
     def test_limit_only_stays_on_row_path(self):
-        plan = explain("SELECT * FROM t LIMIT 5", make_relation(200))
-        assert "columnar" not in plan
-
-    def test_topk_only_stays_on_row_path(self):
-        plan = explain(
-            "SELECT * FROM t ORDER BY a LIMIT 5", make_relation(200)
-        )
-        assert "columnar" not in plan
+        relation = make_relation(200)
+        result = execute("SELECT * FROM t LIMIT 5", relation)
+        assert [row["a"] for row in result] == [0, 1, 2, 3, 4]
+        assert not arrays_built(relation)
 
     def test_filter_then_topk_goes_columnar(self):
-        plan = explain(
-            "SELECT a, c FROM t WHERE b >= 2 ORDER BY a DESC LIMIT 5",
-            make_relation(200),
-        )
-        assert "Materialize [columnar -> rows]" in plan
-        # The whole chain sits inside the columnar fragment.
-        assert plan.index("Materialize") < plan.index("Project")
+        sql = "SELECT a, c FROM t WHERE b >= 2 ORDER BY a DESC LIMIT 5"
+        relation = make_relation(200)
+        plan = explain(sql, relation)
+        assert "Materialize" not in plan
         assert plan.index("Project") < plan.index("TopK")
         assert plan.index("TopK") < plan.index("Filter")
-
-    def test_tagged_relation_stays_on_row_path(self):
-        tags = TagSchema(
-            [IndicatorDefinition("source", "STR")], allowed={"a": ["source"]}
-        )
-        tagged = TaggedRelation(SCHEMA, tags)
-        for i in range(100):
-            tagged.insert(
-                {
-                    "a": QualityCell(i, [IndicatorValue("source", "s1")]),
-                    "b": QualityCell(i % 7),
-                    "c": QualityCell("x"),
-                }
-            )
-        plan = explain("SELECT a FROM t WHERE a > 10", tagged)
-        assert "columnar" not in plan
+        assert_same(execute(sql, relation), naive_execute(sql, relation))
+        assert arrays_built(relation)
 
     def test_aggregate_above_columnar_filter(self):
-        plan = explain(
-            "SELECT COUNT(*) AS n FROM t WHERE a > 10", make_relation(200)
-        )
-        # The aggregate needs rows; the filter below it still vectorizes.
-        assert "Aggregate" in plan
-        assert "Materialize [columnar -> rows]" in plan
-        assert plan.index("Aggregate") < plan.index("Materialize")
+        sql = "SELECT COUNT(*) AS n FROM t WHERE a > 10"
+        relation = make_relation(200)
+        plan = explain(sql, relation)
+        # The aggregate builds rows; the filter below it runs over arrays.
+        assert plan.index("Aggregate") < plan.index("Filter")
+        assert execute(sql, relation).rows[0]["n"] == 189
 
     def test_distinct_above_columnar_fragment(self):
-        plan = explain(
-            "SELECT DISTINCT c FROM t WHERE a > 10", make_relation(200)
-        )
-        assert "Distinct" in plan
-        assert "Materialize [columnar -> rows]" in plan
-
-    def test_escape_hatch_forces_row_plans(self):
+        sql = "SELECT DISTINCT c FROM t WHERE a > 10"
         relation = make_relation(200)
-        plan = explain(
-            "SELECT a FROM t WHERE a > 10", relation, columnar=False
-        )
-        assert "columnar" not in plan
+        assert "Distinct" in explain(sql, relation)
+        assert_same(execute(sql, relation), execute(sql, relation, planner=False))
 
     def test_escape_hatch_same_result(self):
+        # planner=False is the escape hatch onto the direct interpreter.
         relation = make_relation(200)
         sql = "SELECT a, c FROM t WHERE b >= 2 ORDER BY a DESC, c LIMIT 9"
-        fast = execute(sql, relation)
-        slow = execute(sql, relation, columnar=False)
-        assert [r.values_tuple() for r in fast] == [
-            r.values_tuple() for r in slow
+        assert_same(execute(sql, relation), execute(sql, relation, planner=False))
+
+
+class TestRemappedColumns:
+    def test_filter_and_topk_above_a_renaming_project(self):
+        # Hand-built plans may put per-row operators above a Project
+        # that reorders and renames columns.
+        from repro.sql import execute_plan
+        from repro.sql.nodes import (
+            ColumnRef, Comparison, Literal, OrderItem, SelectItem,
+        )
+        from repro.sql.plan import Filter, Project, Scan, TopK
+
+        project = Project(
+            Scan("t"),
+            (SelectItem(ColumnRef("c")), SelectItem(ColumnRef("a"), "x")),
+        )
+        plan = TopK(
+            Filter(project, Comparison(">=", ColumnRef("x"), Literal(40))),
+            (OrderItem(ColumnRef("x"), descending=True),),
+            3,
+        )
+        result = execute_plan(plan, {"t": make_relation(50)})
+        assert result.schema.column_names == ("c", "x")
+        assert [row.values_tuple() for row in result] == [
+            ("y", 49), ("x", 48), ("z", 47),
         ]
 
 
@@ -145,23 +132,20 @@ class TestExplainAnalyze:
             )
         ]
         text = "\n".join(lines)
-        assert "batch=columnar" in text
-        scan_line = next(l for l in lines if "Scan [t (plain, columnar)]" in l)
-        assert "rows=200" in scan_line
-        assert "columns=3" in scan_line
+        assert "batch=" not in text and "Materialize" not in text
+        scan_line = next(l for l in lines if "Scan [t (plain)]" in l)
+        assert "rows=200" in scan_line  # rows fed from storage
         filter_line = next(l for l in lines if l.lstrip("│├└─ ").startswith("Filter"))
         assert "rows=189" in filter_line
-        assert "batch=columnar" in filter_line
-        materialize_line = next(l for l in lines if "Materialize" in l)
-        assert "rows=189" in materialize_line
-        assert "batch=columnar" not in materialize_line
+        project_line = next(l for l in lines if "Project" in l)
+        assert "rows=189" in project_line
 
     def test_stats_collector_sees_columnar_tree(self):
         relation = make_relation(200)
         collector = StatsCollector()
         execute("SELECT a FROM t WHERE a > 10", relation, stats=collector)
-        text = "\n".join(collector.execution.render_lines())
-        assert "batch=columnar" in text
+        assert collector.execution.operator("Scan").rows_out == 200
+        assert collector.execution.operator("Filter").rows_out == 189
 
 
 class TestSelectionVectorEdgeCases:
@@ -170,10 +154,8 @@ class TestSelectionVectorEdgeCases:
     def run_both(self, sql, relation):
         clear_plan_cache()
         fast = execute(sql, relation)
-        slow = execute(sql, relation, columnar=False)
-        assert [r.values_tuple() for r in fast] == [
-            r.values_tuple() for r in slow
-        ]
+        assert_same(fast, execute(sql, relation, planner=False))
+        assert_same(fast, naive_execute(sql, relation))
         return fast
 
     def test_empty_result(self):
@@ -244,3 +226,37 @@ class TestSelectionVectorEdgeCases:
         assert len(execute(sql, relation)) == 100
         relation.insert({"a": 500, "b": 1, "c": "x"})
         assert len(execute(sql, relation)) == 101
+
+    def test_incomparable_literal_reads_false(self):
+        # 'x' < 3 raises TypeError in Python; QSQL reads it as false, and
+        # NOT over it as true.
+        relation = make_relation(30)
+        assert len(self.run_both("SELECT a FROM t WHERE c < 3", relation)) == 0
+        kept = self.run_both("SELECT a FROM t WHERE NOT (c < 3)", relation)
+        assert len(kept) == 30
+
+    def test_null_literal_never_matches(self):
+        relation = make_relation(30)
+        assert len(self.run_both("SELECT a FROM t WHERE b = NULL", relation)) == 0
+        assert len(self.run_both("SELECT a FROM t WHERE NULL <> b", relation)) == 0
+
+    def test_topk_ties_keep_row_order(self):
+        relation = make_relation(60)
+        # b repeats every 7 rows: ties resolve in row order, both ways.
+        for direction in ("ASC", "DESC"):
+            result = self.run_both(
+                f"SELECT a FROM t WHERE a >= 0 ORDER BY b {direction} LIMIT 12",
+                relation,
+            )
+            assert len(result) == 12
+        self.run_both(
+            "SELECT a, c FROM t WHERE b >= 2 ORDER BY c DESC, b LIMIT 9",
+            relation,
+        )
+
+    def test_limit_over_filter_and_scan(self):
+        relation = make_relation(60)
+        result = self.run_both("SELECT a FROM t WHERE c = 'y' LIMIT 4", relation)
+        assert [row["a"] for row in result] == [1, 4, 7, 10]
+        assert len(self.run_both("SELECT a FROM t WHERE c = 'q' LIMIT 4", relation)) == 0
+        self.run_both("SELECT a FROM t LIMIT 0", relation)

@@ -220,15 +220,18 @@ class TestMultiKeyOrdering:
 class TestColumnLiteralComparison:
     """``column op literal`` on either side, every operator, vs naive.
 
-    Literal/column comparisons compile to one flat closure per row; the
-    NULL literal, the mixed-type literal (``TypeError`` → false) and
+    Literal/column comparisons compile to one flat closure per row in
+    the interpreter and to one value-array test in the planned engine;
+    the NULL literal, the mixed-type literal (``TypeError`` → false) and
     the flipped left-literal forms are listed exhaustively here instead
-    of waiting for the random generator to draw them.
+    of waiting for the random generator to draw them.  Copies
+    partitioned on ``c`` run the same tests over pruned scans.
     """
 
     ROWS = [(1, "x"), (2, "y"), (3, None), (None, "x"), (2, "z")]
 
     def relations(self):
+        from repro.relational import hash_partitions
         from repro.relational.schema import schema
         from repro.tagging.cell import QualityCell
         from repro.tagging.indicators import TagSchema
@@ -239,7 +242,10 @@ class TestColumnLiteralComparison:
         tagged = TaggedRelation(plain.schema, TagSchema([]))
         for a, c in self.ROWS:
             tagged.insert({"a": QualityCell(a), "c": QualityCell(c)})
-        return plain, tagged
+        partitioned = [relation.copy() for relation in (plain, tagged)]
+        for relation in partitioned:
+            relation.repartition(hash_partitions("c", 3))
+        return plain, tagged, *partitioned
 
     @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
     def test_matches_naive_on_every_path(self, op):
@@ -255,7 +261,7 @@ class TestColumnLiteralComparison:
             for where in wheres:
                 sql = f"SELECT a, c FROM t WHERE {where}"
                 expected = [r.values_tuple() for r in naive_execute(sql, relation)]
-                for options in ({"planner": False}, {"columnar": False}, {}):
+                for options in ({"planner": False}, {}):
                     result = execute(sql, relation, **options)
                     got = [r.values_tuple() for r in result]
                     assert got == expected, (sql, options)

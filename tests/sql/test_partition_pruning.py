@@ -9,7 +9,7 @@ a statement returns.  Three layers pin that down here:
   ``partitions=k/N`` restriction into the scan while keeping the
   governing Filter in place;
 - a Hypothesis property that a partitioned relation agrees with its
-  flat twin and the naive reference across planner × columnar ×
+  flat twin and the naive reference across planner ×
   cold/warm-cache variations, including mutation-then-requery after a
   ``repartition()`` invalidates the cached plan.
 
@@ -31,7 +31,6 @@ from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import clear_plan_cache, execute
-from repro.sql import optimizer
 from repro.sql.nodes import (
     BoolOp,
     ColumnRef,
@@ -247,7 +246,6 @@ class TestPlanShape:
             for row in execute(
                 "EXPLAIN ANALYZE SELECT id FROM events WHERE region = 'e'",
                 database,
-                columnar=False,
             )
         )
         assert "partitions=1/8" in rendered
@@ -352,12 +350,7 @@ def sorted_canonical(result):
 
 
 @pytest.fixture(autouse=True)
-def columnar_everywhere(monkeypatch):
-    # Force even tiny generated relations onto the columnar path, as
-    # in test_columnar_equivalence — otherwise costing would route all
-    # of them back to rows and the columnar × pruning product would go
-    # untested.
-    monkeypatch.setattr(optimizer, "COLUMNAR_MIN_ROWS", 0)
+def fresh_plan_cache():
     clear_plan_cache()
     yield
     clear_plan_cache()
@@ -378,16 +371,12 @@ class TestPartitionEquivalence:
         clear_plan_cache()
         cold = sorted_canonical(execute(sql, partitioned))
         cached = sorted_canonical(execute(sql, partitioned))
-        row_path = sorted_canonical(
-            execute(sql, partitioned, columnar=False)
-        )
         unplanned = sorted_canonical(
             execute(sql, partitioned, planner=False)
         )
         flat = sorted_canonical(execute(sql, relation))
         naive = sorted_canonical(naive_execute(sql, relation))
         assert cold == cached
-        assert cold == row_path
         assert cold == unplanned
         assert cold == flat
         assert cold == naive

@@ -216,84 +216,22 @@ class TestTaggedPlans:
 
 
 class TestColumnarKeying:
-    """Columnar mode is part of the lookup key; the costing band is a
-    recorded read of plans whose access-path choice looked at it.
-
-    Without either, a plan compiled under ``columnar=True`` would be
-    served to a ``columnar=False`` caller (wrong mode), or a row plan
-    compiled while the relation sat under COLUMNAR_MIN_ROWS would keep
-    being served after it grew past (stale access-path choice).
-    """
+    """The lookup key is the statement text (plus the sanitizer flag):
+    there is no execution mode to key on, and plans read no relation
+    size, so growth and shrinkage never invalidate an entry."""
 
     SQL = "SELECT a FROM t WHERE a >= 0"
 
-    def big_relation(self):
-        from repro.sql import optimizer
-
-        n = optimizer.COLUMNAR_MIN_ROWS + 36
-        return make_relation(rows=[(i, "x") for i in range(n)])
-
-    def test_mode_toggle_compiles_two_coexisting_entries(self):
-        from repro.sql.plan import Materialize
-
-        cache = PlanCache()
-        relation = self.big_relation()
-        execute_planned(self.SQL, relation, cache=cache, columnar=True)
-        execute_planned(self.SQL, relation, cache=cache, columnar=False)
-        assert cache.misses == 2  # the row-path call must NOT hit
-        by_mode = {
-            mode: cache.lookup(self.SQL, relation, columnar=mode)[0]
-            for mode in (True, False)
-        }
-        assert isinstance(by_mode[True].plan, Materialize)
-        assert not isinstance(by_mode[False].plan, Materialize)
-
-    def test_mode_toggle_then_both_modes_hit(self):
-        cache = PlanCache()
-        relation = self.big_relation()
-        execute_planned(self.SQL, relation, cache=cache, columnar=True)
-        execute_planned(self.SQL, relation, cache=cache, columnar=False)
-        execute_planned(self.SQL, relation, cache=cache, columnar=True)
-        execute_planned(self.SQL, relation, cache=cache, columnar=False)
-        assert cache.hits == 2 and cache.misses == 2
-
-    def test_growth_past_threshold_replans_columnar(self):
-        from repro.sql import optimizer
-        from repro.sql.plan import Materialize
-
+    def test_row_count_changes_keep_plain_entries(self):
         cache = PlanCache()
         relation = make_relation(rows=[(i, "x") for i in range(4)])
         execute_planned(self.SQL, relation, cache=cache)
-        entry = cache.lookup(self.SQL, relation)[0]
-        assert ("band", "t", False) in entry.reads
-        assert not isinstance(entry.plan, Materialize)
-        # Grow past the costing threshold: the recorded band read no
-        # longer holds, so the lookup must miss and replan.
-        for i in range(optimizer.COLUMNAR_MIN_ROWS + 10):
+        for i in range(100):
             relation.insert({"a": 100 + i, "b": "y"})
-        result = execute_planned(self.SQL, relation, cache=cache)
-        assert len(result) == 4 + optimizer.COLUMNAR_MIN_ROWS + 10
-        fresh = cache.lookup(self.SQL, relation)[0]
-        assert ("band", "t", True) in fresh.reads
-        assert isinstance(fresh.plan, Materialize)
-
-    def test_shrink_below_threshold_replans_rows(self):
-        from repro.sql.plan import Materialize
-
-        cache = PlanCache()
-        relation = self.big_relation()
-        execute_planned(self.SQL, relation, cache=cache)
-        assert isinstance(cache.lookup(self.SQL, relation)[0].plan, Materialize)
+        assert len(execute_planned(self.SQL, relation, cache=cache)) == 104
         relation.delete(lambda row: row["a"] >= 4)
-        fresh = cache.lookup(self.SQL, relation)
-        # lookup() counts a miss for the stale band; the next planned
-        # execution compiles a row plan.
-        assert fresh is None
-        result = execute_planned(self.SQL, relation, cache=cache)
-        assert len(result) == 4
-        assert not isinstance(
-            cache.lookup(self.SQL, relation)[0].plan, Materialize
-        )
+        assert len(execute_planned(self.SQL, relation, cache=cache)) == 4
+        assert cache.misses == 1 and cache.hits == 2
 
     def test_tagged_entries_carry_no_band(self):
         schema = RelationSchema("t", [Column("a", "INT")])
@@ -306,9 +244,9 @@ class TestColumnarKeying:
         cache = PlanCache()
         execute_planned(self.SQL, relation, cache=cache)
         entry = cache.lookup(self.SQL, relation)[0]
-        # Costing never applies to tagged sources, so size changes must
-        # not invalidate their plans.
-        assert "band" not in {fact for fact, _, _ in entry.reads}
+        # No plan reads a relation's size (only hash-join build sides
+        # do), so size changes must not invalidate it.
+        assert "cardinality" not in {fact for fact, _, _ in entry.reads}
         relation.insert({"a": QualityCell(999)})
         assert cache.lookup(self.SQL, relation) is not None
 

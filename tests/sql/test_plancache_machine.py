@@ -6,9 +6,9 @@ machine interleaves every kind of state change such a decision can
 depend on — create/drop/recreate (structurally equal schemas included),
 insert/delete, repartition (hash, range, none), profile
 register/rebind/clear, swapping a tagged relation for its
-``values_relation()`` under one name, columnar on/off, and growth across
-``COLUMNAR_MIN_ROWS`` — and after every step runs each statement on
-both execute paths, strict on and off, checking:
+``values_relation()`` under one name, and growth and shrinkage — and
+after every step runs each statement on both execute paths, strict on
+and off, checking:
 
 - every result (or error) equals ``naive_execute``'s, and every strict
   verdict equals a fresh ``analyze_statement``'s;
@@ -50,7 +50,6 @@ from repro.quality.scoring import credibility_scorer, timeliness_scorer
 from repro.relational import hash_partitions, range_partitions
 from repro.relational.catalog import Database
 from repro.relational.schema import schema
-from repro.sql import optimizer
 from repro.sql.executor import execute
 from repro.sql.parser import parse
 from repro.sql.plancache import (
@@ -67,12 +66,9 @@ from repro.tagging.indicators import (
 )
 from repro.tagging.relation import TaggedRelation
 
-#: Lowered so growth across the cost band takes a handful of inserts.
-MIN_ROWS = 8
-
 #: (statement, ordered result) over the mapping-held ``cust`` relation:
 #: tag form, parameter form, and plain statements whose plans depend on
-#: the cost band and on the partition layout.
+#: the partition layout.
 CUST_STATEMENTS = [
     ("SELECT k, v FROM cust WHERE QUALITY(v.source) = 'audit'", False),
     ("SELECT k FROM cust WHERE QUALITY(credibility) > 0.5", False),
@@ -142,8 +138,6 @@ def observe(source, fact, name):
     if fact == "profile":
         profile = profile_for(relation)
         return None if profile is None else (profile, profile.version)
-    if fact == "band":
-        return len(relation) >= optimizer.COLUMNAR_MIN_ROWS
     raise AssertionError(f"unexpected recorded fact {fact!r}")
 
 
@@ -182,12 +176,9 @@ def outcome(run, ordered: bool):
 class PlanCacheMachine(RuleBasedStateMachine):
     @initialize()
     def set_up(self):
-        self.saved_min_rows = optimizer.COLUMNAR_MIN_ROWS
-        optimizer.COLUMNAR_MIN_ROWS = MIN_ROWS
         clear_profiles()
         clear_plan_cache()
         self.cache = PlanCache()
-        self.columnar = True
         self.next_key = 0
         self.tagged_view = None  # the tagged relation a plain view hides
         self.cust = {}
@@ -195,13 +186,10 @@ class PlanCacheMachine(RuleBasedStateMachine):
         self.db = Database("db")
         self.db.create_relation(events_schema(False))
         self.insert_events(count=4)
-        #: (source label, sql, columnar) → reads of the entry last used.
+        #: (source label, sql) → reads of the entry last used.
         self.last_reads: dict = {}
 
     def teardown(self):
-        optimizer.COLUMNAR_MIN_ROWS = getattr(
-            self, "saved_min_rows", optimizer.COLUMNAR_MIN_ROWS
-        )
         clear_profiles()
         clear_plan_cache()
 
@@ -319,7 +307,7 @@ class PlanCacheMachine(RuleBasedStateMachine):
             spec = None if buckets is None else hash_partitions("id", buckets)
             self.db.repartition("events", spec)
 
-    # -- scoring profiles and caller options -----------------------------------
+    # -- scoring profiles ------------------------------------------------------
 
     @rule(variant=st.sampled_from([0, 1]), bind=st.booleans())
     def register(self, variant, bind):
@@ -345,10 +333,6 @@ class PlanCacheMachine(RuleBasedStateMachine):
     def clear_scoring(self):
         clear_profiles()
 
-    @rule()
-    def toggle_columnar(self):
-        self.columnar = not self.columnar
-
     # -- the check -------------------------------------------------------------
 
     @invariant()
@@ -368,26 +352,23 @@ class PlanCacheMachine(RuleBasedStateMachine):
         rejected = ("analysis", error_codes(verdict))
         for strict in (False, True):
             want = rejected if strict and verdict.has_errors else expected
-            key = (label, sql, self.columnar)
+            key = (label, sql)
             reads = self.last_reads.get(key)
             expect_hit = reads is not None and unchanged(source, reads)
             hits = self.cache.hits
             got = outcome(
                 lambda: execute_planned(
-                    sql, source, strict=strict, cache=self.cache,
-                    columnar=self.columnar,
+                    sql, source, strict=strict, cache=self.cache
                 ),
                 ordered,
             )
             assert got == want, (sql, strict, "planner")
             if expect_hit:
                 assert self.cache.hits == hits + 1, (sql, "spurious miss")
-            found = self.cache.lookup(sql, source, self.columnar)
+            found = self.cache.lookup(sql, source)
             self.last_reads[key] = None if found is None else found[0].reads
             if found is not None:
-                fresh, _, _ = plan_statement(
-                    found[0].statement, source, columnar=self.columnar
-                )
+                fresh, _, _ = plan_statement(found[0].statement, source)
                 assert found[0].plan == fresh, (sql, "stale plan")
             got = outcome(
                 lambda: execute(sql, source, strict=strict, planner=False),

@@ -1,27 +1,36 @@
-"""Columnar sanitizer checks (armed by ``REPRO_VERIFY_PLANS``).
+"""Batch sanitizer checks (armed by ``REPRO_VERIFY_PLANS``).
 
 Unit tests drive the check functions directly with corrupted batches;
-the end-to-end tests run real columnar statements with the sanitizer
-wrappers installed and assert they stay silent on well-formed plans.
+the end-to-end tests run real statements with the sanitizer wrappers
+installed and assert they stay silent on well-formed plans.
 """
 
 import pytest
 
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
-from repro.sql import optimizer as optimizer_mod
 from repro.sql.executor import execute
+from repro.sql.nodes import ColumnRef, Comparison, Literal, OrderItem, SelectItem
 from repro.sql.physical import (
     ColumnarSanitizerError,
-    _check_columnar_batch,
+    Segment,
+    _check_batch,
     _check_scan_indices,
-    _fragment_ordered,
+    _CheckedSegment,
+    _selection_ordered,
     sanitize_enabled,
 )
-from repro.sql.plan import Limit, Scan, TopK
+from repro.sql.plan import Aggregate, Filter, Limit, Project, Scan, TopK
 from repro.sql.plancache import clear_plan_cache
 
 T_SCHEMA = schema("t", [("a", "INT"), ("b", "STR")], key=["a"])
+
+
+def make_relation(n=30):
+    relation = Relation(T_SCHEMA)
+    for i in range(n):
+        relation.insert({"a": i, "b": f"s{i % 5}"})
+    return relation
 
 
 class TestScanIndexCheck:
@@ -44,87 +53,71 @@ class TestScanIndexCheck:
 
 class TestBatchCheck:
     def test_well_formed_batch_passes(self):
-        _check_columnar_batch(
-            "Filter", T_SCHEMA, ([[1, 2, 3], ["x", "y", "z"]], [0, 2]), True
-        )
-        _check_columnar_batch(
-            "Scan", T_SCHEMA, ([[1, 2], ["x", "y"]], None), True
-        )
-
-    def test_array_count_mismatch_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="arrays"):
-            _check_columnar_batch("Filter", T_SCHEMA, ([[1, 2]], None), True)
+        segment = Segment(make_relation(3))
+        _check_batch("Filter", (segment, [0, 2]), True)
+        _check_batch("Scan", (segment, None), True)
 
     def test_array_length_mismatch_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="length"):
-            _check_columnar_batch(
-                "Filter", T_SCHEMA, ([[1, 2], ["x"]], None), True
-            )
+        # A write behind the segment's back: its arrays outgrow it.
+        relation = make_relation(3)
+        segment = _CheckedSegment(relation)
+        assert segment.values(0) == [0, 1, 2]
+        relation.insert({"a": 3, "b": "s3"})
+        with pytest.raises(ColumnarSanitizerError, match="entries"):
+            segment.values(0)
+        with pytest.raises(ColumnarSanitizerError, match="entries"):
+            segment.rows()
 
     def test_selection_out_of_bounds_raises(self):
+        segment = Segment(make_relation(2))
         with pytest.raises(ColumnarSanitizerError, match="out-of-bounds"):
-            _check_columnar_batch(
-                "Filter", T_SCHEMA, ([[1, 2], ["x", "y"]], [0, 5]), True
-            )
+            _check_batch("Filter", (segment, [0, 5]), True)
 
     def test_ordered_fragment_requires_ascending_selection(self):
-        with pytest.raises(ColumnarSanitizerError):
-            _check_columnar_batch(
-                "Filter", T_SCHEMA, ([[1, 2, 3], ["x", "y", "z"]], [2, 0]),
-                True,
-            )
+        segment = Segment(make_relation(3))
+        with pytest.raises(ColumnarSanitizerError, match="ascending"):
+            _check_batch("Filter", (segment, [2, 0]), True)
 
     def test_unordered_fragment_allows_key_order(self):
         # TopK emits selection vectors in key order, not row order.
-        _check_columnar_batch(
-            "TopK", T_SCHEMA, ([[1, 2, 3], ["x", "y", "z"]], [2, 0, 1]),
-            False,
-        )
+        _check_batch("TopK", (Segment(make_relation(3)), [2, 0, 1]), False)
 
     def test_unordered_fragment_rejects_duplicates(self):
-        with pytest.raises(ColumnarSanitizerError):
-            _check_columnar_batch(
-                "TopK", T_SCHEMA, ([[1, 2, 3], ["x", "y", "z"]], [2, 2]),
-                False,
-            )
+        with pytest.raises(ColumnarSanitizerError, match="twice"):
+            _check_batch("TopK", (Segment(make_relation(3)), [2, 2]), False)
 
 
 class TestFragmentOrder:
     def test_scan_and_row_preserving_operators_are_ordered(self):
-        scan = Scan("t", columnar=True)
-        assert _fragment_ordered(scan)
-        assert _fragment_ordered(Limit(scan, 3))
+        scan = Scan("t")
+        assert _selection_ordered(scan)
+        assert _selection_ordered(Limit(scan, 3))
+        predicate = Comparison(">", ColumnRef("a"), Literal(1))
+        assert _selection_ordered(
+            Project(Filter(scan, predicate), (SelectItem(ColumnRef("a")),))
+        )
 
     def test_topk_breaks_order_for_everything_above(self):
-        from repro.sql.nodes import ColumnRef, OrderItem
-
-        topk = TopK(
-            Scan("t", columnar=True), (OrderItem(ColumnRef("a")),), 3
-        )
-        assert not _fragment_ordered(topk)
-        assert not _fragment_ordered(Limit(topk, 2))
+        topk = TopK(Scan("t"), (OrderItem(ColumnRef("a")),), 3)
+        assert not _selection_ordered(topk)
+        assert not _selection_ordered(Limit(topk, 2))
+        # An operator that builds a new segment starts over.
+        assert _selection_ordered(Aggregate(topk, (), ()))
 
 
 class TestEndToEnd:
     @pytest.fixture(autouse=True)
-    def sanitized_columnar_mode(self, monkeypatch):
+    def sanitized_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
-        monkeypatch.setattr(optimizer_mod, "COLUMNAR_MIN_ROWS", 0)
         clear_plan_cache()
         yield
         clear_plan_cache()
-
-    def make_relation(self, n=30):
-        relation = Relation(T_SCHEMA)
-        for i in range(n):
-            relation.insert({"a": i, "b": f"s{i % 5}"})
-        return relation
 
     def test_flag_arms_sanitizer(self):
         assert sanitize_enabled()
 
     def test_columnar_statements_run_clean(self):
-        relation = self.make_relation()
+        relation = make_relation()
         result = execute("SELECT a FROM t WHERE b = 's1'", relation)
         assert len(result) == 6
         topk = execute(
@@ -134,7 +127,7 @@ class TestEndToEnd:
         assert [row["a"] for row in topk.rows] == [29, 28, 27, 26]
 
     def test_cached_sanitized_plan_reruns_clean(self):
-        relation = self.make_relation()
+        relation = make_relation()
         sql = "SELECT b FROM t WHERE a >= 25"
         first = execute(sql, relation)
         second = execute(sql, relation)

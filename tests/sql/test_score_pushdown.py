@@ -199,6 +199,26 @@ class TestEquivalence:
             execute(sql, relation, planner=False)
         )
 
+    def test_multi_bucket_scan_stacks_tag_and_score_filters(self):
+        # Several surviving shards: the tag-store hits of every shard
+        # feed that shard's score scan as its candidates.
+        relation = make_relation(n=48)
+        relation.repartition(hash_partitions("k", 8))
+        register()
+        sql = (
+            "SELECT k FROM readings WHERE k IN (1, 3, 4, 7, 9, 14, 30, 41, 44, 46) "
+            "AND QUALITY(v.source) <> 'fax' AND QUALITY(timeliness) >= 0.1"
+        )
+        plan = explain(sql, relation)
+        assert "QualityFilter" in plan and "ScoreFilter" in plan
+        survivors = int(plan.split("partitions=")[1].split("/")[0])
+        assert survivors > 1
+        pushed = execute(sql, relation)
+        assert canonical(pushed) == canonical(
+            execute(sql, relation, planner=False)
+        )
+        assert 0 < len(pushed) < 8
+
     def test_unpruned_partitioned_scan_uses_flat_block(self):
         relation = make_relation(n=48)
         relation.repartition(hash_partitions("k", 8))

@@ -3,7 +3,7 @@
 The plan verifier's core contract: for every statement the semantic
 analyzer accepts, the optimizer's output passes static verification —
 under every flag combination the engine supports (planner on/off,
-columnar on/off, cold plan vs. cached plan), with the
+cold plan vs. cached plan, tagged and plain sources), with the
 ``REPRO_VERIFY_PLANS`` runtime hooks armed throughout.  The statement
 strategies are shared with :mod:`tests.analysis.test_property` so the
 corpus spans projections, quality predicates, aggregates, ordering,
@@ -14,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import analyze_query, verify_plan
-from repro.sql import optimizer as optimizer_mod
 from repro.sql.executor import execute
 from repro.sql.optimizer import PlanContext
 from repro.sql.parser import parse
 from repro.sql.plancache import clear_plan_cache, plan_statement
 from tests.analysis.test_property import RELATION, select_statements
 
-#: Plain (untagged) twin of the property fixture: exercises the
-#: columnar access path, which only plans over plain relations.
+#: Plain (untagged) twin of the property fixture: the same statements
+#: over value arrays with no tags.
 PLAIN = RELATION.values_relation()
 
 SOURCES = {"tagged": RELATION, "plain": PLAIN}
@@ -30,17 +29,13 @@ SOURCES = {"tagged": RELATION, "plain": PLAIN}
 
 @pytest.fixture(scope="module", autouse=True)
 def verified_mode():
-    """Arm runtime verification and make the tiny fixtures columnar-
-    eligible for the whole module."""
+    """Arm runtime verification for the whole module."""
     import os
 
     old_env = os.environ.get("REPRO_VERIFY_PLANS")
-    old_min = optimizer_mod.COLUMNAR_MIN_ROWS
     os.environ["REPRO_VERIFY_PLANS"] = "1"
-    optimizer_mod.COLUMNAR_MIN_ROWS = 0
     clear_plan_cache()
     yield
-    optimizer_mod.COLUMNAR_MIN_ROWS = old_min
     if old_env is None:
         os.environ.pop("REPRO_VERIFY_PLANS", None)
     else:
@@ -54,23 +49,20 @@ def test_accepted_statements_plan_verifier_clean(sql):
     for name, source in SOURCES.items():
         if analyze_query(sql, source).has_errors:
             continue  # rejected statements never reach the planner
-        for columnar in (False, True):
-            plan, relation, _ = plan_statement(
-                parse(sql), source, columnar=columnar
-            )
-            context = PlanContext.from_relations({"t": relation})
-            diagnostics = verify_plan(plan, context, sql=sql)
-            assert not diagnostics.has_errors, (
-                f"{name}/columnar={columnar}: {sql!r} planned to an "
-                f"unverifiable tree:\n{diagnostics.render()}"
-            )
+        plan, relation, _ = plan_statement(parse(sql), source)
+        context = PlanContext.from_relations({"t": relation})
+        diagnostics = verify_plan(plan, context, sql=sql)
+        assert not diagnostics.has_errors, (
+            f"{name}: {sql!r} planned to an unverifiable tree:\n"
+            f"{diagnostics.render()}"
+        )
 
 
 @settings(max_examples=40, deadline=None)
 @given(sql=select_statements())
 def test_execute_under_verified_mode(sql):
     """Cold and cached execution, both paths, with verification and the
-    columnar sanitizer armed: accepted statements run without raising
+    batch sanitizer armed: accepted statements run without raising
     and both engine paths agree."""
     if analyze_query(sql, RELATION).has_errors:
         return
