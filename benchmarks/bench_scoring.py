@@ -3,8 +3,8 @@
 Not a paper artifact: a performance ablation of the scoring subsystem.
 A registered :class:`ScoringProfile` materializes one score array per
 quality parameter beside the relation's tag store, maintained per
-partition: only buckets whose shard version moved since the last
-refresh recompute, the rest reuse their block.  The planner pushes
+partition: a refresh scores only the rows appended since the last one
+(the written shard's block is extended), the rest reuse their block.  The planner pushes
 ``QUALITY(parameter)`` comparisons into those arrays (ScoreFilter), so
 a score-constrained scan never re-runs a scorer per row.
 
@@ -17,7 +17,6 @@ from conftest import emit
 
 from repro.experiments.scenarios import customer_database
 from repro.quality.materialize import (
-    ScoreMaterializer,
     ScoringProfile,
     materializer_for,
     register_profile,
@@ -55,6 +54,7 @@ def _setup():
         register_profile(profile, relations=[relation.schema.name])
         _CACHE["relation"] = relation
         _CACHE["world"] = world
+        _CACHE["profile"] = profile
     return _CACHE["relation"], _CACHE["world"]
 
 
@@ -131,9 +131,14 @@ def test_scoring_json_incremental_and_pushdown():
         mutate_one_bucket()
         materializer.refresh()
 
+    profile = _CACHE["profile"]
+
     def full_rebuild():
-        # A fresh materializer has no blocks: every bucket recomputes.
-        ScoreMaterializer(relation).refresh()
+        # Blocks live on the shards, so a fresh materializer would find
+        # them warm; re-registering the profile starts a new generation,
+        # and every bucket's block is scored from scratch.
+        register_profile(profile, relations=[relation.schema.name])
+        materializer.refresh()
 
     incremental_s, full_s = best_seconds_interleaved(
         [incremental_refresh, full_rebuild], repeats=3

@@ -14,22 +14,26 @@ storage:
   so frozen :meth:`~repro.tagging.relation.TaggedRelation.read_snapshot`
   copies (same schema object, different relation object) resolve to the
   same profile — service snapshots read frozen score columns for free;
-- a :class:`ScoreMaterializer` keeps **version-gated score arrays**
-  beside the relation's :class:`~repro.tagging.columnar.ColumnarTagStore`:
-  one aligned ``parameter → [score | None]`` array per partition shard
-  (or one flat block when unpartitioned), recomputed **only when that
-  shard's mutation counter moved** — the incremental-maintenance
-  contract the BENCH_SCORING floor enforces.
+- a :class:`ScoreMaterializer` reads **score blocks** kept beside the
+  relation's :class:`~repro.tagging.columnar.ColumnarTagStore`: one
+  aligned ``parameter → [score | None]`` array per segment (the
+  relation itself, or one partition shard), cached on that segment
+  against its epoch, its row count and the profile's registration
+  (:class:`~repro.relational.versioned.Carried`).  A block is rescored
+  only for the rows appended since it was built, and a read snapshot
+  extends its predecessor's blocks the same way — the incremental-
+  maintenance contract the BENCH_SCORING floor enforces.
 
 The QSQL surface (``WHERE QUALITY(credibility) > 0.8``) routes here:
 the optimizer's ``push_score_predicates`` rewrite compiles such
 conjuncts into a ``ScoreFilter`` plan node whose physical operator
 calls :meth:`ScoreMaterializer.filter_indices`.
 
-Observability (under :func:`repro.obs.metrics.enabled`): the
-``scores.recomputed`` / ``scores.reused`` counters count row-scores per
-refresh, and the ``scores.staleness`` gauge reports the fraction of
-score blocks found stale on the most recent refresh.
+Observability (under :func:`repro.obs.metrics.enabled`): per refresh,
+``scores.recomputed`` counts the rows actually scored and
+``scores.reused`` the rows served without scoring (fresh blocks and the
+part of a block carried over); the ``scores.staleness`` gauge reports
+the fraction of score blocks found stale on the most recent refresh.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.errors import AssessmentError
 from repro.obs import metrics as _obs_metrics
 from repro.quality.scoring import ParameterScorer
-from repro.relational.versioned import Versioned
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
 
@@ -57,10 +60,6 @@ __all__ = [
     "registered_profiles",
     "registry_version",
 ]
-
-#: Bucket key of the flat (unpartitioned / canonical-order) score block.
-_FLAT = -1
-
 
 class ScoringProfile:
     """One application view's parameter scorers and thresholds.
@@ -288,7 +287,7 @@ def _record_refresh(recomputed: int, reused: int, staleness: float) -> None:
         "scores.recomputed", "row-scores recomputed by materializer refresh"
     ).inc(recomputed)
     registry.counter(
-        "scores.reused", "row-scores served from fresh score blocks"
+        "scores.reused", "row-scores served without scoring (fresh or carried over)"
     ).inc(reused)
     registry.gauge(
         "scores.staleness",
@@ -296,35 +295,44 @@ def _record_refresh(recomputed: int, reused: int, staleness: float) -> None:
     ).set(staleness)
 
 
-class _ScoreBlock:
-    """One segment's score arrays (cached against the segment's version)."""
-
-    __slots__ = ("rows", "scores")
-
-    def __init__(self, rows: int, scores: dict[str, list[Optional[float]]]) -> None:
-        self.rows = rows
-        self.scores = scores
+def _score_block(
+    segment: TaggedRelation,
+    profile: ScoringProfile,
+    base: Optional[dict[str, list[Optional[float]]]],
+    count: int,
+) -> dict[str, list[Optional[float]]]:
+    """``segment``'s ``parameter → scores`` block: ``base``'s first
+    ``count`` scores (copied) and the rows after them scored."""
+    rows = segment.row_batch()
+    kept = 0 if base is None else min(count, len(rows))
+    fresh = rows[kept:] if kept else rows
+    positions = tagged_positions(segment)
+    block: dict[str, list[Optional[float]]] = {}
+    for parameter in profile.parameters:
+        scores = [
+            row_parameter_score(profile, parameter, row, positions)
+            for row in fresh
+        ]
+        block[parameter] = base[parameter][:kept] + scores if kept else scores
+    return block
 
 
 class ScoreMaterializer:
-    """Version-gated materialized score columns for one tagged relation.
+    """Materialized score columns for one tagged relation.
 
     Blocks mirror the relation's storage layout: one per partition
-    shard (keyed by bucket) plus an on-demand flat block (canonical row
-    order) for unpruned access.  :meth:`refresh` recomputes only the
-    blocks whose segment version moved since the last build; a profile
-    re-registration or a ``repartition()`` (layout version bump) starts
-    a new generation of blocks.
+    shard (by bucket) plus an on-demand flat block (the relation's own
+    row order) for unpruned access.  Each block lives on its segment
+    and follows it through appends and snapshot generations: a refresh
+    scores only the rows appended since the block was built, and a
+    rewrite of the segment (delete, update, redistribution) or a
+    profile re-registration scores it from scratch.
     """
 
     def __init__(self, relation: TaggedRelation) -> None:
         # A weak backref: the module cache maps relation → materializer,
         # and a strong ref here would make those entries immortal.
         self._relation_ref = weakref.ref(relation)
-        self._lock = threading.RLock()
-        #: bucket → Versioned block, for the current (profile, profile
-        #: version, layout version) generation.
-        self._generation = Versioned()
 
     # -- plumbing -------------------------------------------------------------
 
@@ -334,29 +342,11 @@ class ScoreMaterializer:
             raise AssessmentError("the materialized relation was dropped")
         return relation
 
-    def _compute_block(
-        self, segment: TaggedRelation, profile: ScoringProfile
-    ) -> _ScoreBlock:
-        rows = segment.row_batch()
-        positions = tagged_positions(segment)
-        scores: dict[str, list[Optional[float]]] = {}
-        for parameter in profile.parameters:
-            scores[parameter] = [
-                row_parameter_score(profile, parameter, row, positions)
-                for row in rows
-            ]
-        return _ScoreBlock(len(rows), scores)
-
-    def _segment(self, relation: TaggedRelation, bucket: int) -> TaggedRelation:
-        if bucket == _FLAT:
-            return relation
-        return relation.partition(bucket)
-
     def _ensure_blocks(
-        self, relation: TaggedRelation, buckets: Sequence[int]
-    ) -> tuple[ScoringProfile, dict[int, _ScoreBlock]]:
-        """Bring the named blocks up to date; returns the bound profile
-        and bucket → block."""
+        self, relation: TaggedRelation, buckets: Sequence[Optional[int]]
+    ) -> tuple[ScoringProfile, list[dict[str, list[Optional[float]]]]]:
+        """Bring the named blocks (bucket ``None``: the flat block) up to
+        date; returns the bound profile and the blocks, in order."""
         profile = profile_for(relation)
         if profile is None:
             raise AssessmentError(
@@ -364,34 +354,35 @@ class ScoreMaterializer:
                 f"{relation.schema.name!r}; register one with "
                 f"repro.quality.materialize.register_profile"
             )
-        generation = (profile, profile.version, relation.partition_layout_version)
-        blocks = self._generation.get(generation)
-        if blocks is None:
-            blocks = self._generation.put(generation, {})
-        recomputed = 0
-        reused = 0
+        generation = (profile, profile.version)
+        scored = 0
         stale = 0
-        out: dict[int, _ScoreBlock] = {}
+        total = 0
+        blocks = []
         for bucket in buckets:
-            segment = self._segment(relation, bucket)
-            cached = blocks.get(bucket)
-            if cached is None:
-                cached = blocks[bucket] = Versioned()
-            block = cached.get(segment.version)
-            if block is None:
+            segment = relation if bucket is None else relation.partition(bucket)
+
+            def make(base: Any, count: int) -> dict:
+                nonlocal scored, stale
                 stale += 1
-                block = cached.put(
-                    segment.version, self._compute_block(segment, profile)
-                )
-                recomputed += block.rows
-            else:
-                reused += block.rows
-            out[bucket] = block
+                scored += len(segment) - min(count, len(segment))
+                return _score_block(segment, profile, base, count)
+
+            blocks.append(
+                segment._derived.fetch("scores", segment, make, generation)
+            )
+            total += len(segment)
         if _obs_metrics.enabled():
             _record_refresh(
-                recomputed, reused, stale / len(buckets) if buckets else 0.0
+                scored, total - scored, stale / len(buckets) if buckets else 0.0
             )
-        return profile, out
+        return profile, blocks
+
+    def _block(
+        self, bucket: Optional[int]
+    ) -> tuple[ScoringProfile, dict[str, list[Optional[float]]]]:
+        profile, blocks = self._ensure_blocks(self._relation(), [bucket])
+        return profile, blocks[0]
 
     # -- public API -----------------------------------------------------------
 
@@ -399,34 +390,30 @@ class ScoreMaterializer:
         """Bring every storage-layout block up to date (incrementally).
 
         Partitioned relations refresh one block per shard — only shards
-        whose mutation counter moved recompute; unpartitioned relations
-        refresh the single flat block.
+        written since their last refresh score anything, and only their
+        appended rows unless the shard was rewritten; unpartitioned
+        relations refresh the single flat block.
         """
         relation = self._relation()
-        with self._lock:
-            if relation.partition_spec is None:
-                buckets: Sequence[int] = (_FLAT,)
-            else:
-                buckets = range(relation.partition_spec.count)
-            self._ensure_blocks(relation, list(buckets))
+        if relation.partition_spec is None:
+            buckets: list[Optional[int]] = [None]
+        else:
+            buckets = list(range(relation.partition_spec.count))
+        self._ensure_blocks(relation, buckets)
 
     def row_scores(
         self, parameter: str, bucket: Optional[int] = None
     ) -> list[Optional[float]]:
         """The materialized score array for one block (flat by default),
         aligned with that block's row order."""
-        relation = self._relation()
-        key = _FLAT if bucket is None else bucket
-        with self._lock:
-            profile, blocks = self._ensure_blocks(relation, [key])
-            block = blocks[key]
-            if parameter not in block.scores:
-                raise AssessmentError(
-                    f"scoring profile {profile.name!r} defines no "
-                    f"parameter {parameter!r} "
-                    f"(defined: {list(profile.parameters)})"
-                )
-            return list(block.scores[parameter])
+        profile, block = self._block(bucket)
+        if parameter not in block:
+            raise AssessmentError(
+                f"scoring profile {profile.name!r} defines no "
+                f"parameter {parameter!r} "
+                f"(defined: {list(profile.parameters)})"
+            )
+        return list(block[parameter])
 
     def filter_indices(
         self,
@@ -442,41 +429,37 @@ class ScoreMaterializer:
         ``candidates`` restricts the scan to those (ascending) indices —
         the path a stacked tag-constraint scan feeds.
         """
-        relation = self._relation()
-        key = _FLAT if bucket is None else bucket
-        with self._lock:
-            profile, blocks = self._ensure_blocks(relation, [key])
-            block = blocks[key]
-            hits: Optional[list[int]] = (
-                None if candidates is None else list(candidates)
-            )
-            for parameter, op, operand in constraints:
-                if op not in OPERATORS:
-                    raise AssessmentError(f"unknown operator {op!r}")
-                if parameter not in block.scores:
-                    raise AssessmentError(
-                        f"scoring profile {profile.name!r} defines no "
-                        f"parameter {parameter!r} "
-                        f"(defined: {list(profile.parameters)})"
-                    )
-                compare = OPERATORS[op]
-                array = block.scores[parameter]
-                survivors: list[int] = []
-                emit = survivors.append
-                pool = range(len(array)) if hits is None else hits
-                for index in pool:
-                    score = array[index]
-                    if score is None:
-                        continue
-                    try:
-                        if compare(score, operand):
-                            emit(index)
-                    except TypeError:
-                        continue
-                hits = survivors
-                if not hits:
-                    break
-            return hits if hits is not None else []
+        profile, block = self._block(bucket)
+        hits: Optional[list[int]] = (
+            None if candidates is None else list(candidates)
+        )
+        for parameter, op, operand in constraints:
+            if op not in OPERATORS:
+                raise AssessmentError(f"unknown operator {op!r}")
+            if parameter not in block:
+                raise AssessmentError(
+                    f"scoring profile {profile.name!r} defines no "
+                    f"parameter {parameter!r} "
+                    f"(defined: {list(profile.parameters)})"
+                )
+            compare = OPERATORS[op]
+            array = block[parameter]
+            survivors: list[int] = []
+            emit = survivors.append
+            pool = range(len(array)) if hits is None else hits
+            for index in pool:
+                score = array[index]
+                if score is None:
+                    continue
+                try:
+                    if compare(score, operand):
+                        emit(index)
+                except TypeError:
+                    continue
+            hits = survivors
+            if not hits:
+                break
+        return hits if hits is not None else []
 
 
 # -- the per-relation materializer cache --------------------------------------
@@ -489,9 +472,10 @@ _materializers_lock = threading.Lock()
 def materializer_for(relation: TaggedRelation) -> ScoreMaterializer:
     """The (cached) score materializer of one tagged relation object.
 
-    Keyed weakly by the relation object itself: a frozen snapshot gets
-    its own materializer (whose blocks, like the snapshot, never go
-    stale), and dropped relations release their score arrays.
+    Keyed weakly by the relation object itself, and dropped relations
+    release it.  The score blocks themselves live on the segments they
+    score, so a new snapshot's materializer extends the blocks of the
+    snapshot before it.
     """
     with _materializers_lock:
         materializer = _materializers.get(relation)

@@ -12,8 +12,9 @@ survivors.
 live relation exactly like the columnar *tag* store
 (:class:`~repro.tagging.columnar.ColumnarTagStore`) is for tags: built
 lazily through :meth:`Relation.columnar_store`, cached against the
-relation's mutation counter, and maintained through the shared array
-codec (:mod:`repro.relational.arrays`) on store-mediated appends and
+relation's epoch and row count (extended from the previous store after
+an append), and maintained through the shared array codec
+(:mod:`repro.relational.arrays`) on store-mediated appends and
 deletes.
 """
 
@@ -48,8 +49,8 @@ class ColumnarRelation:
     ``i``'s value for column ``c`` is ``column(c)[i]``.  Mutate through
     the store (:meth:`append` / :meth:`delete`) to keep that alignment;
     mutating the relation directly is detected by :meth:`check_aligned`
-    — and by the version-gated cache in
-    :meth:`Relation.columnar_store`, which simply rebuilds.
+    — and by the cache in :meth:`Relation.columnar_store`, which
+    derives a new store.
     """
 
     def __init__(self, relation: Relation) -> None:
@@ -61,16 +62,35 @@ class ColumnarRelation:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnarRelation":
-        """Transpose a row store into column arrays (one pass)."""
+    def from_relation(
+        cls,
+        relation: Relation,
+        base: Optional["ColumnarRelation"] = None,
+        count: int = 0,
+    ) -> "ColumnarRelation":
+        """Transpose a row store into column arrays (one pass).
+
+        ``base``, when given, is a store built for the first ``count``
+        rows of the same epoch of ``relation``
+        (:class:`~repro.relational.versioned.Carried`): its arrays are
+        copied up to the rows held now and only the rows after them are
+        transposed.  ``base`` itself is never modified.
+        """
         store = cls(relation)
         rows = relation.row_batch()
-        if rows:
-            names = relation.schema.column_names
-            for name, values in zip(names, zip(*(r.values_tuple() for r in rows))):
-                store._arrays[name] = list(values)
+        kept = 0 if base is None else min(count, len(rows))
+        names = relation.schema.column_names
+        fresh = rows[kept:] if kept else rows
+        columns = zip(*(r.values_tuple() for r in fresh)) if fresh else ()
+        for name, values in zip(names, columns):
+            store._arrays[name] = list(values)
+        if kept:
+            for name in names:
+                store._arrays[name] = (
+                    base._arrays[name][:kept] + store._arrays[name]
+                )
         if _obs_metrics.enabled():
-            _record_build(len(rows))
+            _record_build(len(fresh))
         return store
 
     # -- access ----------------------------------------------------------------
@@ -127,10 +147,12 @@ class ColumnarRelation:
 
         Mutating through the store keeps the arrays aligned, so when
         this store *is* the relation's cached columnar store, the cache
-        entry is moved to the new version instead of being rebuilt on
-        the next query.
+        entry is moved to the relation's rows now instead of being
+        derived again on the next query.  Only a live relation's store
+        can be mutated, and a live relation never publishes its stores
+        to its snapshots, so no other relation reads these arrays.
         """
-        self.relation._columnar_cache.restamp(self, self.relation.version)
+        self.relation._derived.restamp("columns", self, self.relation)
 
     def check_aligned(self) -> None:
         """Raise if the backing relation's length diverges from any array."""

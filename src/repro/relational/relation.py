@@ -9,12 +9,14 @@ converts to set semantics explicitly.
 from __future__ import annotations
 
 import threading
+from array import array
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError, SnapshotWriteError, UnknownColumnError
 from repro.relational.partition import PartitionSpec
 from repro.relational.schema import RelationSchema
-from repro.relational.versioned import Versioned
+from repro.relational.versioned import Carried, Versioned
 
 
 class Row(Mapping[str, Any]):
@@ -129,24 +131,34 @@ class Relation:
         self.schema = schema
         self._rows: list[Row] = []
         #: Mutation counter; bumped by every insert/delete/update so
-        #: caches derived from the rows (the columnar store, the read
-        #: snapshot) can detect staleness cheaply.
+        #: the read snapshot can detect staleness cheaply.
         self._version = 0
-        self._columnar_cache = Versioned()
+        #: Rewrite counter: bumped by every write that is not an append
+        #: (delete, update, ``_replace_rows``).  Derived per-row state
+        #: (the columnar store) is keyed by it plus the row count, so
+        #: an append extends that state instead of rebuilding it.
+        self._epoch = 0
+        self._derived = Carried()
         #: Partitioning state.  The flat ``_rows`` list stays canonical
         #: (all read accessors are partition-oblivious); ``_partitions``
         #: holds one shard Relation per bucket, each with its own
-        #: version-gated columnar cache, so a write to one partition
-        #: never invalidates the other shards' stores.
+        #: derived state, so a write to one partition never invalidates
+        #: the other shards' stores.  Each shard's rows are a
+        #: subsequence of the flat list, and ``_seqs`` (on a shard)
+        #: holds each row's ascending flat-order sequence number, drawn
+        #: from the parent's ``_next_seq``, so multi-shard scans can
+        #: merge back into the flat order.
         self._partition_spec: Optional[PartitionSpec] = None
         self._partitions: list["Relation"] = []
         self._partition_position: Optional[int] = None
+        self._seqs = array("q")
+        self._next_seq = 0
         #: Bumped by :meth:`repartition`; gates the read snapshot and
-        #: the score materializer's blocks.
+        #: the cached plans that read the layout.
         self._partition_layout_version = 0
         self._dirty_partitions: set[int] = set()
-        #: Mutation lock.  Every write path (and every version-gated
-        #: cache build) runs under it so concurrent sessions never lose
+        #: Mutation lock.  Every write path (and every derived-state
+        #: build) runs under it so concurrent sessions never lose
         #: a version bump or observe a half-applied mutation; see
         #: DESIGN.md §15 for the locking discipline.  Reentrant because
         #: writers compose (``delete`` → ``_replace_rows``).
@@ -258,10 +270,11 @@ class Relation:
         return count
 
     def _replace_rows(self, rows: list[Row]) -> None:
-        """Swap in a new backing row list (trusted; bumps the version).
+        """Swap in a new backing row list (trusted; bumps the version
+        and the epoch).
 
         Every wholesale row replacement must flow through here so
-        version-gated caches (the columnar store, the read snapshot) observe
+        derived caches (the columnar store, the read snapshot) observe
         the mutation — including replacements performed by side-tables
         such as :class:`~repro.tagging.columnar.ColumnarTagStore`.
         """
@@ -269,6 +282,7 @@ class Relation:
             self._require_mutable()
             self._rows = rows
             self._version += 1
+            self._epoch += 1
             if self._partition_spec is not None:
                 self._redistribute()
 
@@ -296,12 +310,17 @@ class Relation:
             removed = len(self._rows) - len(kept)
             self._rows = kept
             self._version += 1
+            self._epoch += 1
             if not dead:
                 return 0
             for bucket, shard in enumerate(self._partitions):
                 if any(id(row) in dead for row in shard._rows):
-                    shard._replace_rows(
-                        [row for row in shard._rows if id(row) not in dead]
+                    shard._set_shard_rows(
+                        [
+                            (seq, row)
+                            for seq, row in zip(shard._seqs, shard._rows)
+                            if id(row) not in dead
+                        ]
                     )
                     self._dirty_partitions.add(bucket)
             return removed
@@ -331,7 +350,9 @@ class Relation:
                 return count
             # Partitioned: replace in the flat list, then patch only the
             # shards that held a matching row.  An update that changes
-            # the partition-key value moves the row to its new bucket.
+            # the partition-key value moves the row to its new bucket,
+            # at the place its sequence number gives it there, so every
+            # shard stays a subsequence of the flat order.
             count = 0
             pending: dict[int, list[Row]] = {}
             new_rows: list[Row] = []
@@ -345,31 +366,38 @@ class Relation:
                     new_rows.append(row)
             self._rows = new_rows
             self._version += 1
+            self._epoch += 1
             if not count:
                 return 0
             spec = self._partition_spec
             position = self._partition_position
-            moves: list[tuple[int, Row]] = []
+            patched: dict[int, list[tuple[int, Row]]] = {}
+            moves: list[tuple[int, int, Row]] = []
             for bucket, shard in enumerate(self._partitions):
                 if not any(id(row) in pending for row in shard._rows):
                     continue
-                shard_rows: list[Row] = []
-                for row in shard._rows:
+                kept: list[tuple[int, Row]] = []
+                for seq, row in zip(shard._seqs, shard._rows):
                     queue = pending.get(id(row))
                     if not queue:
-                        shard_rows.append(row)
+                        kept.append((seq, row))
                         continue
                     fresh = queue.pop(0)
                     target = spec.bucket_of(fresh.at(position))
                     if target == bucket:
-                        shard_rows.append(fresh)
+                        kept.append((seq, fresh))
                     else:
-                        moves.append((target, fresh))
-                shard._replace_rows(shard_rows)
+                        moves.append((target, seq, fresh))
+                patched[bucket] = kept
+            for target, seq, fresh in moves:
+                if target not in patched:
+                    shard = self._partitions[target]
+                    patched[target] = list(zip(shard._seqs, shard._rows))
+                patched[target].append((seq, fresh))
+            for bucket, entries in patched.items():
+                entries.sort(key=itemgetter(0))
+                self._partitions[bucket]._set_shard_rows(entries)
                 self._dirty_partitions.add(bucket)
-            for target, fresh in moves:
-                self._partitions[target]._insert_validated(fresh)
-                self._dirty_partitions.add(target)
             return count
 
     def clear(self) -> None:
@@ -410,23 +438,42 @@ class Relation:
         return self
 
     def _route_insert(self, row: Row) -> None:
-        """Append an already-inserted row to its shard."""
+        """Append an already-inserted row to its shard (an append there
+        too: the shard's epoch stays)."""
         bucket = self._partition_spec.bucket_of(
             row.at(self._partition_position)
         )
-        self._partitions[bucket]._insert_validated(row)
+        shard = self._partitions[bucket]
+        with shard._lock:
+            shard._rows.append(row)
+            shard._seqs.append(self._next_seq)
+            shard._version += 1
+        self._next_seq += 1
         self._dirty_partitions.add(bucket)
 
     def _redistribute(self) -> None:
         """Rebuild every shard from the canonical flat row list."""
         spec = self._partition_spec
         position = self._partition_position
-        grouped: list[list[Row]] = [[] for _ in range(spec.count)]
-        for row in self._rows:
-            grouped[spec.bucket_of(row.at(position))].append(row)
-        for shard, rows in zip(self._partitions, grouped):
-            shard._replace_rows(rows)
+        grouped: list[list[tuple[int, Row]]] = [[] for _ in range(spec.count)]
+        for seq, row in enumerate(self._rows):
+            grouped[spec.bucket_of(row.at(position))].append((seq, row))
+        for shard, entries in zip(self._partitions, grouped):
+            shard._set_shard_rows(entries)
+        self._next_seq = len(self._rows)
         self._dirty_partitions = set(range(spec.count))
+
+    def _set_shard_rows(self, entries: list[tuple[int, Row]]) -> None:
+        """Replace a shard's rows with ``(sequence number, row)`` pairs
+        in ascending sequence order (a rewrite: bumps the epoch)."""
+        with self._lock:
+            self._seqs = array("q", [seq for seq, _ in entries])
+            self._replace_rows([row for _, row in entries])
+
+    def row_sequence(self) -> array:
+        """A shard's flat-order sequence numbers, aligned with
+        :meth:`row_batch` and ascending (treat as read-only)."""
+        return self._seqs
 
     @property
     def partition_spec(self) -> Optional[PartitionSpec]:
@@ -435,7 +482,7 @@ class Relation:
 
     @property
     def partition_layout_version(self) -> int:
-        """Bumped by every :meth:`repartition` (gates snapshots and score blocks)."""
+        """Bumped by every :meth:`repartition` (gates snapshots and cached plans)."""
         return self._partition_layout_version
 
     @property
@@ -459,24 +506,24 @@ class Relation:
         """The relation's columnar value store, built lazily and cached.
 
         Mirrors :meth:`repro.tagging.relation.TaggedRelation.columnar_store`:
-        the store is rebuilt whenever :attr:`version` shows the rows
-        changed since the last build, so batch execution paths can scan
-        contiguous per-column arrays without ever reading stale data.
+        the store is cached against the epoch and the row count
+        (:class:`~repro.relational.versioned.Carried`), so batch
+        execution paths never read stale arrays, and after an append
+        the next store copies the last one's arrays and transposes only
+        the appended rows.
         """
         # Built under the mutation lock so two sessions racing on a cold
         # cache agree on one store (and neither sees a half-built one).
-        return self._columnar_cache.fetch(
-            self._version, self._build_columnar_store, self._lock
-        )
+        return self._derived.fetch("columns", self, self._make_columnar_store)
 
-    def _build_columnar_store(self):
+    def _make_columnar_store(self, base: Any, count: int):
         from repro.relational.columnar import ColumnarRelation
 
-        return ColumnarRelation.from_relation(self)
+        return ColumnarRelation.from_relation(self, base, count)
 
     def value_array(self, position: int) -> list[Any]:
         """One column's values, aligned with :meth:`row_batch`, from the
-        version-gated :meth:`columnar_store` (treat as read-only)."""
+        cached :meth:`columnar_store` (treat as read-only)."""
         return self.columnar_store().column(self.schema.column_names[position])
 
     # -- snapshot reads --------------------------------------------------------
@@ -501,7 +548,10 @@ class Relation:
         unchanged relation.  Partition layouts carry over with
         per-shard snapshot reuse — a write to one bucket rebuilds only
         that shard's snapshot, and every untouched shard keeps its
-        (lazily built) columnar store across snapshot generations.
+        (lazily built) columnar store across snapshot generations.  A
+        new snapshot shares its relation's family of derived state
+        (:class:`~repro.relational.versioned.Carried`), so after an
+        append it extends the previous generation's store.
         """
         with self._lock:
             if self._frozen:
@@ -512,6 +562,9 @@ class Relation:
                 return cached
             snapshot = Relation(self.schema)
             snapshot._rows = list(self._rows)
+            snapshot._seqs = self._seqs[:]
+            snapshot._epoch = self._epoch
+            snapshot._derived = self._derived.successor()
             snapshot._partition_spec = self._partition_spec
             snapshot._partition_position = self._partition_position
             snapshot._partition_layout_version = (

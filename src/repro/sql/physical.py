@@ -7,12 +7,12 @@ plain and tagged, flat and partitioned relations alike:
 ``(segment, selection)``.
 
 - The :class:`Segment` is what a Scan reads — the bound relation (or
-  snapshot), or a pruned scan's surviving shards in bucket order —
-  addressed by position.  Its per-column value arrays are built on
-  first use and cached on the relation or shard against its version:
-  a plain relation's through its columnar store, a tagged one's
-  straight from its cells.  Tag arrays and score arrays are the tag
-  store's and the score materializer's.
+  snapshot), or a pruned scan's surviving shards merged back into the
+  relation's row order — addressed by position.  Its per-column value
+  arrays are built on first use and cached on the relation or shard
+  against its epoch and row count: a plain relation's through its
+  columnar store, a tagged one's straight from its cells.  Tag arrays
+  and score arrays are the tag store's and the score materializer's.
 - The *selection vector* lists the positions still alive (``None``:
   every position), ascending wherever row order is preserved.
 
@@ -171,22 +171,38 @@ class Segment:
     """The rows one batch addresses by position.
 
     ``parts`` are the ``(bucket, relation)`` pairs the positions run
-    over, in order: the relation itself (bucket ``None``) or the
-    surviving shards of a pruned scan.  Rows and value arrays come from
-    the parts, which cache the arrays against their version; over
-    several parts they are concatenated once per execution.
+    over: the relation itself (bucket ``None``) or the surviving shards
+    of a pruned scan.  Rows and value arrays come from the parts, which
+    cache the arrays against their epoch and row count.  Over several
+    parts, positions follow the relation's row order, as an unpruned
+    scan's do: every shard is a subsequence of it, and the shards'
+    sequence numbers (``row_sequence``) merge them back once per
+    execution.
     """
 
-    __slots__ = ("relation", "parts", "length", "_rows", "_values")
+    __slots__ = (
+        "relation", "parts", "length", "_order", "_rank", "_rows", "_values"
+    )
 
     def __init__(self, relation: Any, parts: Optional[tuple] = None) -> None:
         self.relation = relation
+        #: Multi-part segments whose shards interleave: position →
+        #: position in the parts' concatenation (``_rank`` inverts it).
+        self._order: Optional[list] = None
+        self._rank: Optional[list] = None
         if parts is None:
             self.parts: tuple = ((None, relation),)
             self.length = len(relation)
         else:
             self.parts = parts
             self.length = sum(len(part) for _, part in parts)
+            if len(parts) > 1:
+                seqs = [
+                    seq for _, part in parts for seq in part.row_sequence()
+                ]
+                order = sorted(range(len(seqs)), key=seqs.__getitem__)
+                if any(i != at for at, i in enumerate(order)):
+                    self._order = order
         self._rows: Optional[list] = None
         self._values: dict[int, list] = {}
 
@@ -196,7 +212,9 @@ class Segment:
         if len(parts) == 1:
             return parts[0][1].row_batch()
         if self._rows is None:
-            self._rows = [row for _, part in parts for row in part.row_batch()]
+            self._rows = self._merged(
+                [row for _, part in parts for row in part.row_batch()]
+            )
         return self._rows
 
     def values(self, position: int) -> list:
@@ -209,8 +227,15 @@ class Segment:
             array = []
             for _, part in parts:
                 array += part.value_array(position)
-            self._values[position] = array
+            array = self._values[position] = self._merged(array)
         return array
+
+    def _merged(self, concatenated: list) -> list:
+        """The parts' concatenated entries, in position order."""
+        order = self._order
+        if order is None:
+            return concatenated
+        return [concatenated[i] for i in order]
 
     def narrow(
         self,
@@ -226,6 +251,9 @@ class Segment:
         if len(parts) == 1:
             bucket, part = parts[0]
             return scan(bucket, part, sel)
+        order = self._order
+        if order is not None and sel is not None:
+            sel = sorted(order[i] for i in sel)
         hits: list = []
         offset = 0
         for bucket, part in parts:
@@ -238,7 +266,12 @@ class Segment:
                 ]
             hits.extend(offset + i for i in scan(bucket, part, candidates))
             offset = end
-        return hits
+        if order is None:
+            return hits
+        rank = self._rank
+        if rank is None:  # the inverse permutation of ``order``
+            rank = self._rank = sorted(range(len(order)), key=order.__getitem__)
+        return sorted(rank[i] for i in hits)
 
 
 class _CheckedSegment(Segment):

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import TagSchemaError, UnknownIndicatorError
 from repro.obs import metrics as _obs_metrics
 from repro.relational import arrays as _codec
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, Row
 from repro.tagging.indicators import TagSchema
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
@@ -62,14 +62,45 @@ class ColumnarTagStore:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_tagged_relation(cls, tagged: TaggedRelation) -> "ColumnarTagStore":
-        """Convert a per-cell tagged relation into columnar form."""
-        store = cls(tagged.values_relation(), tagged.tag_schema)
-        for row_index, row in enumerate(tagged):
-            for column in tagged.tag_schema.tagged_columns:
-                cell = row[column]
-                for tag in cell.tags:
-                    store._arrays[(column, tag.name)][row_index] = tag.value
+    def from_tagged_relation(
+        cls,
+        tagged: TaggedRelation,
+        base: Optional["ColumnarTagStore"] = None,
+        count: int = 0,
+    ) -> "ColumnarTagStore":
+        """Convert a per-cell tagged relation into columnar form.
+
+        ``base``, when given, is a store built for the first ``count``
+        rows of the same epoch of ``tagged``
+        (:class:`~repro.relational.versioned.Carried`): its rows and
+        tag arrays are copied up to the rows ``tagged`` holds now, and
+        only the rows after them are converted.  ``base`` itself is
+        never modified.  A store built for a frozen relation is frozen
+        too: its backing relation rejects writes, and so does
+        :meth:`set_tag`.
+        """
+        rows = tagged.row_batch()
+        kept = 0 if base is None else min(count, len(rows))
+        schema = tagged.schema
+        make = Row._from_validated
+        plain = [make(schema, row.values_tuple()) for row in rows[kept:]]
+        if kept:
+            plain = base.relation.row_batch()[:kept] + plain
+        store = cls(Relation.from_rows(schema, plain), tagged.tag_schema)
+        if kept:
+            for key, array in store._arrays.items():
+                array[:kept] = base._arrays[key][:kept]
+        positions = [
+            (schema.index_of(column), column)
+            for column in tagged.tag_schema.tagged_columns
+        ]
+        arrays = store._arrays
+        for row_index in range(kept, len(rows)):
+            cells = rows[row_index]._cells
+            for position, column in positions:
+                for tag in cells[position].tags:
+                    arrays[(column, tag.name)][row_index] = tag.value
+        store.relation._frozen = tagged.frozen
         return store
 
     def to_tagged_relation(self) -> TaggedRelation:
@@ -114,6 +145,7 @@ class ColumnarTagStore:
             raise UnknownIndicatorError(
                 f"indicator {indicator!r} is not allowed on column {column!r}"
             )
+        self.relation._require_mutable()
         definition = self.tag_schema.definition(indicator)
         self._arrays[key][row_index] = definition.domain.validate(value)
 

@@ -10,13 +10,15 @@ paper's Table-2 style and convert to/from plain relations.
 from __future__ import annotations
 
 import threading
+from array import array
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import SnapshotWriteError, UnknownColumnError
 from repro.relational.partition import PartitionSpec
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import RelationSchema
-from repro.relational.versioned import Versioned
+from repro.relational.versioned import Carried, Versioned
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorValue, TagSchema
 
@@ -155,20 +157,24 @@ class TaggedRelation:
         self.tag_schema = tag_schema or TagSchema()
         self.tag_schema.check_against(schema)
         self._rows: list[TaggedRow] = []
-        #: Mutation counter; bumped by every insert/delete so caches
-        #: derived from the rows (the columnar store, the read snapshot,
-        #: score blocks) can detect staleness cheaply.
+        #: Mutation counter; bumped by every insert/delete so the read
+        #: snapshot can detect staleness cheaply.
         self._version = 0
-        self._columnar_cache = Versioned()
-        #: Per-column value arrays (see :meth:`value_array`).
-        self._value_arrays = Versioned()
+        #: Rewrite counter, mirroring ``Relation``: bumped by every
+        #: write that is not an append.  Derived per-row state (the tag
+        #: store, value arrays, score blocks) is keyed by it plus the
+        #: row count, so an append extends that state.
+        self._epoch = 0
+        self._derived = Carried()
         #: Partitioning state, mirroring ``Relation``: the flat
         #: ``_rows`` list stays canonical; shards are TaggedRelations
-        #: (one per bucket) each carrying its own version-gated
-        #: ``ColumnarTagStore`` cache.
+        #: (one per bucket), each a subsequence of the flat list with
+        #: its own derived state and flat-order sequence numbers.
         self._partition_spec: Optional[PartitionSpec] = None
         self._partitions: list["TaggedRelation"] = []
         self._partition_position: Optional[int] = None
+        self._seqs = array("q")
+        self._next_seq = 0
         self._partition_layout_version = 0
         self._dirty_partitions: set[int] = set()
         #: Mutation lock + frozen flag, mirroring ``Relation`` (see
@@ -226,8 +232,9 @@ class TaggedRelation:
             self._require_mutable()
             if self._partition_spec is None:
                 before = len(self._rows)
-                self._rows = [r for r in self._rows if not predicate(r)]
-                self._version += 1
+                self._replace_rows(
+                    [r for r in self._rows if not predicate(r)]
+                )
                 return before - len(self._rows)
             dead: set[int] = set()
             kept: list[TaggedRow] = []
@@ -239,19 +246,31 @@ class TaggedRelation:
             removed = len(self._rows) - len(kept)
             self._rows = kept
             self._version += 1
+            self._epoch += 1
             if not dead:
                 return 0
             for bucket, shard in enumerate(self._partitions):
                 if any(id(row) in dead for row in shard._rows):
-                    with shard._lock:
-                        shard._rows = [
-                            row
-                            for row in shard._rows
+                    shard._set_shard_rows(
+                        [
+                            (seq, row)
+                            for seq, row in zip(shard._seqs, shard._rows)
                             if id(row) not in dead
                         ]
-                        shard._version += 1
+                    )
                     self._dirty_partitions.add(bucket)
             return removed
+
+    def _replace_rows(self, rows: list[TaggedRow]) -> None:
+        """Swap in a new backing row list (trusted; bumps the version
+        and the epoch), mirroring ``Relation._replace_rows``."""
+        with self._lock:
+            self._require_mutable()
+            self._rows = rows
+            self._version += 1
+            self._epoch += 1
+            if self._partition_spec is not None:
+                self._redistribute()
 
     @property
     def version(self) -> int:
@@ -294,20 +313,37 @@ class TaggedRelation:
         shard = self._partitions[bucket]
         with shard._lock:
             shard._rows.append(row)
+            shard._seqs.append(self._next_seq)
             shard._version += 1
+        self._next_seq += 1
         self._dirty_partitions.add(bucket)
 
     def _redistribute(self) -> None:
         spec = self._partition_spec
         position = self._partition_position
-        grouped: list[list[TaggedRow]] = [[] for _ in range(spec.count)]
-        for row in self._rows:
-            grouped[spec.bucket_of(row.cells[position].value)].append(row)
-        for shard, rows in zip(self._partitions, grouped):
-            with shard._lock:
-                shard._rows = rows
-                shard._version += 1
+        grouped: list[list[tuple[int, TaggedRow]]] = [
+            [] for _ in range(spec.count)
+        ]
+        for seq, row in enumerate(self._rows):
+            grouped[spec.bucket_of(row.cells[position].value)].append(
+                (seq, row)
+            )
+        for shard, entries in zip(self._partitions, grouped):
+            shard._set_shard_rows(entries)
+        self._next_seq = len(self._rows)
         self._dirty_partitions = set(range(spec.count))
+
+    def _set_shard_rows(self, entries: list[tuple[int, TaggedRow]]) -> None:
+        """Replace a shard's rows with ``(sequence number, row)`` pairs
+        in ascending sequence order (a rewrite: bumps the epoch)."""
+        with self._lock:
+            self._seqs = array("q", [seq for seq, _ in entries])
+            self._replace_rows([row for _, row in entries])
+
+    def row_sequence(self) -> array:
+        """A shard's flat-order sequence numbers, aligned with
+        :meth:`row_batch` and ascending (treat as read-only)."""
+        return self._seqs
 
     @property
     def partition_spec(self) -> Optional[PartitionSpec]:
@@ -316,7 +352,7 @@ class TaggedRelation:
 
     @property
     def partition_layout_version(self) -> int:
-        """Bumped by every :meth:`repartition` (gates snapshots and score blocks)."""
+        """Bumped by every :meth:`repartition` (gates snapshots and cached plans)."""
         return self._partition_layout_version
 
     @property
@@ -339,38 +375,40 @@ class TaggedRelation:
     def columnar_store(self):
         """The relation's columnar tag store, built lazily and cached.
 
-        The store is rebuilt whenever :attr:`version` shows the rows
-        changed since the last build, so query paths can route
-        indicator-constrained scans through contiguous tag arrays
-        without ever reading stale data.
+        The store is cached against the epoch and the row count
+        (:class:`~repro.relational.versioned.Carried`), so query paths
+        can route indicator-constrained scans through contiguous tag
+        arrays without ever reading stale data; after an append the
+        next store — this relation's or a later snapshot's — copies the
+        last one's arrays and converts only the appended rows.
         """
         # Built under the mutation lock so two sessions racing on a cold
         # cache agree on one store (and neither sees a half-built one).
-        return self._columnar_cache.fetch(
-            self._version, self._build_columnar_store, self._lock
-        )
+        return self._derived.fetch("tags", self, self._make_columnar_store)
 
-    def _build_columnar_store(self):
+    def _make_columnar_store(self, base: Any, count: int):
         from repro.tagging.columnar import ColumnarTagStore
 
-        return ColumnarTagStore.from_tagged_relation(self)
+        return ColumnarTagStore.from_tagged_relation(self, base, count)
 
     def value_array(self, position: int) -> list[Any]:
         """One column's cell values, aligned with :meth:`row_batch`.
 
         Read straight from the cells on first use — one column, not the
-        whole tag store — and cached against :attr:`version` like the
-        tag store.  Treat as read-only.
+        whole tag store — and cached like the tag store, appended rows
+        extending a copy of the last array.  Treat as read-only.
         """
-        arrays = self._value_arrays.get(self._version)
-        if arrays is None or position not in arrays:
-            with self._lock:
-                arrays = self._value_arrays.fetch(self._version, dict, self._lock)
-                if position not in arrays:
-                    arrays[position] = [
-                        row._cells[position].value for row in self._rows
-                    ]
-        return arrays[position]
+        return self._derived.fetch(
+            position, self, partial(self._make_value_array, position)
+        )
+
+    def _make_value_array(
+        self, position: int, base: Optional[list], count: int
+    ) -> list[Any]:
+        rows = self._rows
+        kept = 0 if base is None else min(count, len(rows))
+        fresh = [row._cells[position].value for row in rows[kept:]]
+        return base[:kept] + fresh if kept else fresh
 
     # -- snapshot reads --------------------------------------------------------
 
@@ -386,8 +424,10 @@ class TaggedRelation:
         the snapshot shares this relation's schema and tag-schema
         objects and its immutable ``TaggedRow`` objects, is cached
         until the next mutation, carries the partition layout over with
-        per-shard snapshot reuse, and rejects every mutation with
-        :class:`~repro.errors.SnapshotWriteError`.
+        per-shard snapshot reuse, shares the family of derived state
+        (so after an append it extends the last generation's tag
+        store, value arrays and score blocks), and rejects every
+        mutation with :class:`~repro.errors.SnapshotWriteError`.
         """
         with self._lock:
             if self._frozen:
@@ -398,6 +438,9 @@ class TaggedRelation:
                 return cached
             snapshot = TaggedRelation(self.schema, self.tag_schema)
             snapshot._rows = list(self._rows)
+            snapshot._seqs = self._seqs[:]
+            snapshot._epoch = self._epoch
+            snapshot._derived = self._derived.successor()
             snapshot._partition_spec = self._partition_spec
             snapshot._partition_position = self._partition_position
             snapshot._partition_layout_version = (
@@ -445,8 +488,7 @@ class TaggedRelation:
 
     def copy(self) -> "TaggedRelation":
         fresh = self.empty_like()
-        fresh._rows = list(self._rows)
-        fresh._version += 1
+        fresh._replace_rows(list(self._rows))
         if self._partition_spec is not None:
             fresh.repartition(self._partition_spec)
         return fresh

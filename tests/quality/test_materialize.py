@@ -24,8 +24,12 @@ from repro.quality.scoring import (
     credibility_scorer,
     timeliness_scorer,
 )
+from repro.experiments.naive import naive_execute
 from repro.relational import hash_partitions
+from repro.relational.columnar import ColumnarRelation
+from repro.relational.relation import Relation
 from repro.relational.schema import schema
+from repro.sql import clear_plan_cache, execute
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import (
     IndicatorDefinition,
@@ -33,6 +37,7 @@ from repro.tagging.indicators import (
     TagSchema,
 )
 from repro.tagging.relation import TaggedRelation
+from tests.sql.test_planner_equivalence import canonical
 
 SOURCE_RATINGS = {"acct'g": 0.9, "estimate": 0.3}
 SHELF_LIFE = 100.0
@@ -222,13 +227,51 @@ class TestMaterializer:
 
             registry.reset()
             insert_row(relation, 100, source="acct'g")
-            materializer.refresh()  # one bucket dirty
+            materializer.refresh()  # one bucket dirty, one row appended
             delta = registry.snapshot()
-            dirty_bucket = relation.partition_spec.bucket_of(100)
-            assert delta["scores.recomputed"]["value"] == len(
-                relation.partition(dirty_bucket)
-            )
+            # The dirty shard's block extends by the appended row only;
+            # its earlier rows are carried over, not re-scored.
+            assert delta["scores.recomputed"]["value"] == 1
+            assert delta["scores.reused"]["value"] == 32
             assert delta["scores.staleness"]["value"] == 1 / 8
+
+    @pytest.mark.parametrize("buckets", [None, 8])
+    def test_next_snapshot_rescores_only_the_written_rows(self, buckets):
+        # A 10-row write, then a read of the next read_snapshot(): the
+        # snapshot's blocks extend the previous generation's, so exactly
+        # the 10 written rows are scored — by the unpruned scan's flat
+        # block, and (partitioned) by the shard blocks a refresh brings
+        # up.
+        relation, profile = self.make_bound(n=40)
+        if buckets is not None:
+            relation.repartition(hash_partitions("k", buckets))
+        sql = "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
+        clear_plan_cache()
+        execute(sql, relation.read_snapshot())
+        materializer_for(relation.read_snapshot()).refresh()
+        relation.insert_many(
+            {"k": 100 + i, "v": tagged_cell(f"w{i}", "acct'g", float(i))}
+            for i in range(10)
+        )
+        snapshot = relation.read_snapshot()
+        with metrics.instrumented() as registry:
+            registry.reset()
+            result = execute(sql, snapshot)
+            assert registry.snapshot()["scores.recomputed"]["value"] == 10
+            assert registry.snapshot()["scores.reused"]["value"] == 40
+            registry.reset()
+            materializer_for(snapshot).refresh()
+            shard_rows = 0 if buckets is None else 10
+            assert registry.snapshot()["scores.recomputed"]["value"] == (
+                shard_rows
+            )
+        fresh = TaggedRelation.from_rows(
+            relation.schema, relation.tag_schema, snapshot.row_batch()
+        )
+        assert canonical(result) == canonical(naive_execute(sql, fresh))
+        assert materializer_for(snapshot).row_scores(
+            "credibility"
+        ) == expected_scores(fresh, profile, "credibility")
 
     def test_profile_reregistration_drops_blocks(self):
         relation, _ = self.make_bound()
@@ -299,12 +342,13 @@ class TestMaterializer:
 
 # -- the equivalence property -------------------------------------------------
 
+_SOURCES = st.sampled_from([None, "acct'g", "estimate", "rumor"])
+_AGES = st.sampled_from([None, 0.0, 25.0, 150.0])
+
 _OPS = st.one_of(
     st.tuples(
         st.just("insert"),
-        st.integers(0, 99),
-        st.sampled_from([None, "acct'g", "estimate", "rumor"]),
-        st.sampled_from([None, 0.0, 25.0, 150.0]),
+        st.lists(st.tuples(_SOURCES, _AGES), min_size=1, max_size=3),
     ),
     st.tuples(st.just("delete"), st.integers(0, 5)),
     st.tuples(
@@ -316,42 +360,157 @@ _OPS = st.one_of(
         st.sampled_from([None, "acct'g", "rumor"]),
         st.sampled_from([None, 50.0]),
     ),
+    st.tuples(st.just("reregister"), st.integers(0, 1)),
+    st.tuples(st.just("older"), st.integers(0, 99)),
+    st.tuples(st.just("store_append"), _SOURCES, _AGES),
 )
+
+#: Rating tables of the profile variants a re-registration switches to.
+_RATINGS = [SOURCE_RATINGS, {"acct'g": 0.6, "estimate": 0.5, "rumor": 0.1}]
+
+#: Reads through the engine: an unpruned tag + score scan, and (when
+#: partitioned on ``k``) a multi-shard pruned one.
+_READS = [
+    "SELECT k, v FROM readings WHERE QUALITY(v.source) <> 'rumor' "
+    "AND QUALITY(credibility) > 0.5",
+    "SELECT k FROM readings WHERE k IN (0, 1, 2, 3, 1000, 1001, 1002) "
+    "AND QUALITY(timeliness) >= 0",
+]
+
+
+def _check_generation(snapshot, plain_snapshot, profile):
+    """One snapshot generation's carried state ≡ a fresh build over
+    ``TaggedRelation.from_rows`` (``Relation.from_rows``) of its rows."""
+
+    def fresh(segment):
+        return TaggedRelation.from_rows(
+            segment.schema, segment.tag_schema, segment.row_batch()
+        )
+
+    segments = [(None, snapshot)]
+    if snapshot.partition_spec is not None:
+        segments += list(enumerate(snapshot.partitions()))
+    materializer = materializer_for(snapshot)
+    for bucket, segment in segments:
+        oracle = fresh(segment)
+        store, expected = segment.columnar_store(), oracle.columnar_store()
+        assert store.relation.rows == expected.relation.rows
+        for column, indicator in expected._arrays:
+            assert store.tag_array(column, indicator) == expected.tag_array(
+                column, indicator
+            )
+        for position in range(len(segment.schema.column_names)):
+            assert segment.value_array(position) == oracle.value_array(
+                position
+            )
+        for parameter in profile.parameters:
+            assert materializer.row_scores(
+                parameter, bucket=bucket
+            ) == materializer_for(oracle).row_scores(parameter)
+    plain_segments = [plain_snapshot, *plain_snapshot.partitions()]
+    for segment in plain_segments:
+        expected = ColumnarRelation.from_relation(
+            Relation.from_rows(segment.schema, segment.row_batch())
+        )
+        assert segment.columnar_store().column_arrays() == (
+            expected.column_arrays()
+        )
+    oracle = fresh(snapshot)
+    for sql in _READS:
+        assert canonical(execute(sql, snapshot)) == canonical(
+            naive_execute(sql, oracle)
+        )
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(_OPS, max_size=12))
-def test_materialized_scores_track_arbitrary_mutations(ops):
+@given(ops=st.lists(_OPS, max_size=12), data=st.data())
+def test_materialized_scores_track_arbitrary_mutations(ops, data):
     """Materialized arrays ≡ fresh per-cell scorecard scores after any
-    interleaving of inserts, deletes, updates, and repartitions."""
+    interleaving of inserts, deletes, updates, repartitions, profile
+    re-registrations and store-mediated appends — on the live relation,
+    and on every ``read_snapshot()`` generation, whose tag store, value
+    arrays and score blocks are carried over from the one before (read
+    at once, later, or after newer generations extended theirs).  CI
+    runs it with and without ``REPRO_VERIFY_PLANS=1``; with it, the
+    batch sanitizer checks every array the engine reads against its
+    segment's length."""
     clear_profiles()
+    clear_plan_cache()
     relation = make_relation()
+    plain = Relation(relation.schema)
     next_key = [1000]
     for k in range(6):
         insert_row(relation, k, source="acct'g", age=float(20 * k))
+        plain.insert({"k": k, "v": f"v{k}"})
     profile = register_profile(make_profile(), relations=["readings"])
     materializer = materializer_for(relation)
+    generations = []
     for op in ops:
         kind = op[0]
         if kind == "insert":
-            insert_row(relation, next_key[0], op[2], op[3])
-            next_key[0] += 1
+            keys = range(next_key[0], next_key[0] + len(op[1]))
+            next_key[0] += len(op[1])
+            relation.insert_many(
+                {"k": k, "v": tagged_cell(f"v{k}", source, age)}
+                for k, (source, age) in zip(keys, op[1])
+            )
+            plain.insert_many({"k": k, "v": f"v{k}"} for k in keys)
         elif kind == "delete":
             target = op[1]
             relation.delete(lambda row: row.value("k") % 6 == target)
+            plain.delete(lambda row: row["k"] % 6 == target)
         elif kind == "repartition":
             spec = (
                 None if op[1] is None else hash_partitions("k", op[1])
             )
             relation.repartition(spec)
-        else:  # update = delete + reinsert with new tags
+            plain.repartition(spec)
+        elif kind == "update":  # tagged: delete + reinsert
             target = op[1]
             if any(r.value("k") == target for r in relation.row_batch()):
                 relation.delete(lambda row: row.value("k") == target)
                 insert_row(relation, target, op[2], op[3])
+            # plain: an in-place update that moves the row's bucket
+            plain.update(
+                lambda row: row["k"] == target,
+                lambda row: {"k": row["k"] + 500},
+            )
+        elif kind == "reregister":
+            profile = register_profile(
+                ScoringProfile(
+                    "grades",
+                    [
+                        credibility_scorer(_RATINGS[op[1]]),
+                        timeliness_scorer(SHELF_LIFE),
+                    ],
+                ),
+                relations=["readings"],
+            )
+        elif kind == "older":
+            if generations:
+                older = generations[op[1] % len(generations)]
+                _check_generation(*older, profile)
+        else:  # store_append: through the plain twin's cached store
+            k = next_key[0]
+            next_key[0] += 1
+            store = plain.columnar_store()
+            store.append({"k": k, "v": f"v{k}"})
+            assert plain.columnar_store() is store
+            insert_row(relation, k, op[1], op[2])
         # Refresh after every op so incremental reuse paths are the
         # ones under test, not a single cold build at the end.
         materializer.refresh()
+        generation = (relation.read_snapshot(), plain.read_snapshot())
+        generations.append(generation)
+        if data.draw(st.booleans(), label="read now"):
+            _check_generation(*generation, profile)
+    for generation in generations:
+        _check_generation(*generation, profile)
+    assert plain.columnar_store().column_arrays() == (
+        ColumnarRelation.from_relation(
+            Relation.from_rows(plain.schema, plain.row_batch())
+        ).column_arrays()
+    )
     for parameter in profile.parameters:
         oracle = expected_scores(relation, profile, parameter)
         flat = materializer.row_scores(parameter)

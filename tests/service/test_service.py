@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -11,12 +13,26 @@ from repro.errors import (
     ServiceOverloadedError,
     SnapshotWriteError,
 )
+from repro.obs import metrics
+from repro.quality.materialize import (
+    ScoringProfile,
+    clear_profiles,
+    register_profile,
+)
+from repro.quality.scoring import credibility_scorer
 from repro.relational.catalog import Database
 from repro.relational.schema import schema
 from repro.relational.snapshot import DatabaseSnapshot
 from repro.service import QueryService, pin_snapshot
 from repro.sql import clear_plan_cache
 from repro.sql.errors import SQLError
+from repro.tagging.cell import QualityCell
+from repro.tagging.indicators import (
+    IndicatorDefinition,
+    IndicatorValue,
+    TagSchema,
+)
+from repro.tagging.relation import TaggedRelation
 
 
 def make_database(n=20):
@@ -174,6 +190,53 @@ def test_snapshot_is_cached_until_mutation():
     assert db.snapshot()["t"] is first["t"]  # version unchanged: reused
     db.insert("t", {"a": 50, "b": "w"})
     assert db.snapshot()["t"] is not first["t"]
+
+
+def test_snapshot_generations_stay_bounded_across_write_read_cycles():
+    # Each write makes the next read pin a new snapshot generation.  It
+    # extends the last generation's derived state (scoring only the new
+    # row) and keeps no link to it, so after 200 write-and-read cycles
+    # at most two generations are still reachable.
+    tag_schema = TagSchema(
+        [IndicatorDefinition("source")], allowed={"b": ["source"]}
+    )
+    relation = TaggedRelation(
+        schema("t", [("a", "INT"), ("b", "STR")]), tag_schema
+    )
+
+    def row(a):
+        source = IndicatorValue("source", ["acct'g", "estimate"][a % 2])
+        return {"a": a, "b": QualityCell(f"x{a}", [source])}
+
+    relation.insert_many(row(a) for a in range(20))
+    register_profile(
+        ScoringProfile("t", [credibility_scorer({"acct'g": 0.9})]),
+        relations=["t"],
+    )
+    sql = (
+        "SELECT a FROM t WHERE QUALITY(b.source) <> 'rumor' "
+        "AND QUALITY(credibility) > 0.5 ORDER BY a DESC LIMIT 3"
+    )
+    service = QueryService(relation, workers=2)
+    generations = []
+    try:
+        service.execute(sql)
+        with metrics.instrumented() as registry:
+            registry.reset()
+            for a in range(20, 220):
+                relation.insert(row(a))
+                result = service.execute(sql)
+                top = a - a % 2  # the even rows are the credible ones
+                assert [r.value("a") for r in result] == [top, top - 2, top - 4]
+                generations.append(weakref.ref(relation.read_snapshot()))
+            rescored = registry.snapshot()["scores.recomputed"]["value"]
+            registry.reset()
+        assert rescored == 200
+    finally:
+        service.close()
+        clear_profiles()
+    gc.collect()
+    assert sum(ref() is not None for ref in generations) <= 2
 
 
 def test_database_snapshot_mapping_protocol():

@@ -16,11 +16,24 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.quality.materialize import (
+    ScoringProfile,
+    clear_profiles,
+    register_profile,
+)
+from repro.quality.scoring import credibility_scorer
 from repro.relational import hash_partitions
 from repro.relational.catalog import Database
 from repro.relational.schema import schema
 from repro.service import QueryService
 from repro.sql import clear_plan_cache, execute
+from repro.tagging.cell import QualityCell
+from repro.tagging.indicators import (
+    IndicatorDefinition,
+    IndicatorValue,
+    TagSchema,
+)
+from repro.tagging.relation import TaggedRelation
 
 READERS = 4
 BATCH = 10
@@ -166,6 +179,86 @@ def test_service_readers_race_writer_over_columnar_scans():
 
     assert bad == [], f"torn result sizes: {bad[:5]}"
     assert len(database.relation("events")) == BATCH * BATCHES
+
+
+def test_snapshot_readers_extend_carried_state_while_a_writer_appends():
+    """Readers pin successive snapshots of a tagged relation while a
+    writer appends.  Each snapshot extends the tag store, value arrays
+    and score blocks that another thread's snapshot published, and
+    every result must match the rows its own snapshot holds.
+    """
+    relation = TaggedRelation(
+        schema("scored", [("a", "INT"), ("b", "STR")]),
+        TagSchema([IndicatorDefinition("source")], allowed={"b": ["source"]}),
+    )
+    relation.repartition(hash_partitions("a", 8))
+    register_profile(
+        ScoringProfile("scored", [credibility_scorer({"acct'g": 0.9})]),
+        relations=["scored"],
+    )
+
+    def row(a):
+        source = IndicatorValue("source", ["acct'g", "estimate"][a % 2])
+        return {"a": a, "b": QualityCell(f"x{a}", [source])}
+
+    def top_credible(n):  # the even rows are the credible ones
+        return [a for a in range(n - 1, -1, -1) if a % 2 == 0][:3]
+
+    def low_credible(n):
+        return [a for a in range(min(n, 8)) if a % 2 == 0]
+
+    reads = [
+        (
+            "SELECT a FROM scored WHERE QUALITY(b.source) <> 'rumor' "
+            "AND QUALITY(credibility) > 0.5 ORDER BY a DESC LIMIT 3",
+            top_credible,
+        ),
+        (
+            "SELECT a FROM scored WHERE a IN (0, 1, 2, 3, 4, 5, 6, 7) "
+            "AND QUALITY(credibility) > 0.5",
+            low_credible,
+        ),
+    ]
+    relation.insert_many(row(a) for a in range(BATCH))
+    writers_done = threading.Event()
+    bad: list[tuple[int, list]] = []
+
+    def writer():
+        try:
+            for batch_index in range(1, BATCHES):
+                start = batch_index * BATCH
+                relation.insert_many(row(a) for a in range(start, start + BATCH))
+        finally:
+            writers_done.set()
+
+    def reader():
+        try:
+            while True:
+                done = writers_done.is_set()  # one last read after it
+                snapshot = relation.read_snapshot()
+                for sql, expected in reads:
+                    got = [r.value("a") for r in execute(sql, snapshot)]
+                    if got != expected(len(snapshot)):
+                        bad.append((len(snapshot), got))
+                if done:
+                    return
+        except Exception as exc:  # a reader error fails the test below
+            bad.append((-1, [repr(exc)]))
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for _ in range(READERS)
+    ]
+    try:
+        with aggressive_preemption():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        clear_profiles()
+    assert bad == [], f"wrong results: {bad[:5]}"
+    assert len(relation) == BATCH * BATCHES
 
 
 def test_repartition_under_query_never_serves_stale_plans():

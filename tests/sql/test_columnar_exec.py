@@ -37,7 +37,10 @@ def assert_same(result, expected):
 
 def arrays_built(relation):
     """Whether the relation's value arrays exist for its current rows."""
-    return relation._columnar_cache.get(relation.version) is not None
+    entry = relation._derived._own.get("columns")
+    return entry is not None and entry[:2] == (
+        (relation._epoch, None), len(relation)
+    )
 
 
 @pytest.fixture(autouse=True)

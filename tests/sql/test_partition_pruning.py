@@ -13,10 +13,10 @@ a statement returns.  Three layers pin that down here:
   cold/warm-cache variations, including mutation-then-requery after a
   ``repartition()`` invalidates the cached plan.
 
-Pruned scans feed surviving shards in bucket order, which can permute
-ties relative to the flat canonical row list, so the property compares
-order-insensitively (sorted canonical rows) and omits LIMIT — a tie
-under LIMIT legitimately admits several row sets.
+Every shard is a subsequence of the flat row list, and a scan over
+several shards merges them back into it, so partitioned results equal
+the flat twin's row for row: the properties compare in order, with
+ORDER BY ties and LIMIT.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from repro.sql.nodes import (
 from repro.sql.optimizer import derive_partition_buckets
 
 from tests.sql.test_planner_equivalence import (
+    SCHEMA,
     canonical,
-    plain_relations,
+    order_clauses,
     predicates,
 )
 
@@ -252,6 +253,52 @@ class TestPlanShape:
         assert "partition_rows=" in rendered
 
 
+ORDERED = RelationSchema("t", [Column("k", "INT"), Column("v", "INT")])
+
+
+def ordered_relation():
+    """40 rows ``(i % 8, i)`` hash-partitioned four ways on ``k``."""
+    relation = Relation.from_tuples(ORDERED, [(i % 8, i) for i in range(40)])
+    relation.repartition(hash_partitions("k", 4))
+    return relation
+
+
+def rows_of(result):
+    return [row.values_tuple() for row in result]
+
+
+class TestFlatOrder:
+    """Partitioned scans return rows in the flat relation's order."""
+
+    def test_multi_shard_scan_merges_back_into_flat_order(self):
+        relation = ordered_relation()
+        sql = "SELECT k, v FROM t WHERE k IN (1, 2, 3, 5) LIMIT 3"
+        assert "partitions=3/4" in explain(sql, relation)
+        clear_plan_cache()
+        assert rows_of(execute(sql, relation)) == [(1, 1), (2, 2), (3, 3)]
+        assert rows_of(execute(sql, relation.read_snapshot())) == [
+            (1, 1), (2, 2), (3, 3)
+        ]
+        assert rows_of(execute(sql, relation)) == rows_of(
+            naive_execute(sql, relation)
+        )
+
+    def test_key_changing_update_keeps_the_row_in_place(self):
+        relation = ordered_relation()
+        assert relation.update(lambda row: row["v"] == 3, lambda row: {"k": 0})
+        sql = "SELECT k, v FROM t WHERE k = 0 LIMIT 2"
+        assert "partitions=1/4" in explain(sql, relation)
+        clear_plan_cache()
+        assert rows_of(execute(sql, relation)) == [(0, 0), (0, 3)]
+        flat = relation.row_batch()
+        for shard in relation.partitions():
+            sequence = list(shard.row_sequence())
+            assert sequence == sorted(sequence)
+            assert [flat.index(row) for row in shard.row_batch()] == sorted(
+                flat.index(row) for row in shard.row_batch()
+            )
+
+
 class TestRepartitionInvalidation:
     SQL = "SELECT id FROM events WHERE region = 'e'"
 
@@ -306,47 +353,67 @@ KEY_PINS = [
     "a >= 2",
 ]
 
+#: Per layout, pins that keep several of its buckets: the surviving
+#: shards must merge back into the flat order.
+MULTI_SHARD_PINS = {
+    LAYOUTS[0]: ["c IN ('x', 'y')", "c = 'y' OR c IS NULL"],
+    LAYOUTS[1]: ["c = 'x' OR c IS NULL", "c IN ('y', 'z') OR c IS NULL"],
+    LAYOUTS[2]: ["a IN (0, 3)", "a IN (1, 4, 5)"],
+    LAYOUTS[3]: ["a < 3", "a >= 2", "a IN (0, 3)"],
+}
+
 
 @st.composite
-def pruning_statements(draw):
-    """SELECTs whose WHERE usually restricts a partition key.
+def pruning_relations(draw):
+    """Up to 30 rows over few values, so the rows one pin keeps
+    usually span several shards and interleave in the flat order."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, 0, 1, 2, 3, 4, 5]),
+                st.sampled_from([None, 0, 1, 2]),
+                st.sampled_from([None, "x", "y", "z"]),
+            ),
+            max_size=30,
+        )
+    )
+    return Relation.from_tuples(SCHEMA, rows)
 
-    No LIMIT: a pruned scan feeds shards in bucket order, so ties
-    under LIMIT could legitimately pick different rows than the flat
-    twin.  ORDER BY is harmless — comparison is order-insensitive.
-    """
-    pin = draw(st.one_of(st.none(), st.sampled_from(KEY_PINS)))
-    extra = draw(st.one_of(st.none(), predicates(quality=False)))
-    conjuncts = [part for part in (pin, extra) if part]
+
+@st.composite
+def pruning_statements(draw, layout=None):
+    """SELECTs whose WHERE usually restricts a partition key, with
+    optional ORDER BY (ties included) and LIMIT.  Given the layout, half
+    the pins keep several of its buckets."""
+    pins = [None, *KEY_PINS]
+    if layout is not None and draw(st.booleans()):
+        pins = MULTI_SHARD_PINS[layout]
+    pin = draw(st.sampled_from(pins))
+    extra = draw(st.one_of(st.none(), st.none(), predicates(quality=False)))
+    conjuncts = [f"({part})" for part in (pin, extra) if part]
     where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
+    limit = draw(st.one_of(st.none(), st.integers(0, 6)))
+    tail = f" LIMIT {limit}" if limit is not None else ""
     if draw(st.booleans()):
         select = draw(
             st.sampled_from(
                 ["*", "a", "a, c", "DISTINCT c", "b, a, c", "DISTINCT a, b"]
             )
         )
-    else:
-        select = draw(
-            st.sampled_from(
-                [
-                    "COUNT(*) AS n",
-                    "c, COUNT(*) AS n",
-                    "SUM(a) AS sa, MIN(b) AS mb",
-                ]
-            )
+        order = draw(order_clauses(["a", "b", "c"]))
+        return f"SELECT {select} FROM t{where}{order}{tail}"
+    select, keys = draw(
+        st.sampled_from(
+            [
+                ("COUNT(*) AS n", ["n"]),
+                ("c, COUNT(*) AS n", ["c", "n"]),
+                ("SUM(a) AS sa, MIN(b) AS mb", ["sa", "mb"]),
+            ]
         )
-        if select.startswith("c,"):
-            return f"SELECT {select} FROM t{where} GROUP BY c"
-    return f"SELECT {select} FROM t{where}"
-
-
-def sorted_canonical(result):
-    columns, rows = canonical(result)
-
-    def cell_key(cell):
-        return (cell is None, cell.__class__.__name__, cell or 0)
-
-    return columns, sorted(rows, key=lambda row: tuple(map(cell_key, row)))
+    )
+    group = " GROUP BY c" if select.startswith("c,") else ""
+    order = draw(order_clauses(keys))
+    return f"SELECT {select} FROM t{where}{group}{order}{tail}"
 
 
 @pytest.fixture(autouse=True)
@@ -358,40 +425,43 @@ def fresh_plan_cache():
 
 class TestPartitionEquivalence:
     @settings(max_examples=120, deadline=None)
-    @given(
-        plain_relations(),
-        st.sampled_from(LAYOUTS),
-        pruning_statements(),
-    )
-    def test_partitioned_agrees_with_flat_and_naive(
-        self, relation, layout, sql
-    ):
+    @given(pruning_relations(), st.data())
+    def test_partitioned_agrees_with_flat_and_naive(self, relation, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        sql = data.draw(pruning_statements(layout))
         partitioned = relation.copy()
         partitioned.repartition(layout)
         clear_plan_cache()
-        cold = sorted_canonical(execute(sql, partitioned))
-        cached = sorted_canonical(execute(sql, partitioned))
-        unplanned = sorted_canonical(
-            execute(sql, partitioned, planner=False)
-        )
-        flat = sorted_canonical(execute(sql, relation))
-        naive = sorted_canonical(naive_execute(sql, relation))
+        cold = canonical(execute(sql, partitioned))
+        cached = canonical(execute(sql, partitioned))
+        unplanned = canonical(execute(sql, partitioned, planner=False))
+        snapshot = canonical(execute(sql, partitioned.read_snapshot()))
+        flat = canonical(execute(sql, relation))
+        naive = canonical(naive_execute(sql, relation))
         assert cold == cached
         assert cold == unplanned
+        assert cold == snapshot
         assert cold == flat
         assert cold == naive
 
     @settings(max_examples=40, deadline=None)
-    @given(plain_relations(), pruning_statements())
+    @given(pruning_relations(), pruning_statements(LAYOUTS[3]))
     def test_repartition_then_requery_on_a_cached_plan(self, relation, sql):
         partitioned = relation.copy()
         partitioned.repartition(hash_partitions("c", 4))
         clear_plan_cache()
-        first = sorted_canonical(execute(sql, partitioned))
+        first = canonical(execute(sql, partitioned))
         partitioned.repartition(range_partitions("a", [3]))
-        after_relayout = sorted_canonical(execute(sql, partitioned))
+        after_relayout = canonical(execute(sql, partitioned))
         assert first == after_relayout
-        partitioned.insert({"a": 1, "b": 1, "c": "x"})
-        requeried = sorted_canonical(execute(sql, partitioned))
-        relation.insert({"a": 1, "b": 1, "c": "x"})
-        assert requeried == sorted_canonical(execute(sql, relation))
+        for twin in (partitioned, relation):
+            twin.insert({"a": 1, "b": 1, "c": "x"})
+        requeried = canonical(execute(sql, partitioned))
+        assert requeried == canonical(execute(sql, relation))
+        # A key-changing update moves rows between range buckets; each
+        # keeps its place in the flat order.
+        for twin in (partitioned, relation):
+            twin.update(lambda row: row["b"] == 1, lambda row: {"a": 4})
+        moved = canonical(execute(sql, partitioned))
+        assert moved == canonical(execute(sql, relation))
+        assert moved == canonical(naive_execute(sql, relation))

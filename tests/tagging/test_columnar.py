@@ -4,7 +4,11 @@ import datetime as dt
 
 import pytest
 
-from repro.errors import TagSchemaError, UnknownIndicatorError
+from repro.errors import (
+    SnapshotWriteError,
+    TagSchemaError,
+    UnknownIndicatorError,
+)
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.tagging.columnar import ColumnarTagStore
@@ -213,6 +217,19 @@ class TestStoreCaching:
         assert after is not before
         assert len(after) == len(tagged_customers)
         assert after.scan([("address", "source", "==", "sales")]) == []
+
+
+    def test_snapshot_store_rejects_writes(self, tagged_customers):
+        # A snapshot's store may be extended by the next generation, so
+        # it must never change: writes through it are refused.
+        store = tagged_customers.read_snapshot().columnar_store()
+        with pytest.raises(SnapshotWriteError):
+            store.set_tag(0, "address", "source", "sales")
+        with pytest.raises(SnapshotWriteError):
+            store.append({"co_name": "New Co", "address": "9 Elm"})
+        with pytest.raises(SnapshotWriteError):
+            store.delete(lambda row: True)
+        assert len(store) == len(tagged_customers)
 
 
 class TestScanMissingOk:
