@@ -89,10 +89,11 @@ def test_columnar_json_vs_interpreter_vs_naive():
     from repro.experiments.naive import naive_execute
 
     relation = _relation()
-    relation.columnar_store()  # build outside the timed region
 
     clear_plan_cache()
-    planned_result = execute(QUERY, relation)  # warm the plan cache
+    # Warms the plan cache and builds the value arrays outside the
+    # timed region.
+    planned_result = execute(QUERY, relation)
     interpreted_result = execute(QUERY, relation, planner=False)
     naive_result = naive_execute(QUERY, relation)
     canonical = lambda rel: [r.values_tuple() for r in rel]

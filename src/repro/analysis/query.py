@@ -28,7 +28,7 @@ from typing import Any, Mapping, Optional
 
 from repro.analysis.diagnostics import Diagnostics
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation
+from repro.relational.relation import RowStore
 from repro.relational.schema import RelationSchema
 from repro.sql.context import PlanContext
 from repro.sql.errors import SQLError
@@ -49,7 +49,6 @@ from repro.sql.nodes import (
 )
 from repro.sql.parser import parse
 from repro.tagging.indicators import TagSchema
-from repro.tagging.relation import TaggedRelation
 
 #: Domain names that compare freely with one another.
 _NUMERIC = frozenset({"INT", "FLOAT"})
@@ -169,7 +168,7 @@ class _Analyzer:
     def _unresolved(self, name: str) -> str:
         """Why ``name`` does not resolve in the source (DQ201 text)."""
         source = self.source
-        if isinstance(source, (Relation, TaggedRelation)):
+        if isinstance(source, RowStore):
             return (
                 f"FROM {name!r} does not match the supplied relation "
                 f"{source.schema.name!r}"

@@ -1,13 +1,10 @@
-"""Array-codec helpers shared by the columnar side-tables.
+"""Array-codec helpers for aligned array-per-key side-tables.
 
-Two stores keep aligned array-per-key layouts next to a row store: the
-columnar *tag* store (:class:`repro.tagging.columnar.ColumnarTagStore`,
-one array per ``(column, indicator)`` pair) and the columnar *value*
-store (:class:`repro.relational.columnar.ColumnarRelation`, one array
-per column).  Both need the same three maintenance moves — grow every
+The columnar tag store (:class:`repro.tagging.columnar.ColumnarTagStore`,
+one array per ``(column, indicator)`` pair) keeps its arrays aligned
+with a backing row store through three maintenance moves — grow every
 array by one slot on append, compact every array to a keep-list on
-delete, and detect length divergence from the backing row store — so
-the moves live here, once, and the two side-tables cannot drift.
+delete, and detect length divergence from the backing row store.
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
 from repro.errors import SchemaError
 from repro.relational.catalog import Database
 from repro.relational.partition import PartitionSpec
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, RowStore
 from repro.relational.schema import RelationSchema
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorValue, TagSchema
@@ -214,17 +215,17 @@ def _bucket_of_dir(path: Path) -> int:
         ) from None
 
 
-def _save_partitioned(
-    obj: Relation | TaggedRelation, target: Path
-) -> Path:
+def _save_partitioned(obj: RowStore, target: Path) -> Path:
     """Write a partitioned relation as ``<dir>/key=<bucket>/part.json``.
 
-    Each partition file (and ``_meta.json``) is written with the same
-    atomic mkstemp+fsync+replace protocol as flat snapshots, so a crash
-    mid-save never corrupts a previously-saved partition.  Only dirty
-    buckets — plus any bucket missing from the target — are rewritten,
-    and the per-partition writes fan out over a thread pool (file I/O
-    releases the GIL).
+    Each partition file records its rows' flat-order sequence numbers
+    (``"seqs"``), so :func:`_load_partitioned` restores the flat row
+    order.  Each partition file (and ``_meta.json``) is written with
+    the same atomic mkstemp+fsync+replace protocol as flat snapshots,
+    so a crash mid-save never corrupts a previously-saved partition.
+    Only dirty buckets — plus any bucket missing from the target — are
+    rewritten, and the per-partition writes fan out over a thread pool
+    (file I/O releases the GIL).
     """
     spec = obj.partition_spec
     assert spec is not None
@@ -262,9 +263,10 @@ def _save_partitioned(
     def write_bucket(bucket: int) -> None:
         part_dir = target / f"key={bucket}"
         part_dir.mkdir(exist_ok=True)
-        _atomic_write_json(
-            serializer(obj.partition(bucket)), part_dir / "part.json"
-        )
+        shard = obj.partition(bucket)
+        payload = serializer(shard)
+        payload["seqs"] = list(shard.row_sequence())
+        _atomic_write_json(payload, part_dir / "part.json")
 
     if len(rewrites) > 1:
         with ThreadPoolExecutor(
@@ -279,8 +281,15 @@ def _save_partitioned(
     return target
 
 
-def _load_partitioned(path: Path) -> Relation | TaggedRelation:
-    """Read back a directory snapshot written by :func:`_save_partitioned`."""
+def _load_partitioned(path: Path) -> RowStore:
+    """Read back a directory snapshot written by :func:`_save_partitioned`.
+
+    The rows come back in their flat order, merged on the sequence
+    numbers the partition files record, and keep those numbers (so an
+    incremental save of the loaded relation stays consistent with the
+    files it does not rewrite).  Files written without them load in
+    bucket order.
+    """
     with open(path / "_meta.json", "r", encoding="utf-8") as handle:
         meta = json.load(handle)
     if meta.get("kind") != "partitioned":
@@ -291,7 +300,7 @@ def _load_partitioned(path: Path) -> Relation | TaggedRelation:
     payload_kind = meta["payload_kind"]
     schema = RelationSchema.from_dict(meta["schema"])
     if payload_kind == "tagged_relation":
-        assembled: Relation | TaggedRelation = TaggedRelation(
+        assembled: RowStore = TaggedRelation(
             schema, TagSchema.from_dict(meta["tag_schema"])
         )
     elif payload_kind == "relation":
@@ -306,9 +315,10 @@ def _load_partitioned(path: Path) -> Relation | TaggedRelation:
     )
     deserializer = _DESERIALIZERS[payload_kind]
 
-    def read_bucket(part: Path) -> Any:
+    def read_bucket(part: Path) -> tuple[Any, Any]:
         with open(part, "r", encoding="utf-8") as handle:
-            return deserializer(json.load(handle))
+            data = json.load(handle)
+        return deserializer(data), data.get("seqs")
 
     if len(part_files) > 1:
         with ThreadPoolExecutor(
@@ -317,11 +327,18 @@ def _load_partitioned(path: Path) -> Relation | TaggedRelation:
             shards = list(pool.map(read_bucket, part_files))
     else:
         shards = [read_bucket(part) for part in part_files]
-    for shard in shards:
-        # Stable bucketing re-routes each row into the same partition
-        # its file came from.
-        for row in shard:
-            assembled.insert(row)
+    entries: list[tuple[int, Any]] = []
+    for shard, seqs in shards:
+        if seqs is None:
+            seqs = range(len(entries), len(entries) + len(shard))
+        entries.extend(zip(seqs, shard))
+    entries.sort(key=itemgetter(0))
+    # Stable bucketing re-routes each row into the same partition its
+    # file came from.
+    assembled._replace_rows(
+        [assembled._prepare(row) for _, row in entries],
+        [seq for seq, _ in entries],
+    )
     assembled.mark_partitions_clean()
     return assembled
 
@@ -363,7 +380,7 @@ def _atomic_write_json(payload: Any, target: Path) -> Path:
     return target
 
 
-def save(obj: Relation | TaggedRelation | Database, path: str | Path) -> Path:
+def save(obj: RowStore | Database, path: str | Path) -> Path:
     """Write a relation / tagged relation / database to disk.
 
     Unpartitioned objects become one JSON file; the write is atomic: the
@@ -380,10 +397,7 @@ def save(obj: Relation | TaggedRelation | Database, path: str | Path) -> Path:
     per-partition writes run on a thread pool.
     """
     target = Path(path)
-    if (
-        isinstance(obj, (Relation, TaggedRelation))
-        and obj.partition_spec is not None
-    ):
+    if isinstance(obj, RowStore) and obj.partition_spec is not None:
         return _save_partitioned(obj, target)
     for cls, serializer in _SERIALIZERS.items():
         if isinstance(obj, cls):
@@ -394,7 +408,7 @@ def save(obj: Relation | TaggedRelation | Database, path: str | Path) -> Path:
     return _atomic_write_json(payload, target)
 
 
-def load(path: str | Path) -> Relation | TaggedRelation | Database:
+def load(path: str | Path) -> RowStore | Database:
     """Read back an object written by :func:`save`.
 
     A directory path loads a partitioned snapshot (the stable hash

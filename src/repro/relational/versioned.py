@@ -6,9 +6,9 @@ Two rules cover every derived cache in the engine:
   was built for still equals the live token.  A relation's read
   snapshot is cached this way, against its mutation counter and
   partition layout.
-- :class:`Carried` — per-row state (a relation's columnar stores and
-  value arrays, the score materializer's blocks) is keyed by the
-  relation's rewrite *epoch* plus its row count.  An append keeps the
+- :class:`Carried` — per-row state (a relation's value arrays and tag
+  store, the score materializer's blocks) is keyed by the relation's
+  rewrite *epoch* plus its row count.  An append keeps the
   epoch, so the state is extended by the appended rows instead of
   being rebuilt, on the live relation and across its read snapshots.
 
@@ -59,8 +59,8 @@ class Carried:
     of it: keep its first ``min(m, n)`` entries and derive the rows
     after them.
 
-    Entries are keyed (``"tags"``, ``"columns"``, ``"scores"``, or a
-    column position for a value array) and stamped
+    Entries are keyed (``"tags"``, ``"scores"``, or a column position
+    for a value array) and stamped
     ``(epoch, generation, rows)``;
     ``generation`` names whatever else the state was derived from (a
     scoring profile's registration).  A relation and its read snapshots
@@ -138,15 +138,3 @@ class Carried:
                 ):
                     self._family[key] = entry
             return value
-
-    def restamp(self, key: Any, value: Any, owner: Any) -> None:
-        """Move ``value`` to ``owner``'s rows now, if it is ``key``'s entry.
-
-        For writes made *through* the value (a store-mediated append or
-        delete), which kept it current: the cache follows the write
-        instead of deriving again on the next read.
-        """
-        entry = self._own.get(key)
-        if entry is not None and entry[2] is value:
-            stamp = (owner._epoch, entry[0][1])
-            self._own[key] = (stamp, len(owner._rows), value)

@@ -21,8 +21,8 @@ Snapshot reads
 Every submitted query executes against a frozen snapshot pinned at
 submit time — :meth:`Database.snapshot
 <repro.relational.catalog.Database.snapshot>` for catalogs,
-:meth:`Relation.read_snapshot
-<repro.relational.relation.Relation.read_snapshot>` for bare
+:meth:`RowStore.read_snapshot
+<repro.relational.relation.RowStore.read_snapshot>` for bare
 relations.  Long analytical scans therefore never block writers and
 never observe a write that committed after submission.  Sessions can
 also :meth:`~Session.pin` explicitly to hold several statements to one
@@ -50,15 +50,11 @@ from typing import Any, Callable, Mapping, Optional, Union
 from repro.errors import ServiceClosedError, ServiceOverloadedError
 from repro.obs import metrics as _obs_metrics
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation
+from repro.relational.relation import RowStore
 from repro.relational.snapshot import DatabaseSnapshot
 from repro.sql.executor import execute as _execute
-from repro.tagging.relation import TaggedRelation
 
-AnyRelation = Union[Relation, TaggedRelation]
-Source = Union[
-    AnyRelation, Database, DatabaseSnapshot, Mapping[str, AnyRelation]
-]
+Source = Union[RowStore, Database, DatabaseSnapshot, Mapping[str, RowStore]]
 
 #: Queue sentinel telling one worker thread to exit.
 _SHUTDOWN = object()
@@ -77,7 +73,7 @@ def pin_snapshot(source: Source) -> Source:
     """
     if isinstance(source, Database):
         return source.snapshot()
-    if isinstance(source, (Relation, TaggedRelation)):
+    if isinstance(source, RowStore):
         return source.read_snapshot()
     if isinstance(source, DatabaseSnapshot):
         return source
@@ -125,14 +121,14 @@ class Ticket:
 
     __slots__ = ("sql", "_future")
 
-    def __init__(self, sql: str, future: "Future[AnyRelation]") -> None:
+    def __init__(self, sql: str, future: "Future[RowStore]") -> None:
         self.sql = sql
         self._future = future
 
     def done(self) -> bool:
         return self._future.done()
 
-    def result(self, timeout: Optional[float] = None) -> AnyRelation:
+    def result(self, timeout: Optional[float] = None) -> RowStore:
         """Block until the query finishes; re-raises its exception."""
         return self._future.result(timeout)
 
@@ -150,7 +146,7 @@ class _Job:
         sql: str,
         source: Source,
         options: dict[str, Any],
-        future: "Future[AnyRelation]",
+        future: "Future[RowStore]",
         stats: Optional[SessionStats],
     ) -> None:
         self.sql = sql
@@ -206,7 +202,7 @@ class QueryService:
         max_pending: int = 64,
         name: str = "query-service",
         snapshot_reads: bool = True,
-        runner: Optional[Callable[[Callable[[], AnyRelation]], AnyRelation]] = None,
+        runner: Optional[Callable[[Callable[[], RowStore]], RowStore]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -276,7 +272,7 @@ class QueryService:
             pinned = pin_snapshot(self._source)
         else:
             pinned = self._source
-        future: "Future[AnyRelation]" = Future()
+        future: "Future[RowStore]" = Future()
         job = _Job(
             sql,
             pinned,
@@ -302,7 +298,7 @@ class QueryService:
             self._submitted += 1
         return Ticket(sql, future)
 
-    def execute(self, sql: str, **options: Any) -> AnyRelation:
+    def execute(self, sql: str, **options: Any) -> RowStore:
         """Submit and wait: the blocking convenience path."""
         return self.submit(sql, **options).result()
 
@@ -474,11 +470,11 @@ class Session:
             stats=self.stats,
         )
 
-    def execute(self, sql: str, **options: Any) -> AnyRelation:
+    def execute(self, sql: str, **options: Any) -> RowStore:
         """Submit and wait for one statement."""
         return self.submit(sql, **options).result()
 
-    def explain(self, sql: str, analyze: bool = False) -> AnyRelation:
+    def explain(self, sql: str, analyze: bool = False) -> RowStore:
         """The plan (or executed-plan) relation for a statement."""
         keyword = "EXPLAIN ANALYZE" if analyze else "EXPLAIN"
         return self.execute(f"{keyword} {sql}")

@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import UnknownRelationError
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation
+from repro.relational.relation import RowStore
 from repro.tagging.relation import TaggedRelation
 
 #: Recorded reads: ``(fact, relation name or None, value)`` triples.
@@ -46,7 +46,7 @@ Reads = tuple[tuple[str, Optional[str], Any], ...]
 _BY_IDENTITY = frozenset({"schema", "tag_schema"})
 
 #: Sources a compiled plan can run against (``execute()``'s contract).
-_EXECUTABLE = (Relation, TaggedRelation, Database, Mapping)
+_EXECUTABLE = (RowStore, Database, Mapping)
 
 
 def _bound_profile(relation: Any) -> Any:
@@ -69,7 +69,7 @@ _PROBES: dict[str, Callable[[Any], Any]] = {
 
 def _lookup(source: Any, name: str) -> Any:
     """The relation ``name`` denotes in ``source``, or None."""
-    if isinstance(source, (Relation, TaggedRelation)):
+    if isinstance(source, RowStore):
         return source if source.schema.name == name else None
     if isinstance(source, Database):
         try:

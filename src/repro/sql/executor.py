@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.relational import algebra as plain_algebra
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation, Row, RowStore
 from repro.sql.errors import SQLError
 from repro.sql.nodes import (
     AggregateCall,
@@ -41,8 +41,6 @@ from repro.sql.nodes import (
 from repro.sql.parser import parse
 from repro.tagging import algebra as tagged_algebra
 from repro.tagging.relation import TaggedRelation, TaggedRow
-
-AnyRelation = Union[Relation, TaggedRelation]
 
 #: QSQL comparison operator → Python comparison.  The planner, the
 #: analyzer and both executors share this table (and :data:`_FLIPPED`).
@@ -72,10 +70,10 @@ def _sql_compare(op: str, a: Any, b: Any) -> Any:
 
 def _resolve_relation(
     name: str,
-    source: AnyRelation | Database | Mapping[str, AnyRelation],
-) -> AnyRelation:
+    source: RowStore | Database | Mapping[str, RowStore],
+) -> RowStore:
     """The relation a FROM name denotes in ``source``; raises SQLError."""
-    if isinstance(source, (Relation, TaggedRelation)):
+    if isinstance(source, RowStore):
         if source.schema.name != name:
             raise SQLError(
                 f"FROM {name!r} does not match the supplied "
@@ -156,7 +154,7 @@ def _compile_operand(
     raise SQLError(f"unknown operand node {operand!r}")
 
 
-def _check_columns(statement: SelectStatement, relation: AnyRelation) -> None:
+def _check_columns(statement: SelectStatement, relation: RowStore) -> None:
     """Validate every referenced column upfront (fail fast, not per-row).
 
     Routed through the analyzer's reference resolver
@@ -316,7 +314,7 @@ def _sort_key_function(items: tuple, schema: Any, tagged: bool, tag_schema: Any 
 
 def _operand_domain(
     operand: Union[ColumnRef, QualityRef, QualityScoreRef],
-    relation: AnyRelation,
+    relation: RowStore,
 ):
     from repro.relational.types import FLOAT, STR
 
@@ -332,7 +330,7 @@ def _operand_domain(
     return STR  # pragma: no cover - QUALITY on plain rejected earlier
 
 
-def _item_output_domain(item: SelectItem, relation: AnyRelation):
+def _item_output_domain(item: SelectItem, relation: RowStore):
     from repro.relational.types import FLOAT, INT
 
     expr = item.expr
@@ -347,7 +345,7 @@ def _item_output_domain(item: SelectItem, relation: AnyRelation):
 
 
 def _execute_aggregate(
-    statement: SelectStatement, relation: AnyRelation, tagged: bool
+    statement: SelectStatement, relation: RowStore, tagged: bool
 ) -> Relation:
     """GROUP BY + aggregate evaluation; always yields a plain relation."""
     from repro.relational.algebra import AGGREGATES
@@ -404,7 +402,7 @@ def _execute_aggregate(
 
 
 def _computed_projection(
-    statement: SelectStatement, relation: AnyRelation, tagged: bool
+    statement: SelectStatement, relation: RowStore, tagged: bool
 ) -> Relation:
     """Evaluate a select list containing QUALITY(...) value columns."""
     from repro.relational.schema import Column, RelationSchema
@@ -432,8 +430,8 @@ def _computed_projection(
 
 
 def _apply_order(
-    statement: SelectStatement, result: AnyRelation, tagged: bool
-) -> AnyRelation:
+    statement: SelectStatement, result: RowStore, tagged: bool
+) -> RowStore:
     # Stable multi-key sort honoring per-item direction: sort by the
     # least-significant key first.
     rows = list(result)
@@ -451,12 +449,12 @@ def _apply_order(
 
 def execute(
     sql: str,
-    source: AnyRelation | Database | Mapping[str, AnyRelation],
+    source: RowStore | Database | Mapping[str, RowStore],
     *,
     strict: bool = False,
     planner: bool = True,
     stats: Any = None,
-) -> AnyRelation:
+) -> RowStore:
     """Parse and execute a QSQL SELECT; returns a (tagged) relation.
 
     Aggregate queries (``COUNT``/``SUM``/``AVG``/``MIN``/``MAX``, with
@@ -522,11 +520,11 @@ def _explain_requires_planner(sql: str, statement: SelectStatement) -> None:
 
 def _execute_unplanned(
     sql: str,
-    source: AnyRelation | Database | Mapping[str, AnyRelation],
+    source: RowStore | Database | Mapping[str, RowStore],
     *,
     strict: bool = False,
     collector: Any = None,
-) -> AnyRelation:
+) -> RowStore:
     """The planner-free execution path (see ``execute(planner=False)``)."""
     from time import perf_counter
 
@@ -548,7 +546,7 @@ def _execute_unplanned(
     )
     total_start = perf_counter() if collector is not None else 0.0
 
-    def _finish(result: AnyRelation) -> AnyRelation:
+    def _finish(result: RowStore) -> RowStore:
         if collector is not None:
             from repro.obs.stats import ExecutionStats
 
@@ -571,7 +569,7 @@ def _execute_unplanned(
         )
 
     algebra = tagged_algebra if tagged else plain_algebra
-    result: AnyRelation = relation
+    result: RowStore = relation
     if stages is not None:
         flavor = "tagged" if tagged else "plain"
         stages.append(

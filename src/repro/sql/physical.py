@@ -9,10 +9,11 @@ plain and tagged, flat and partitioned relations alike:
 - The :class:`Segment` is what a Scan reads — the bound relation (or
   snapshot), or a pruned scan's surviving shards merged back into the
   relation's row order — addressed by position.  Its per-column value
-  arrays are built on first use and cached on the relation or shard
-  against its epoch and row count: a plain relation's through its
-  columnar store, a tagged one's straight from its cells.  Tag arrays
-  and score arrays are the tag store's and the score materializer's.
+  arrays are built on first use, one column at a time, and cached on
+  the relation or shard against its epoch and row count
+  (:meth:`~repro.relational.relation.RowStore.value_array`, for both
+  kinds).  Tag arrays and score arrays are the tag store's and the
+  score materializer's.
 - The *selection vector* lists the positions still alive (``None``:
   every position), ascending wherever row order is preserved.
 

@@ -52,7 +52,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.stats import ExecutionStats, StatsCollector
 from repro.obs.trace import global_tracer
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, RowStore
 from repro.relational.schema import Column, RelationSchema
 from repro.sql.context import PlanContext, Reads
 from repro.sql.errors import SQLError
@@ -61,10 +61,8 @@ from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.physical import CompiledPlan, compile_plan, sanitize_enabled
 from repro.sql.plan import PlanNode, logical_plan, render_plan
-from repro.tagging.relation import TaggedRelation
 
-AnyRelation = Union[Relation, TaggedRelation]
-Source = Union[AnyRelation, Database, Mapping[str, AnyRelation]]
+Source = Union[RowStore, Database, Mapping[str, RowStore]]
 
 #: Entries kept per statement key, most recently used first.
 ENTRIES_PER_KEY = 4
@@ -177,7 +175,7 @@ class PlanCache(_ValidatedLRU):
         sql: str,
         source: Source,
         sanitize: Optional[bool] = None,
-    ) -> Optional[tuple[PreparedStatement, AnyRelation]]:
+    ) -> Optional[tuple[PreparedStatement, RowStore]]:
         """A (prepared, bound relation) pair, or None on miss."""
         found = self._find(_plan_key(sql, sanitize), source)
         if found is None:
@@ -235,7 +233,7 @@ def plan_cache_stats() -> dict[str, int]:
 
 def plan_statement(
     statement: Any, source: Source
-) -> tuple[PlanNode, AnyRelation, PlanContext]:
+) -> tuple[PlanNode, RowStore, PlanContext]:
     """Resolve, pre-check, lower, and optimize one parsed statement.
 
     Returns the plan, the relation it binds, and the
@@ -328,7 +326,7 @@ def _record_execution(
     binding: Mapping[str, Any],
     collector: Optional[StatsCollector],
     cache_hit: bool,
-) -> tuple[AnyRelation, Optional[ExecutionStats]]:
+) -> tuple[RowStore, Optional[ExecutionStats]]:
     """Execute a compiled plan, feeding the ambient and per-call sinks.
 
     The fast path — no collector, instrumentation off — falls through
@@ -365,7 +363,7 @@ def execute_planned(
     strict: bool = False,
     cache: Optional[PlanCache] = None,
     collector: Optional[StatsCollector] = None,
-) -> AnyRelation:
+) -> RowStore:
     """The planner-backed execute path (see ``executor.execute``).
 
     ``collector`` is the per-call statistics hook: when given, the

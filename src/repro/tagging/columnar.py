@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.errors import TagSchemaError, UnknownIndicatorError
+from repro.errors import SnapshotWriteError, TagSchemaError, UnknownIndicatorError
 from repro.obs import metrics as _obs_metrics
 from repro.relational import arrays as _codec
 from repro.relational.relation import Relation, Row
@@ -75,9 +75,11 @@ class ColumnarTagStore:
         (:class:`~repro.relational.versioned.Carried`): its rows and
         tag arrays are copied up to the rows ``tagged`` holds now, and
         only the rows after them are converted.  ``base`` itself is
-        never modified.  A store built for a frozen relation is frozen
-        too: its backing relation rejects writes, and so does
-        :meth:`set_tag`.
+        never modified.  The store is derived state and read-only:
+        :meth:`append`, :meth:`set_tag` and :meth:`delete` raise
+        :class:`~repro.errors.SnapshotWriteError`, and so does every
+        write to its backing relation, so it never drifts from
+        ``tagged`` and a later generation may extend it.
         """
         rows = tagged.row_batch()
         kept = 0 if base is None else min(count, len(rows))
@@ -100,7 +102,7 @@ class ColumnarTagStore:
             for position, column in positions:
                 for tag in cells[position].tags:
                     arrays[(column, tag.name)][row_index] = tag.value
-        store.relation._frozen = tagged.frozen
+        store.relation._frozen = True
         return store
 
     def to_tagged_relation(self) -> TaggedRelation:
@@ -129,6 +131,7 @@ class ColumnarTagStore:
         tags: Optional[dict[tuple[str, str], Any]] = None,
     ) -> int:
         """Append one row with its tags; returns the new row index."""
+        self._require_writable()
         self.relation.insert(values)
         _codec.append_blank(self._arrays.values())
         row_index = len(self.relation) - 1
@@ -145,7 +148,7 @@ class ColumnarTagStore:
             raise UnknownIndicatorError(
                 f"indicator {indicator!r} is not allowed on column {column!r}"
             )
-        self.relation._require_mutable()
+        self._require_writable()
         definition = self.tag_schema.definition(indicator)
         self._arrays[key][row_index] = definition.domain.validate(value)
 
@@ -156,6 +159,7 @@ class ColumnarTagStore:
         the backing relation, so scans stay aligned after deletion.
         Returns the number of rows removed.
         """
+        self._require_writable()
         self.check_aligned()
         rows = self.relation.row_batch()
         keep = _codec.keep_indices(rows, predicate)
@@ -165,6 +169,14 @@ class ColumnarTagStore:
         self.relation._replace_rows(_codec.gather(rows, keep))
         _codec.compact_in_place(self._arrays, keep)
         return removed
+
+    def _require_writable(self) -> None:
+        if self.relation.frozen:
+            raise SnapshotWriteError(
+                f"the tag store of {self.relation.schema.name!r} is derived "
+                f"from a tagged relation and is read-only; write to the "
+                f"relation instead"
+            )
 
     def check_aligned(self) -> None:
         """Raise if the backing relation's length diverges from any array.

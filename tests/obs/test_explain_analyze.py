@@ -183,8 +183,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Scan [readings (plain)]" in out
         assert "batch=" not in out and "Materialize" not in out
-        # The filter's value arrays come from one columnar-store build.
-        assert "columnar.relation_builds (counter): 1" in out
+        # The filter reads two columns: one value-array build each.
+        assert "relation.value_array_builds (counter): 2" in out
 
     def test_scenario_json_format(self, capsys):
         assert (

@@ -26,7 +26,6 @@ from repro.quality.scoring import (
 )
 from repro.experiments.naive import naive_execute
 from repro.relational import hash_partitions
-from repro.relational.columnar import ColumnarRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.sql import clear_plan_cache, execute
@@ -362,7 +361,6 @@ _OPS = st.one_of(
     ),
     st.tuples(st.just("reregister"), st.integers(0, 1)),
     st.tuples(st.just("older"), st.integers(0, 99)),
-    st.tuples(st.just("store_append"), _SOURCES, _AGES),
 )
 
 #: Rating tables of the profile variants a re-registration switches to.
@@ -376,6 +374,13 @@ _READS = [
     "SELECT k FROM readings WHERE k IN (0, 1, 2, 3, 1000, 1001, 1002) "
     "AND QUALITY(timeliness) >= 0",
 ]
+
+
+def _value_arrays(relation):
+    return [
+        relation.value_array(position)
+        for position in range(len(relation.schema.column_names))
+    ]
 
 
 def _check_generation(snapshot, plain_snapshot, profile):
@@ -407,13 +412,9 @@ def _check_generation(snapshot, plain_snapshot, profile):
             assert materializer.row_scores(
                 parameter, bucket=bucket
             ) == materializer_for(oracle).row_scores(parameter)
-    plain_segments = [plain_snapshot, *plain_snapshot.partitions()]
-    for segment in plain_segments:
-        expected = ColumnarRelation.from_relation(
+    for segment in [plain_snapshot, *plain_snapshot.partitions()]:
+        assert _value_arrays(segment) == _value_arrays(
             Relation.from_rows(segment.schema, segment.row_batch())
-        )
-        assert segment.columnar_store().column_arrays() == (
-            expected.column_arrays()
         )
     oracle = fresh(snapshot)
     for sql in _READS:
@@ -426,10 +427,10 @@ def _check_generation(snapshot, plain_snapshot, profile):
 @given(ops=st.lists(_OPS, max_size=12), data=st.data())
 def test_materialized_scores_track_arbitrary_mutations(ops, data):
     """Materialized arrays ≡ fresh per-cell scorecard scores after any
-    interleaving of inserts, deletes, updates, repartitions, profile
-    re-registrations and store-mediated appends — on the live relation,
-    and on every ``read_snapshot()`` generation, whose tag store, value
-    arrays and score blocks are carried over from the one before (read
+    interleaving of inserts, deletes, updates, repartitions and profile
+    re-registrations — on the live relation, and on every
+    ``read_snapshot()`` generation, whose tag store, value arrays and
+    score blocks are carried over from the one before (read
     at once, later, or after newer generations extended theirs).  CI
     runs it with and without ``REPRO_VERIFY_PLANS=1``; with it, the
     batch sanitizer checks every array the engine reads against its
@@ -486,17 +487,9 @@ def test_materialized_scores_track_arbitrary_mutations(ops, data):
                 ),
                 relations=["readings"],
             )
-        elif kind == "older":
-            if generations:
-                older = generations[op[1] % len(generations)]
-                _check_generation(*older, profile)
-        else:  # store_append: through the plain twin's cached store
-            k = next_key[0]
-            next_key[0] += 1
-            store = plain.columnar_store()
-            store.append({"k": k, "v": f"v{k}"})
-            assert plain.columnar_store() is store
-            insert_row(relation, k, op[1], op[2])
+        elif generations:  # older: re-read an earlier generation
+            older = generations[op[1] % len(generations)]
+            _check_generation(*older, profile)
         # Refresh after every op so incremental reuse paths are the
         # ones under test, not a single cold build at the end.
         materializer.refresh()
@@ -506,10 +499,8 @@ def test_materialized_scores_track_arbitrary_mutations(ops, data):
             _check_generation(*generation, profile)
     for generation in generations:
         _check_generation(*generation, profile)
-    assert plain.columnar_store().column_arrays() == (
-        ColumnarRelation.from_relation(
-            Relation.from_rows(plain.schema, plain.row_batch())
-        ).column_arrays()
+    assert _value_arrays(plain) == _value_arrays(
+        Relation.from_rows(plain.schema, plain.row_batch())
     )
     for parameter in profile.parameters:
         oracle = expected_scores(relation, profile, parameter)

@@ -1,9 +1,9 @@
-"""ColumnarRelation: the array-per-column value store on Relation."""
+"""Value arrays: the per-column arrays a relation's row store derives."""
 
 import pytest
 
-from repro.errors import SchemaError, UnknownColumnError
-from repro.relational.columnar import ColumnarRelation
+from repro.errors import UnknownColumnError
+from repro.obs import metrics
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 
@@ -19,66 +19,81 @@ def sample_relation():
     )
 
 
+def arrays(relation):
+    """Every column's value array, in schema order."""
+    return [
+        relation.value_array(position)
+        for position in range(len(relation.schema.column_names))
+    ]
+
+
+def rows_read():
+    """Rows read into value arrays so far (the registry is process-wide)."""
+    counter = metrics.global_registry().get("relation.value_array_rows")
+    return 0 if counter is None else counter.value
+
+
 class TestBuild:
     def test_transpose_matches_column_values(self):
         relation = sample_relation()
-        store = ColumnarRelation.from_relation(relation)
-        assert store.column("a") == [1, 2, None, 4]
-        assert store.column("b") == ["x", None, "z", "x"]
-        assert store.column("c") == [1.5, 2.5, None, 0.0]
+        assert relation.value_array(0) == [1, 2, None, 4]
+        assert relation.value_array(1) == ["x", None, "z", "x"]
+        assert relation.value_array(2) == [1.5, 2.5, None, 0.0]
 
     def test_column_arrays_in_schema_order(self):
-        store = ColumnarRelation.from_relation(sample_relation())
-        assert store.column_arrays() == [
-            store.column("a"), store.column("b"), store.column("c"),
+        relation = sample_relation()
+        assert arrays(relation) == [
+            relation.column_values(name) for name in SCHEMA.column_names
         ]
 
     def test_empty_relation(self):
-        store = ColumnarRelation.from_relation(Relation(SCHEMA))
-        assert len(store) == 0
-        assert store.column_arrays() == [[], [], []]
+        relation = Relation(SCHEMA)
+        assert len(relation) == 0
+        assert arrays(relation) == [[], [], []]
 
     def test_unknown_column_raises(self):
-        store = ColumnarRelation.from_relation(sample_relation())
+        # Value arrays are addressed by position, resolved by name
+        # through the schema.
+        relation = sample_relation()
         with pytest.raises(UnknownColumnError):
-            store.column("nope")
+            relation.value_array(relation.schema.index_of("nope"))
 
 
 class TestVersionGatedCache:
     def test_store_cached_until_mutation(self):
         relation = sample_relation()
-        first = relation.columnar_store()
-        assert relation.columnar_store() is first
+        first = relation.value_array(0)
+        assert relation.value_array(0) is first
 
     def test_insert_invalidates(self):
         relation = sample_relation()
-        first = relation.columnar_store()
+        first = relation.value_array(0)
         relation.insert({"a": 9, "b": "q", "c": 9.0})
-        second = relation.columnar_store()
+        second = relation.value_array(0)
         assert second is not first
-        assert second.column("a") == [1, 2, None, 4, 9]
+        assert second == [1, 2, None, 4, 9]
 
     def test_delete_invalidates(self):
         relation = sample_relation()
-        first = relation.columnar_store()
+        first = relation.value_array(0)
         relation.delete(lambda row: row["a"] == 1)
-        second = relation.columnar_store()
+        second = relation.value_array(0)
         assert second is not first
-        assert second.column("a") == [2, None, 4]
+        assert second == [2, None, 4]
 
     def test_update_invalidates(self):
         relation = sample_relation()
-        first = relation.columnar_store()
+        first = relation.value_array(1)
         relation.update(lambda row: row["a"] == 4, lambda row: {"b": "w"})
-        second = relation.columnar_store()
+        second = relation.value_array(1)
         assert second is not first
-        assert second.column("b") == ["x", None, "z", "w"]
+        assert second == ["x", None, "z", "w"]
 
     def test_clear_invalidates(self):
         relation = sample_relation()
-        relation.columnar_store()
+        arrays(relation)
         relation.clear()
-        assert relation.columnar_store().column_arrays() == [[], [], []]
+        assert arrays(relation) == [[], [], []]
 
     def test_version_counts_every_mutation(self):
         relation = Relation(SCHEMA)
@@ -90,83 +105,69 @@ class TestVersionGatedCache:
 
 
 class TestStoreMediatedMutation:
+    """Writes through the row store keep every value array aligned with
+    its rows; the store is the only way to change them."""
+
     def test_append_keeps_arrays_aligned(self):
         relation = sample_relation()
-        store = relation.columnar_store()
-        store.append({"a": 7, "b": "y", "c": 7.5})
-        store.check_aligned()
-        assert store.column("a") == [1, 2, None, 4, 7]
+        arrays(relation)
+        relation.insert({"a": 7, "b": "y", "c": 7.5})
+        assert arrays(relation) == [
+            relation.column_values(name) for name in SCHEMA.column_names
+        ]
+        assert relation.value_array(0) == [1, 2, None, 4, 7]
         assert len(relation) == 5
 
     def test_append_keeps_cache_valid(self):
+        # After an append the cached arrays are extended: only the
+        # appended row is read, once per column.
         relation = sample_relation()
-        store = relation.columnar_store()
-        store.append({"a": 7, "b": "y", "c": 7.5})
-        # Mutating *through* the store re-validates the cached entry —
-        # the next query must not rebuild.
-        assert relation.columnar_store() is store
+        with metrics.instrumented():
+            arrays(relation)
+            before = rows_read()
+            relation.insert({"a": 7, "b": "y", "c": 7.5})
+            arrays(relation)
+            assert rows_read() - before == 3
 
     def test_delete_compacts_every_array(self):
         relation = sample_relation()
-        store = relation.columnar_store()
-        removed = store.delete(lambda row: row["b"] == "x")
+        arrays(relation)
+        removed = relation.delete(lambda row: row["b"] == "x")
         assert removed == 2
-        store.check_aligned()
-        assert store.column("a") == [2, None]
-        assert store.column("b") == [None, "z"]
+        assert arrays(relation) == [[2, None], [None, "z"], [2.5, None]]
         assert len(relation) == 2
-        assert relation.columnar_store() is store
 
     def test_delete_nothing_is_a_noop(self):
         relation = sample_relation()
-        store = relation.columnar_store()
-        assert store.delete(lambda row: False) == 0
+        before = arrays(relation)
+        assert relation.delete(lambda row: False) == 0
         assert len(relation) == 4
+        assert arrays(relation) == before
 
     def test_behind_the_back_mutation_detected(self):
+        # An array handed out before a write is never changed by it (a
+        # pinned reader keeps its length); the next read sees the write.
         relation = sample_relation()
-        store = ColumnarRelation.from_relation(relation)
+        held = relation.value_array(0)
         relation.insert({"a": 9, "b": "q", "c": 9.0})
-        with pytest.raises(SchemaError):
-            store.check_aligned()
+        assert held == [1, 2, None, 4]
+        assert relation.value_array(0) == [1, 2, None, 4, 9]
 
     def test_store_delete_bumps_relation_version(self):
-        # Side-table deletes must be visible to *other* caches keyed on
-        # the relation's version (e.g. the plan cache's cost band).
+        # Deletes must be visible to *other* caches keyed on the
+        # relation's version (e.g. the plan cache's cost band).
         relation = sample_relation()
-        store = ColumnarRelation.from_relation(relation)
         before = relation.version
-        store.delete(lambda row: row["a"] == 1)
+        relation.delete(lambda row: row["a"] == 1)
         assert relation.version > before
-
-
-class TestMaterialize:
-    def test_all_rows(self):
-        relation = sample_relation()
-        store = relation.columnar_store()
-        rows = store.materialize()
-        assert [r.values_tuple() for r in rows] == [
-            r.values_tuple() for r in relation
-        ]
-
-    def test_selected_positions_in_given_order(self):
-        store = sample_relation().columnar_store()
-        rows = store.materialize([3, 0])
-        assert [r.values_tuple() for r in rows] == [
-            (4, "x", 0.0), (1, "x", 1.5),
-        ]
-
-    def test_empty_selection(self):
-        store = sample_relation().columnar_store()
-        assert store.materialize([]) == []
 
 
 class TestTagStoreDelete:
     def test_tag_store_delete_bumps_backing_relation_version(self):
         # The tag side-table replaces the backing relation's rows on
         # delete; that replacement must bump the version counter so the
-        # relation's own columnar value cache can never serve stale
-        # arrays afterwards.
+        # relation's own value arrays can never be served stale
+        # afterwards.
         from repro.tagging.columnar import ColumnarTagStore
         from repro.tagging.indicators import IndicatorDefinition, TagSchema
 
@@ -177,9 +178,9 @@ class TestTagStoreDelete:
             [IndicatorDefinition("source", "STR")], allowed={"a": ["source"]}
         )
         store = ColumnarTagStore(plain, tags)
-        value_store = plain.columnar_store()
+        values = plain.value_array(0)
         before = plain.version
         store.delete(lambda row: row["a"] == 2)
         assert plain.version > before
-        assert plain.columnar_store() is not value_store
-        assert plain.columnar_store().column("a") == [1, 3]
+        assert plain.value_array(0) is not values
+        assert plain.value_array(0) == [1, 3]

@@ -10,7 +10,7 @@ import datetime as dt
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SnapshotWriteError
 from repro.relational.partition import (
     PartitionSpec,
     hash_partitions,
@@ -191,13 +191,13 @@ class TestRelationPartitioning:
         relation = make_events(spec=hash_partitions("region", 8))
         shard = relation.partition(relation.partition_spec.bucket_of("a"))
         assert shard.schema is relation.schema
-        store = shard.columnar_store()
-        assert store is shard.columnar_store()  # cached while unchanged
+        values = shard.value_array(0)
+        assert values is shard.value_array(0)  # cached while unchanged
         other = relation.partition(relation.partition_spec.bucket_of("b"))
-        other_store = other.columnar_store()
+        other_values = other.value_array(0)
         relation.insert({"id": 300, "region": "a", "n": 0})
-        assert shard.columnar_store() is not store  # write invalidated it
-        assert other.columnar_store() is other_store  # untouched shard kept
+        assert shard.value_array(0) is not values  # write invalidated it
+        assert other.value_array(0) is other_values  # untouched shard kept
 
 
 class TestTaggedRelationPartitioning:
@@ -240,3 +240,68 @@ class TestTaggedRelationPartitioning:
         relation = self.make()
         with pytest.raises(Exception):
             relation.repartition(hash_partitions("nosuch", 4))
+
+
+def _column(relation, position):
+    """One column's values, read off the rows (either kind)."""
+    return [row.values_tuple()[position] for row in relation.row_batch()]
+
+
+def _check_value_arrays(relation):
+    for segment in [relation, *relation.partitions()]:
+        for position in range(len(EVENTS.column_names)):
+            assert segment.value_array(position) == _column(segment, position)
+
+
+@pytest.mark.parametrize("kind", ["plain", "tagged"])
+def test_row_store_behaviour_on_both_kinds(kind):
+    """Plain and tagged relations share one row store: partitioning,
+    dirty tracking, per-shard value arrays, snapshots and copies behave
+    the same on both."""
+    if kind == "plain":
+        relation = Relation(EVENTS)
+    else:
+        relation = TaggedRelation(
+            EVENTS, TagSchema(indicators=[IndicatorDefinition("source")])
+        )
+    for i in range(20):
+        relation.insert({"id": i, "region": "abcd"[i % 4], "n": i % 5})
+    layout = relation.partition_layout_version
+    relation.repartition(hash_partitions("region", 4))
+    assert relation.partition_layout_version > layout
+    spec = relation.partition_spec
+    home, away = spec.bucket_of("a"), spec.bucket_of("b")
+    assert home != away
+
+    # An insert dirties only its bucket, and keeps the other shards'
+    # value arrays.
+    relation.mark_partitions_clean()
+    kept = relation.partition(away).value_array(0)
+    relation.insert({"id": 100, "region": "a", "n": 1})
+    assert relation.dirty_partitions == {home}
+    assert relation.partition(away).value_array(0) is kept
+    _check_value_arrays(relation)
+
+    snapshot = relation.read_snapshot()
+    assert type(snapshot) is type(relation) and snapshot.frozen
+    assert snapshot.partition_spec == spec
+    assert all(shard.frozen for shard in snapshot.partitions())
+    with pytest.raises(SnapshotWriteError):
+        snapshot.insert({"id": 101, "region": "a", "n": 1})
+
+    before = [row.values_tuple() for row in relation.row_batch()]
+    clone = relation.copy()
+    assert type(clone) is type(relation) and clone.partition_spec == spec
+    clone.insert({"id": 200, "region": "c", "n": 2})
+    clone.delete(lambda row: row.values_tuple()[2] == 0)
+    assert [row.values_tuple() for row in relation.row_batch()] == before
+    assert len(snapshot) == len(relation) == 21
+
+    relation.delete(lambda row: row.values_tuple()[2] == 3)
+    _check_value_arrays(relation)
+    relation.repartition(hash_partitions("n", 3))
+    _check_value_arrays(relation)
+    relation.insert({"id": 300, "region": "d", "n": 4})
+    _check_value_arrays(relation)
+    relation.repartition(None)
+    _check_value_arrays(relation)

@@ -307,14 +307,23 @@ def test_obs_metrics_report_when_enabled():
     from repro.obs import metrics
 
     with metrics.instrumented() as registry:
+        before = registry.snapshot()
         with QueryService(make_database(n=3), workers=1) as service:
             service.execute("SELECT a FROM t")
             with pytest.raises(SQLError):
                 service.execute("SELEC broken")
-        snapshot = registry.snapshot()
-    assert snapshot["service.queries"]["value"] == 1
-    assert snapshot["service.errors"]["value"] == 1
-    assert snapshot["service.latency_seconds"]["count"] == 2
+        after = registry.snapshot()
+
+    # The registry is process-wide and earlier tests may have counted
+    # into it, so the test reads what the block above added.
+    def added(name, field):
+        return after.get(name, {}).get(field, 0) - before.get(name, {}).get(
+            field, 0
+        )
+
+    assert added("service.queries", "value") == 1
+    assert added("service.errors", "value") == 1
+    assert added("service.latency_seconds", "count") == 2
 
 
 # -- lifecycle -----------------------------------------------------------------

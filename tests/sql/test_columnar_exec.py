@@ -36,10 +36,12 @@ def assert_same(result, expected):
 
 
 def arrays_built(relation):
-    """Whether the relation's value arrays exist for its current rows."""
-    entry = relation._derived._own.get("columns")
-    return entry is not None and entry[:2] == (
-        (relation._epoch, None), len(relation)
+    """Whether any of the relation's value arrays exists for its
+    current rows (value arrays are keyed by column position)."""
+    current = ((relation._epoch, None), len(relation))
+    return any(
+        isinstance(key, int) and entry[:2] == current
+        for key, entry in relation._derived._own.items()
     )
 
 

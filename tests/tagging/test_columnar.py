@@ -218,6 +218,27 @@ class TestStoreCaching:
         assert len(after) == len(tagged_customers)
         assert after.scan([("address", "source", "==", "sales")]) == []
 
+    def test_live_store_rejects_writes(self, tagged_customers):
+        # A live relation's store is derived state too: a write through
+        # it would answer queries the relation itself never saw.
+        from repro.experiments.naive import naive_execute
+        from repro.sql import execute
+
+        store = tagged_customers.columnar_store()
+        with pytest.raises(SnapshotWriteError):
+            store.set_tag(0, "address", "source", "rumor")
+        with pytest.raises(SnapshotWriteError):
+            store.append({"co_name": "New Co", "address": "9 Elm"})
+        with pytest.raises(SnapshotWriteError):
+            store.delete(lambda row: True)
+        assert len(store) == len(tagged_customers)
+        sql = (
+            "SELECT co_name FROM customer "
+            "WHERE QUALITY(address.source) = 'rumor'"
+        )
+        assert execute(sql, tagged_customers).rows == (
+            naive_execute(sql, tagged_customers).rows
+        )
 
     def test_snapshot_store_rejects_writes(self, tagged_customers):
         # A snapshot's store may be extended by the next generation, so
