@@ -3,16 +3,16 @@
 Not a paper artifact: a performance ablation of the QSQL engine.
 Planned statements run over array-per-column batches with selection
 vectors (DESIGN.md §12); this benchmark quantifies that against the
-direct interpreter (``execute(..., planner=False)``, one row closure
-per clause) and the naive AST-walking reference on the same statement.
+naive AST-walking oracle (``naive_execute``) on the same statement.
 
-All legs are measured *interleaved* (the baselines are re-timed in the
+Both legs are measured *interleaved* (the baseline is re-timed in the
 same rounds as the planned path), and every speedup recorded in
 BENCH_COLUMNAR.json is a ratio of same-round numbers.
 """
 
 from conftest import emit
 
+from repro.obs.export import SPEEDUP_FLOORS
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import clear_plan_cache, execute
@@ -73,15 +73,16 @@ def test_batch_plan_shape():
     assert plan[-1] == "Scan [readings (plain)]"
 
 
-def test_columnar_json_vs_interpreter_vs_naive():
-    """Emit BENCH_COLUMNAR.json: planned batches vs interpreter vs naive.
+def test_columnar_json_vs_naive():
+    """Emit BENCH_COLUMNAR.json: planned batches vs the naive oracle.
 
-    Floors enforced by the bench-trend CI gate: the planned path must
-    hold 4.5x over the direct interpreter on this scan-heavy statement,
-    and its advantage over the naive reference must be at least as
-    large.  4.5x is the earlier 4x floor over the row-at-a-time planned
-    path times the interpreter's measured slowdown against that path
-    on this statement (1.06-1.12x), rounded up, so it is no looser.
+    Floors enforced here and by the bench-trend CI gate
+    (``SPEEDUP_FLOORS``): ``columnar_scan_filter_topk`` is 16x over
+    ``naive_execute``.  It was 4.5x over the planner-free interpreter
+    (deleted since); the naive oracle ran this statement 3.55x slower
+    than that interpreter (median of five interleaved trials), and
+    4.5 x 3.55 rounds up to 16.  ``columnar_vs_naive`` keeps its older
+    8x floor on the same ratio.
     """
     from conftest import REPO_ROOT, best_seconds_interleaved
 
@@ -94,21 +95,17 @@ def test_columnar_json_vs_interpreter_vs_naive():
     # Warms the plan cache and builds the value arrays outside the
     # timed region.
     planned_result = execute(QUERY, relation)
-    interpreted_result = execute(QUERY, relation, planner=False)
     naive_result = naive_execute(QUERY, relation)
-    canonical = lambda rel: [r.values_tuple() for r in rel]
-    assert canonical(planned_result) == canonical(interpreted_result)
+    canonical = lambda rel: [r.values_tuple() for r in rel]  # noqa: E731
     assert canonical(planned_result) == canonical(naive_result)
     assert 0 < len(planned_result) <= 50
 
-    planned_s, interpreter_s, naive_s = best_seconds_interleaved(
+    planned_s, naive_s = best_seconds_interleaved(
         [
             lambda: execute(QUERY, relation),
-            lambda: execute(QUERY, relation, planner=False),
             lambda: naive_execute(QUERY, relation),
         ]
     )
-    vs_interpreter = interpreter_s / planned_s
     vs_naive = naive_s / planned_s
     write_bench_json(
         "BENCH_COLUMNAR.json",
@@ -117,7 +114,7 @@ def test_columnar_json_vs_interpreter_vs_naive():
                 "columnar_scan_filter_topk",
                 N_ROWS,
                 planned_s,
-                speedup=vs_interpreter,
+                speedup=vs_naive,
             ),
             bench_record(
                 "columnar_vs_naive",
@@ -125,24 +122,14 @@ def test_columnar_json_vs_interpreter_vs_naive():
                 planned_s,
                 speedup=vs_naive,
             ),
-            bench_record(
-                "interpreter_scan_filter_topk", N_ROWS, interpreter_s,
-                speedup=1.0,
-            ),
-            bench_record(
-                "naive_scan_filter_topk", N_ROWS, naive_s,
-                speedup=interpreter_s / naive_s if naive_s else 1.0,
-            ),
+            bench_record("naive_scan_filter_topk", N_ROWS, naive_s, speedup=1.0),
         ],
         REPO_ROOT,
     )
     emit(
-        "Batches: planned vs interpreter vs naive",
-        f"planned {planned_s * 1e3:.2f} ms, interpreter "
-        f"{interpreter_s * 1e3:.2f} ms, naive {naive_s * 1e3:.2f} ms over "
-        f"{N_ROWS} rows\n"
-        f"planned vs interpreter: {vs_interpreter:.1f}x\n"
-        f"planned vs naive:       {vs_naive:.1f}x",
+        "Batches: planned vs naive",
+        f"planned {planned_s * 1e3:.2f} ms, naive {naive_s * 1e3:.2f} ms "
+        f"over {N_ROWS} rows\n"
+        f"planned vs naive: {vs_naive:.1f}x",
     )
-    assert vs_interpreter >= 4.5
-    assert vs_naive >= vs_interpreter
+    assert vs_naive >= SPEEDUP_FLOORS["columnar_scan_filter_topk"]

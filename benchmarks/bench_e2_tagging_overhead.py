@@ -222,6 +222,7 @@ def test_e2_json_fast_vs_naive_scan():
 
     from repro.experiments.harness import bench_record, write_bench_json
     from repro.experiments.naive import naive_quality_filter
+    from repro.obs.export import SPEEDUP_FLOORS
     from repro.tagging.query import IndicatorConstraint, QualityFilter
 
     n = 10_000
@@ -282,5 +283,5 @@ def test_e2_json_fast_vs_naive_scan():
         f"naive {naive_s * 1e3:.1f} ms; speedups {speedup:.1f}x / "
         f"{columnar_speedup:.1f}x over {n} rows",
     )
-    assert speedup >= 2.0
-    assert columnar_speedup >= 10.0
+    assert speedup >= SPEEDUP_FLOORS["e2_tagged_scan_fast"]
+    assert columnar_speedup >= SPEEDUP_FLOORS["e2_tagged_scan_columnar"]

@@ -175,6 +175,7 @@ def test_e3_json_fast_vs_naive_join():
 
     from repro.experiments.harness import bench_record, write_bench_json
     from repro.experiments.naive import naive_polygen_equi_join
+    from repro.obs.export import SPEEDUP_FLOORS
 
     n_tickers = 2000
     federation = Federation("markets")
@@ -233,4 +234,4 @@ def test_e3_json_fast_vs_naive_join():
         f"fast {fast_s * 1e3:.1f} ms, naive {naive_s * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x over {n_tickers} joined rows",
     )
-    assert speedup >= 3
+    assert speedup >= SPEEDUP_FLOORS["e3_federation_join_fast"]

@@ -20,6 +20,7 @@ only real compute.
 from conftest import REPO_ROOT, best_seconds_interleaved, emit
 
 from repro.experiments.harness import bench_record, write_bench_json
+from repro.obs.export import OVERHEAD_CEILINGS
 from repro.experiments.scenarios import degraded_federation
 from repro.polygen.faults import FederationResult
 
@@ -101,4 +102,4 @@ def test_e4_degraded_federation_json():
     )
     # The CI-enforced ceiling: fault tolerance at zero fault rate is
     # within 10% of the direct path.
-    assert overhead <= 1.10
+    assert overhead <= OVERHEAD_CEILINGS["e4_federation_retry_zero_fault"]

@@ -22,6 +22,7 @@ from conftest import REPO_ROOT, best_seconds, best_seconds_interleaved, emit
 
 from repro.experiments.harness import bench_record, write_bench_json
 from repro.obs import enabled as obs_enabled
+from repro.obs.export import OVERHEAD_CEILINGS
 from repro.sql import clear_plan_cache, execute, optimize, parse
 from repro.sql.optimizer import PlanContext
 from repro.sql.physical import compile_plan
@@ -162,4 +163,4 @@ def test_obs_overhead_json():
         f"({verified_overhead:.3f}x)",
     )
     # The CI-enforced ceiling: disabled instrumentation stays under 5%.
-    assert disabled_overhead <= 1.05
+    assert disabled_overhead <= OVERHEAD_CEILINGS["obs_disabled_execute"]

@@ -116,18 +116,20 @@ def test_partition_scan_reads_one_bucket():
 def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
     """Emit BENCH_PART.json: pruned scan + incremental save speedups.
 
-    Floors enforced by the bench-trend CI gate: the pruned planned
-    scan must hold 8.3x over the direct interpreter's full scan of the
-    unpartitioned relation (ideal is ~64x on this layout, derated for
-    per-statement overhead and CI noise), and the one-dirty-partition
-    save must hold 4x over a full snapshot rewrite.  8.3x is the earlier
-    8x floor over the row-at-a-time planned flat scan times the
-    interpreter's measured slowdown against it (1.01-1.03x), rounded
-    up, so it is no looser.
+    Floors come from ``SPEEDUP_FLOORS``, which the bench-trend CI gate
+    reads too.  The pruned planned scan must hold 30.1x over the naive
+    oracle's (``naive_execute``) full scan of the unpartitioned
+    relation, and the one-dirty-partition save 4x over a full snapshot
+    rewrite.  30.1x is the earlier 8.3x over the planner-free
+    interpreter's full scan (deleted since) times the oracle's 3.62x
+    slowdown against that interpreter on this statement (median of
+    five interleaved trials), rounded up.
     """
     from conftest import REPO_ROOT, best_seconds_interleaved
 
     from repro.experiments.harness import bench_record, write_bench_json
+    from repro.experiments.naive import naive_execute
+    from repro.obs.export import SPEEDUP_FLOORS
 
     partitioned = _partitioned()
     flat = _flat()
@@ -135,13 +137,13 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
 
     clear_plan_cache()
     pruned_result = execute(QUERY, partitioned)
-    flat_result = execute(QUERY, flat, planner=False)
+    flat_result = naive_execute(QUERY, flat)
     assert canonical(pruned_result) == canonical(flat_result)
 
     pruned_s, flat_s = best_seconds_interleaved(
         [
             lambda: execute(QUERY, partitioned),
-            lambda: execute(QUERY, flat, planner=False),
+            lambda: naive_execute(QUERY, flat),
         ]
     )
     scan_speedup = flat_s / pruned_s
@@ -192,14 +194,14 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
                 incremental_s,
                 speedup=save_speedup,
             ),
-            bench_record("flat_interpreter_scan", N_ROWS, flat_s, speedup=1.0),
+            bench_record("flat_naive_scan", N_ROWS, flat_s, speedup=1.0),
             bench_record("partition_full_save", N_ROWS, full_s, speedup=1.0),
         ],
         REPO_ROOT,
     )
     emit(
         "Partitions: pruned scan + incremental save",
-        f"pruned scan {pruned_s * 1e3:.2f} ms, flat interpreter scan "
+        f"pruned scan {pruned_s * 1e3:.2f} ms, flat naive scan "
         f"{flat_s * 1e3:.2f} ms over {N_ROWS} rows "
         f"({N_BUCKETS} hash buckets)\n"
         f"incremental save {incremental_s * 1e3:.2f} ms, full save "
@@ -207,5 +209,5 @@ def test_partition_json_pruned_vs_flat_and_incremental_save(tmp_path):
         f"pruned vs flat scan:     {scan_speedup:.1f}x\n"
         f"incremental vs full save: {save_speedup:.1f}x",
     )
-    assert scan_speedup >= 8.3
-    assert save_speedup >= 4.0
+    assert scan_speedup >= SPEEDUP_FLOORS["partition_pruned_scan"]
+    assert save_speedup >= SPEEDUP_FLOORS["partition_incremental_save"]

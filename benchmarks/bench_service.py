@@ -21,6 +21,7 @@ import time
 
 from conftest import REPO_ROOT, emit
 
+from repro.obs.export import SPEEDUP_FLOORS
 from repro.relational import hash_partitions
 from repro.relational.catalog import Database
 from repro.relational.schema import Column, RelationSchema
@@ -215,4 +216,5 @@ def test_service_json_concurrent_latency_and_throughput():
     )
     # Same floor the bench-trend job enforces, asserted here too so a
     # local run fails loudly.
-    assert ratio >= 0.5, f"reader throughput collapsed under writer: {ratio:.2f}x"
+    floor = SPEEDUP_FLOORS["service_reader_throughput_under_writer"]
+    assert ratio >= floor, f"reader throughput collapsed under writer: {ratio:.2f}x"

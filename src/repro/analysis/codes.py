@@ -147,14 +147,6 @@ _CODES: tuple[CodeInfo, ...] = (
         "Two select-list items produce the same output name.",
     ),
     CodeInfo(
-        "DQ209",
-        "EXPLAIN requires the planner",
-        ERROR,
-        "EXPLAIN / EXPLAIN ANALYZE report the optimized plan, which "
-        "execute(..., planner=False) never builds; the keyword and the "
-        "planner-free escape hatch are mutually exclusive.",
-    ),
-    CodeInfo(
         "DQ210",
         "operand type mismatch",
         ERROR,

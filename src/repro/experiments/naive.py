@@ -239,18 +239,19 @@ def _freeze(value: Any) -> Any:
         return repr(value)
 
 
-# -- QSQL reference interpreter ----------------------------------------------
+# -- QSQL test oracle --------------------------------------------------------
 
 
 def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
     """AST-walking QSQL interpreter: per-row name lookups, no planning.
 
-    The third leg of the planner equivalence property — independent of
-    both ``execute(...)`` (planned) and ``execute(..., planner=False)``
-    (compiled closures).  Every operand is resolved by column *name* on
-    every row, every intermediate stage is rebuilt through the public
-    validating ``insert`` path, and each clause is interpreted directly
-    off the AST.  Slow but obviously correct.
+    The one test oracle for QSQL: the equivalence properties and the
+    plan-cache state machine compare the planned engine (``execute``)
+    against it, sharing only the parser and the aggregate functions.
+    Every operand is resolved by column *name* on every row, every
+    intermediate stage is rebuilt through the public validating
+    ``insert`` path, and each clause is interpreted directly off the
+    AST.  Slow but obviously correct.
     """
     from repro.relational.algebra import AGGREGATES
     from repro.relational.catalog import Database

@@ -108,14 +108,14 @@ SPEEDUP_FLOORS: dict[str, float] = {
     "e2_tagged_scan_fast": 2.0,
     "e2_tagged_scan_columnar": 10.0,
     "e3_federation_join_fast": 3.0,
-    "qsql_columnar_scan": 10.0,
+    "qsql_columnar_scan": 23.5,  # vs naive_execute
     "qsql_cached_statement": 5.0,
-    "columnar_scan_filter_topk": 4.5,
-    "columnar_vs_naive": 8.0,
-    "partition_pruned_scan": 8.3,
+    "columnar_scan_filter_topk": 16.0,  # vs naive_execute
+    "columnar_vs_naive": 8.0,  # vs naive_execute
+    "partition_pruned_scan": 30.1,  # vs naive_execute
     "partition_incremental_save": 4.0,
     "scoring_incremental_rescore": 8.0,
-    "scoring_pushdown_filter": 4.0,
+    "scoring_pushdown_filter": 6.8,  # vs naive_execute
     # Snapshot isolation must keep readers off the writers' lock path:
     # reader throughput with a concurrent writer holds >= 0.5x of the
     # readers-alone rate (the "speedup" here is that ratio).

@@ -6,9 +6,7 @@ A compiled physical plan (:mod:`repro.sql.physical`) carries a static
 instrumented execution creates a fresh :class:`ExecutionStats` from the
 skeleton and the operators record into it: rows out and inclusive wall
 time per operator, plus operator-specific extras (hash-join build/probe
-counts).  The direct interpreter (``execute(..., planner=False)``)
-builds the same structure from its linear clause pipeline via
-:meth:`ExecutionStats.from_stages`.
+counts).
 
 :class:`StatsCollector` is the ``execute(..., stats=...)`` hook: pass
 one in, and after the call it holds the execution tree plus call-level
@@ -73,30 +71,7 @@ class ExecutionStats:
             ]
         )
 
-    @classmethod
-    def from_stages(
-        cls, stages: Sequence[tuple[str, int, float]]
-    ) -> "ExecutionStats":
-        """A linear chain from interpreter stages in *pipeline* order.
-
-        ``stages`` lists ``(label, rows_out, seconds)`` from source scan
-        to final clause; the returned tree is rooted at the last stage
-        (matching plan orientation: the root produces the result).
-        """
-        if not stages:
-            return cls([])
-        n = len(stages)
-        skeleton = tuple(
-            (stages[n - 1 - j][0], (j + 1,) if j + 1 < n else ())
-            for j in range(n)
-        )
-        stats = cls.from_skeleton(skeleton)
-        for j in range(n):
-            _, rows_out, seconds = stages[n - 1 - j]
-            stats.record(j, rows_out, seconds)
-        return stats
-
-    # -- recording (called by the executors) --------------------------------
+    # -- recording (called by the compiled operators) ----------------------
 
     def record(self, op_id: int, rows_out: int, seconds: float) -> None:
         """Record one operator's output size and inclusive wall time."""
@@ -217,16 +192,13 @@ class StatsCollector:
     - ``execution`` — the per-operator :class:`ExecutionStats` tree;
     - ``seconds`` — total wall time of the execution step;
     - ``rows`` — result row count;
-    - ``planned`` — whether the planner path ran (vs the interpreter);
-    - ``cache_hit`` — whether a cached compiled plan was reused
-      (always False on the interpreter path);
+    - ``cache_hit`` — whether a cached compiled plan was reused;
     - ``sql`` — the statement text.
 
     A collector is reusable: each ``execute`` call overwrites it.
     """
 
-    __slots__ = ("sql", "execution", "seconds", "rows", "planned",
-                 "cache_hit", "filled")
+    __slots__ = ("sql", "execution", "seconds", "rows", "cache_hit", "filled")
 
     def __init__(self) -> None:
         self.reset()
@@ -236,7 +208,6 @@ class StatsCollector:
         self.execution: Optional[ExecutionStats] = None
         self.seconds = 0.0
         self.rows = 0
-        self.planned = False
         self.cache_hit = False
         self.filled = False
 
@@ -246,14 +217,12 @@ class StatsCollector:
         execution: Optional[ExecutionStats],
         seconds: float,
         rows: int,
-        planned: bool,
         cache_hit: bool,
     ) -> None:
         self.sql = sql
         self.execution = execution
         self.seconds = seconds
         self.rows = rows
-        self.planned = planned
         self.cache_hit = cache_hit
         self.filled = True
 
@@ -261,14 +230,10 @@ class StatsCollector:
         """A human-readable report: header plus the annotated tree."""
         if not self.filled:
             return "StatsCollector: no execution recorded"
-        path = "planner" if self.planned else "interpreter"
-        cache = ""
-        if self.planned:
-            cache = " (plan-cache hit)" if self.cache_hit else " (cold plan)"
+        plan = "plan-cache hit" if self.cache_hit else "cold plan"
         lines = [
             f"{self.sql}",
-            f"path: {path}{cache}; rows: {self.rows}; "
-            f"time: {self.seconds * 1e3:.3f} ms",
+            f"{plan}; rows: {self.rows}; time: {self.seconds * 1e3:.3f} ms",
         ]
         if self.execution is not None:
             lines.extend(self.execution.render_lines())
@@ -279,6 +244,5 @@ class StatsCollector:
             return "StatsCollector(unfilled)"
         return (
             f"StatsCollector(rows={self.rows}, "
-            f"seconds={self.seconds:.6f}, planned={self.planned}, "
-            f"cache_hit={self.cache_hit})"
+            f"seconds={self.seconds:.6f}, cache_hit={self.cache_hit})"
         )

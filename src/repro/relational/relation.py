@@ -252,19 +252,15 @@ class RowStore:
                 self._redistribute(seqs)
 
     def delete(self, predicate: Callable[[Any], bool]) -> int:
-        """Delete all rows matching ``predicate``; return the count removed."""
+        """Delete all rows matching ``predicate``; return the count removed.
+
+        A delete that removes nothing still counts as a mutation (the
+        version moves) but keeps the rewrite epoch, so derived state
+        built over the rows stays valid.
+        """
         with self._lock:
             self._require_mutable()
-            if self._partition_spec is None:
-                before = len(self._rows)
-                self._replace_rows(
-                    [r for r in self._rows if not predicate(r)]
-                )
-                return before - len(self._rows)
-            # Partitioned: one predicate pass over the canonical flat
-            # list, then surgical per-shard removal so untouched
-            # partitions keep their derived state (and stay clean for
-            # incremental saves).
+            # One predicate pass over the canonical flat list.
             dead: set[int] = set()
             kept: list = []
             for row in self._rows:
@@ -273,11 +269,18 @@ class RowStore:
                 else:
                     kept.append(row)
             removed = len(self._rows) - len(kept)
+            if not removed:
+                self._version += 1
+                return 0
+            if self._partition_spec is None:
+                self._replace_rows(kept)
+                return removed
+            # Partitioned: surgical per-shard removal, so untouched
+            # partitions keep their derived state (and stay clean for
+            # incremental saves).
             self._rows = kept
             self._version += 1
             self._epoch += 1
-            if not dead:
-                return 0
             for bucket, shard in enumerate(self._partitions):
                 if any(id(row) in dead for row in shard._rows):
                     shard._set_shard_rows(

@@ -18,8 +18,8 @@ users" north star).  This package is that front door, in two layers:
   end (``python -m repro.service``) exposing ``POST /query`` plus
   ``GET /health``, ``/stats``, and ``/metrics`` (Prometheus text).
 
-Both honor the executor's ``strict=`` and ``planner=`` options and
-``EXPLAIN`` / ``EXPLAIN ANALYZE`` statements.
+Both honor the executor's ``strict=`` option and ``EXPLAIN`` /
+``EXPLAIN ANALYZE`` statements.
 """
 
 from repro.errors import (

@@ -137,21 +137,21 @@ class Ticket:
 
 
 class _Job:
-    """One queued statement: text + pinned source + options + ticket."""
+    """One queued statement: text + pinned source + strictness + ticket."""
 
-    __slots__ = ("sql", "source", "options", "future", "stats")
+    __slots__ = ("sql", "source", "strict", "future", "stats")
 
     def __init__(
         self,
         sql: str,
         source: Source,
-        options: dict[str, Any],
+        strict: bool,
         future: "Future[RowStore]",
         stats: Optional[SessionStats],
     ) -> None:
         self.sql = sql
         self.source = source
-        self.options = options
+        self.strict = strict
         self.future = future
         self.stats = stats
 
@@ -233,20 +233,10 @@ class QueryService:
 
     # -- sessions --------------------------------------------------------------
 
-    def session(
-        self,
-        *,
-        strict: bool = False,
-        planner: bool = True,
-    ) -> "Session":
-        """Open a session with these execution defaults."""
+    def session(self, *, strict: bool = False) -> "Session":
+        """Open a session with this strictness default."""
         self._require_open()
-        return Session(
-            self,
-            next(self._session_ids),
-            strict=strict,
-            planner=planner,
-        )
+        return Session(self, next(self._session_ids), strict=strict)
 
     # -- submission ------------------------------------------------------------
 
@@ -255,7 +245,6 @@ class QueryService:
         sql: str,
         *,
         strict: bool = False,
-        planner: bool = True,
         snapshot: Optional[Source] = None,
         stats: Optional[SessionStats] = None,
     ) -> Ticket:
@@ -273,13 +262,7 @@ class QueryService:
         else:
             pinned = self._source
         future: "Future[RowStore]" = Future()
-        job = _Job(
-            sql,
-            pinned,
-            {"strict": strict, "planner": planner},
-            future,
-            stats,
-        )
+        job = _Job(sql, pinned, strict, future, stats)
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -320,7 +303,7 @@ class QueryService:
         start = perf_counter()
         try:
             result = self._runner(
-                lambda: _execute(job.sql, job.source, **job.options)
+                lambda: _execute(job.sql, job.source, strict=job.strict)
             )
         except BaseException as exc:
             self._note_finished(job, perf_counter() - start, rows=0, error=True)
@@ -409,8 +392,8 @@ class QueryService:
 class Session:
     """One caller's handle on a :class:`QueryService`.
 
-    Sessions carry execution defaults (``strict`` / ``planner``),
-    per-session :class:`SessionStats`, and an optional
+    Sessions carry a ``strict`` default, per-session
+    :class:`SessionStats`, and an optional
     explicit snapshot pin.  They are cheap (no dedicated thread) and
     are context managers::
 
@@ -424,12 +407,10 @@ class Session:
         session_id: int,
         *,
         strict: bool,
-        planner: bool,
     ) -> None:
         self._service = service
         self.session_id = session_id
         self.strict = strict
-        self.planner = planner
         self.stats = SessionStats()
         self._pinned: Optional[Source] = None
         self._closed = False
@@ -453,19 +434,12 @@ class Session:
 
     # -- execution -------------------------------------------------------------
 
-    def submit(
-        self,
-        sql: str,
-        *,
-        strict: Optional[bool] = None,
-        planner: Optional[bool] = None,
-    ) -> Ticket:
+    def submit(self, sql: str, *, strict: Optional[bool] = None) -> Ticket:
         """Enqueue one statement under this session's defaults."""
         self._require_open()
         return self._service.submit(
             sql,
             strict=self.strict if strict is None else strict,
-            planner=self.planner if planner is None else planner,
             snapshot=self._pinned,
             stats=self.stats,
         )

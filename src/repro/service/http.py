@@ -3,8 +3,8 @@
 Endpoints
 ---------
 ``POST /query``
-    Body: ``{"sql": "...", "strict": false, "planner": true,
-    "tags": false}`` (only ``sql`` is required).
+    Body: ``{"sql": "...", "strict": false, "tags": false}`` (only
+    ``sql`` is required; other keys are ignored).
     Replies ``200`` with ``{"columns", "rows", "row_count"}`` —
     plus per-cell ``"tags"`` when requested against a tagged source —
     ``400`` on malformed requests or query errors, ``503`` with
@@ -189,10 +189,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         request = self._read_request()
         if request is None:
             return  # error already sent
-        sql, options, include_tags = request
+        sql, strict, include_tags = request
         service = self.server.service
         try:
-            result = service.execute(sql, **options)
+            result = service.execute(sql, strict=strict)
         except ServiceOverloadedError:
             self._reply_error(503, "overloaded")
             return
@@ -211,7 +211,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _read_request(
         self,
-    ) -> Optional[tuple[str, dict[str, Any], bool]]:
+    ) -> Optional[tuple[str, bool, bool]]:
         """Parse the POST body; replies 400 and returns None on errors."""
         if "Transfer-Encoding" in self.headers:
             self._reply_error(400, "send the body with a Content-Length")
@@ -241,18 +241,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(sql, str) or not sql.strip():
             self._reply_error(400, 'body must carry a non-empty "sql" string')
             return None
-        options: dict[str, Any] = {}
-        for option in ("strict", "planner"):
-            if option in document:
-                value = document[option]
-                if not isinstance(value, bool):
-                    self._reply_error(
-                        400, f'option "{option}" must be a boolean'
-                    )
-                    return None
-                options[option] = value
+        strict = document.get("strict", False)
         include_tags = document.get("tags", False)
-        if not isinstance(include_tags, bool):
-            self._reply_error(400, 'option "tags" must be a boolean')
-            return None
-        return sql, options, include_tags
+        for option, value in (("strict", strict), ("tags", include_tags)):
+            if not isinstance(value, bool):
+                self._reply_error(400, f'option "{option}" must be a boolean')
+                return None
+        return sql, strict, include_tags

@@ -34,8 +34,9 @@ batch physical executor runs the plan (:mod:`repro.sql.physical`), and
 a plan cache keyed on statement text, and valid while the facts its
 planning read are unchanged, skips lexing/parsing/planning for
 repeated statements (:mod:`repro.sql.plancache`).  ``EXPLAIN SELECT ...`` returns the
-rendered optimized plan; ``execute(..., planner=False)`` is the
-planner-free reference path.
+rendered optimized plan.  That batch engine is the one way statements
+execute; results are tested against one independent oracle,
+:func:`repro.experiments.naive.naive_execute`.
 
 Entry point: :func:`execute` (or :func:`parse` for the AST).
 """

@@ -2,11 +2,11 @@
 
 Each rule is a standalone function ``rule(plan, ...) -> plan`` so tests
 can exercise one rewrite at a time; :func:`optimize` chains them in a
-fixed order.  All rules are semantics-preserving with respect to the
-reference executor:
+fixed order.  All rules preserve QSQL semantics, as the test oracle
+(:func:`repro.experiments.naive.naive_execute`) defines them:
 
 - :func:`fold_constants` — evaluate constant predicates at plan time
-  using the executor's exact comparison semantics (NULL never matches,
+  using the engine's exact comparison semantics (NULL never matches,
   ``TypeError`` → false) and simplify AND/OR/NOT around the results;
 - :func:`push_quality_predicates` — split a WHERE conjunction over a
   tagged scan and route ``QUALITY(col.ind) <op> literal`` conjuncts

@@ -20,22 +20,26 @@ plain and tagged, flat and partitioned relations alike:
 Scan hands out the segment.  Filter, QualityFilter and ScoreFilter
 narrow the selection: QualityFilter scans the
 :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` tag arrays,
-ScoreFilter the materialized score arrays, and Filter runs
-column-vs-literal, IN and IS NULL tests over value arrays (an equality
-over a whole column hops hit to hit with the C-level ``list.index``)
-and every other predicate through the reference executor's per-row
-closure on the selected rows.  TopK, Sort and Limit reorder or cut the
-selection; Project remaps columns through a compile-time *layout*.  Rows
-are built once: in :meth:`CompiledPlan.execute`, or by the operators
-that need whole rows — Aggregate, Distinct, HashJoin and QUALITY-valued
-projections — which call the reference executor's and the algebra
-modules' own implementations and hand their result on as a new segment.
+ScoreFilter the materialized score arrays, and Filter tests each
+predicate leaf over its operands' values (a column-vs-literal equality
+over a whole column hops hit to hit with the C-level ``list.index``).
+TopK, Sort and Limit reorder or cut the selection; Project remaps
+columns through a compile-time *layout*.  Every operator reads an
+operand the same way, through :func:`_operand`: a column's value
+array, or a literal's or ``QUALITY(...)`` operand's per-row getter on
+the selected rows.  Aggregate and QUALITY-valued projections compute
+new values from the batch and insert them, validated, into a new
+plain relation.  Whole rows are built only where an operator needs
+them — in :meth:`CompiledPlan.execute` for the result, and by Distinct
+and HashJoin, which call the algebra modules' implementations — and
+an operator that builds a relation hands it on as a new segment.
 
-Semantics are the reference executor's, by construction: value-array
-tests apply the executor's comparator table with its NULL (never true)
-and ``TypeError`` (false) rules, AND/OR/NOT compose selections so each
-leaf sees exactly the rows the row closure's short-circuit evaluates,
-and sort keys are the executor's None-safe ``(not None, value)`` pairs.
+Semantics are QSQL's, checked against the test oracle
+(:func:`repro.experiments.naive.naive_execute`): comparisons use the
+shared comparator table with its NULL (never true) and ``TypeError``
+(false) rules, AND/OR/NOT compose selections so each leaf sees exactly
+the rows a short-circuiting row-at-a-time test would evaluate, and sort
+keys are None-safe ``(not None, value)`` pairs.
 
 Compiled plans close over *names and schemas only*, never over relation
 instances: the binding supplies relations at run time, which is what
@@ -72,23 +76,17 @@ from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
 
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownIndicatorError
 from repro.obs import metrics as _obs_metrics
 from repro.obs.stats import ExecutionStats
 from repro.relational import algebra as plain_algebra
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Column, RelationSchema
+from repro.relational.types import FLOAT, INT, STR
 from repro.sql.errors import SQLError
-from repro.sql.executor import (
-    _COMPARATORS,
-    _FLIPPED,
-    _compile_operand,
-    _compile_predicate,
-    _computed_projection,
-    _execute_aggregate,
-    _item_output_domain,
-)
+from repro.sql.executor import _COMPARATORS, _FLIPPED
 from repro.sql.nodes import (
+    AggregateCall,
     BoolOp,
     ColumnRef,
     Comparison,
@@ -98,7 +96,6 @@ from repro.sql.nodes import (
     NotOp,
     QualityRef,
     QualityScoreRef,
-    SelectStatement,
 )
 from repro.sql.plan import (
     Aggregate,
@@ -607,9 +604,9 @@ def _segment_type(sanitize: bool) -> type[Segment]:
 def _row_shaped(child: CompiledNode, sanitize: bool) -> CompiledNode:
     """``child`` re-based onto rows of its own schema.
 
-    Filter, Sort and TopK address columns by schema position; above a
-    column-remapping Project (only hand-built plans put them there),
-    the projected rows are built first.
+    Operators that read operands (:func:`_operand`) address columns by
+    schema position; above a column-remapping Project (only hand-built
+    plans put them there), the projected rows are built first.
     """
     if child.layout is None:
         return child
@@ -621,6 +618,101 @@ def _row_shaped(child: CompiledNode, sanitize: bool) -> CompiledNode:
         return segment_type(_materialize(child, rows)), None
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+
+
+class _RowValues:
+    """A non-column operand's values by position: its per-row getter,
+    run on a position's row only when that position is read."""
+
+    __slots__ = ("_get", "_rows")
+
+    def __init__(self, get: Callable[[Any], Any], rows: list) -> None:
+        self._get = get
+        self._rows = rows
+
+    def __getitem__(self, position: int) -> Any:
+        return self._get(self._rows[position])
+
+
+def _operand(operand: Any, node: CompiledNode) -> Callable[[Segment], Any]:
+    """One operand as ``fetch(segment) -> values``, indexable by position.
+
+    The one way operators read an operand off a batch (WHERE leaves,
+    Aggregate keys and inputs, QUALITY-valued projections, Sort and
+    TopK keys).  A column's values are the segment's value array; a
+    literal's and a ``QUALITY(...)`` operand's come from
+    :func:`_row_operand` over the segment's rows, evaluated only at the
+    positions read, so an error (a missing scoring profile) raises only
+    when a selected row needs the value.  ``node`` is row-shaped (see
+    :func:`_row_shaped`).
+    """
+    if isinstance(operand, ColumnRef):
+        position = node.schema.position(operand.column)
+        return lambda segment: segment.values(position)
+    get = _row_operand(operand, node)
+    return lambda segment: _RowValues(get, segment.rows())
+
+
+def _row_operand(operand: Any, node: CompiledNode) -> Callable[[Any], Any]:
+    """A literal or ``QUALITY(...)`` operand as a per-row getter.
+
+    ``QUALITY(column.indicator)`` reads the cell's tag, NULL when the
+    cell lacks it.  ``QUALITY(parameter)`` scores the row under the
+    relation's registered profile, looked up per row so a cached plan
+    never pins a superseded registration.
+    """
+    if isinstance(operand, Literal):
+        value = operand.value
+        return lambda row: value
+    if not node.tagged:
+        raise SQLError(
+            "QUALITY(...) requires a tagged relation; the source is untagged"
+        )
+    schema = node.schema
+    if isinstance(operand, QualityRef):
+        position = schema.position(operand.column)
+        indicator = operand.indicator
+        return lambda row: row.cells[position].tag_value(indicator)
+    if not isinstance(operand, QualityScoreRef):
+        raise SQLError(f"unknown operand node {operand!r}")
+    from repro.quality.materialize import profile_for, row_parameter_score
+
+    parameter = operand.parameter
+    name = schema.name
+    positions = tuple(
+        schema.position(column) for column in node.tag_schema.tagged_columns
+    )
+
+    def get(row: TaggedRow) -> Any:
+        profile = profile_for(name)
+        if profile is None or not profile.defines(parameter):
+            raise SQLError(
+                f"QUALITY({parameter}) has no registered scoring "
+                f"profile defining {parameter!r} for relation {name!r}"
+            )
+        return row_parameter_score(profile, parameter, row, positions)
+
+    return get
+
+
+def _output_domain(expr: Any, node: CompiledNode) -> Any:
+    """The domain of a computed select item's column over ``node``'s rows."""
+    if isinstance(expr, AggregateCall):
+        if expr.func == "COUNT":
+            return INT
+        if expr.func in ("SUM", "AVG"):
+            return FLOAT
+        expr = expr.operand  # MIN/MAX keep their operand's domain
+    if isinstance(expr, ColumnRef):
+        return node.schema.column(expr.column).domain
+    if isinstance(expr, QualityScoreRef):
+        return FLOAT  # parameter scores live in [0, 1]
+    if node.tag_schema is not None:
+        try:
+            return node.tag_schema.definition(expr.indicator).domain
+        except UnknownIndicatorError:
+            pass  # an undefined tag reads as NULL
+    return STR
 
 
 def _compile_scan(
@@ -749,9 +841,7 @@ def _compile_filter(
                 return child_run(binding, stats)[0], []
 
         return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-    select = _compile_selection(
-        predicate, child.schema, child.tagged, child.tag_schema
-    )
+    select = _compile_selection(predicate, child)
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
         segment, sel = child_run(binding, stats)
@@ -764,25 +854,19 @@ def _compile_filter(
 Selection = Callable[[Segment, Optional[list]], list]
 
 
-def _compile_selection(
-    expr: Any, schema: RelationSchema, tagged: bool, tag_schema: Any
-) -> Selection:
-    """Compile a WHERE tree into a selection function.
+def _compile_selection(expr: Any, node: CompiledNode) -> Selection:
+    """Compile a WHERE tree over ``node``'s rows into a selection function.
 
     The returned function maps a segment and a selection (None: every
     position) to the selected positions whose rows satisfy ``expr``, in
-    selection order.  Column-vs-literal comparisons and IN / IS NULL
-    tests on a column run over the column's value array; any other
-    leaf tests the selected rows with the reference executor's
-    :func:`~repro.sql.executor._compile_predicate` closure.  AND feeds
-    the left side's hits to the right side and OR probes the right side
-    with the left side's misses, so every leaf sees exactly the rows
-    the row closure's short-circuit evaluates it on — same results,
-    same errors.
+    selection order.  AND feeds the left side's hits to the right side
+    and OR probes the right side with the left side's misses, so every
+    leaf sees exactly the rows a short-circuiting row-at-a-time test
+    would evaluate it on — same results, same errors.
     """
     if isinstance(expr, BoolOp):
-        left = _compile_selection(expr.left, schema, tagged, tag_schema)
-        right = _compile_selection(expr.right, schema, tagged, tag_schema)
+        left = _compile_selection(expr.left, node)
+        right = _compile_selection(expr.right, node)
         if expr.op == "AND":
             return lambda segment, sel: right(segment, left(segment, sel))
 
@@ -794,84 +878,104 @@ def _compile_selection(
 
         return run_or
     if isinstance(expr, NotOp):
-        inner = _compile_selection(expr.operand, schema, tagged, tag_schema)
+        inner = _compile_selection(expr.operand, node)
 
         def run_not(segment: Segment, sel: Optional[list]) -> list:
             hits = set(inner(segment, sel))
             return [i for i in _positions(segment, sel) if i not in hits]
 
         return run_not
-    kernel = _value_kernel(expr, schema)
-    if kernel is not None:
-        return kernel
-    test = _compile_predicate(expr, schema, tagged, tag_schema)
-
-    def run_rows(segment: Segment, sel: Optional[list]) -> list:
-        rows = segment.rows()
-        return [i for i in _positions(segment, sel) if test(rows[i])]
-
-    return run_rows
+    return _leaf_selection(expr, node)
 
 
-def _value_kernel(expr: Any, schema: RelationSchema) -> Optional[Selection]:
-    """A value-array test for a column-vs-literal comparison (either
-    side) or an IN / IS NULL test on a column; None for other leaves."""
+def _leaf_selection(expr: Any, node: CompiledNode) -> Selection:
+    """One comparison, IN or IS NULL test over its operands' values.
+
+    NULL never satisfies a comparison or IN, and incomparable types
+    compare false.  A literal on the left flips the operator, and a
+    comparison with a literal runs :func:`_comparison_kernel`.
+    """
     if isinstance(expr, Comparison):
-        column, literal, op = expr.left, expr.right, expr.op
-        if isinstance(column, Literal):
-            # A literal on the left flips the operator, as in the executor.
-            column, literal, op = literal, column, _FLIPPED[op]
-        if isinstance(column, ColumnRef) and isinstance(literal, Literal):
-            return _comparison_kernel(
-                schema.position(column.column), op, literal.value
-            )
-        return None
-    if not (
-        isinstance(expr, (InList, IsNull))
-        and isinstance(expr.operand, ColumnRef)
-    ):
-        return None
-    position = schema.position(expr.operand.column)
+        left, op, right = expr.left, expr.op, expr.right
+        if isinstance(left, Literal):
+            left, op, right = right, _FLIPPED[op], left
+        if isinstance(right, Literal):
+            return _comparison_kernel(left, op, right.value, node)
+        fetch_left, fetch_right = _operand(left, node), _operand(right, node)
+        compare = _COMPARATORS[op]
+
+        def run_compare(segment: Segment, sel: Optional[list]) -> list:
+            a, b = fetch_left(segment), fetch_right(segment)
+            hits: list = []
+            for i in _positions(segment, sel):
+                x, y = a[i], b[i]
+                if x is None or y is None:
+                    continue
+                try:
+                    if compare(x, y):
+                        hits.append(i)
+                except TypeError:
+                    continue
+            return hits
+
+        return run_compare
+    if not isinstance(expr, (InList, IsNull)):
+        raise SQLError(f"unknown expression node {expr!r}")
+    fetch = _operand(expr.operand, node)
     negated = expr.negated
     if isinstance(expr, IsNull):
 
         def run_is_null(segment: Segment, sel: Optional[list]) -> list:
-            array = segment.values(position)
+            values = fetch(segment)
             return [
                 i for i in _positions(segment, sel)
-                if (array[i] is None) != negated
+                if (values[i] is None) != negated
             ]
 
         return run_is_null
     options = expr.options
 
     def run_in(segment: Segment, sel: Optional[list]) -> list:
-        array = segment.values(position)
+        values = fetch(segment)
         return [
             i
             for i in _positions(segment, sel)
-            if array[i] is not None and (array[i] in options) != negated
+            if (value := values[i]) is not None
+            and (value in options) != negated
         ]
 
     return run_in
 
 
-def _comparison_kernel(position: int, op: str, constant: Any) -> Selection:
-    """``column op constant`` over the column's value array."""
-    if constant is None:
+def _never(value: Any, constant: Any) -> bool:
+    return False
+
+
+def _comparison_kernel(
+    operand: Any, op: str, constant: Any, node: CompiledNode
+) -> Selection:
+    """``operand op constant`` over the operand's values.
+
+    A NULL constant matches nothing: a column is then not read at all,
+    and any other operand is still evaluated at each selected position,
+    for the errors it raises.
+    """
+    column = isinstance(operand, ColumnRef)
+    if constant is None and column:
         return lambda segment, sel: []
-    compare = _COMPARATORS[op]
-    equality = op == "="
+    fetch = _operand(operand, node)
+    compare = _never if constant is None else _COMPARATORS[op]
+    hop = column and op == "="
 
     def run(segment: Segment, sel: Optional[list]) -> list:
-        array = segment.values(position)
+        values = fetch(segment)
         hits: list = []
         emit = hits.append
-        if sel is None and equality:
+        if sel is None and hop:
             # A whole-column equality hops hit to hit with list.index, a
             # C-level search (``==`` never raises TypeError, and a None
             # constant was rejected above, so Nones cannot match).
-            find = array.index
+            find = values.index
             index = -1
             try:
                 while True:
@@ -881,7 +985,7 @@ def _comparison_kernel(position: int, op: str, constant: Any) -> Selection:
                 pass
             return hits
         for i in _positions(segment, sel):
-            value = array[i]
+            value = values[i]
             if value is None:
                 continue
             try:
@@ -901,22 +1005,27 @@ def _compile_project(
     items = plan.items
     child_run = child.run
     if _computes_quality(plan):
-        # QUALITY(...) in the select list materializes tag values into a
-        # plain relation — delegate to the executor's implementation.
-        stub = SelectStatement(
-            columns=None,
-            relation=child.schema.name,
-            select_items=items,
+        # QUALITY(...) values are new values: they go through the
+        # validating insert into a plain relation.
+        child = _row_shaped(child, sanitize)
+        out_schema = RelationSchema(
+            child.schema.name,
+            [
+                Column(item.output_name, _output_domain(item.expr, child))
+                for item in items
+            ],
         )
-        probe = _materialize(child, [])
-        out_schema = _computed_projection(stub, probe, child.tagged).schema
+        fetches = [(item.output_name, _operand(item.expr, child)) for item in items]
+        child_run = child.run
         segment_type = _segment_type(sanitize)
 
         def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
-            temp = _materialize(child, _rows_of(child, child_run(binding, stats)))
-            return segment_type(
-                _computed_projection(stub, temp, child.tagged)
-            ), None
+            segment, sel = child_run(binding, stats)
+            columns = [(name, fetch(segment)) for name, fetch in fetches]
+            result = Relation(out_schema)
+            for i in _positions(segment, sel):
+                result.insert({name: values[i] for name, values in columns})
+            return segment_type(result), None
 
         return CompiledNode(run, out_schema, False, None)
 
@@ -1030,34 +1139,63 @@ def _compile_hash_join(
 def _compile_aggregate(
     plan: Aggregate, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
-    child = _compile(plan.child, relations, ids, sanitize)
-    stub = SelectStatement(
-        columns=None,
-        relation=child.schema.name,
-        select_items=plan.items,
-        group_by=plan.group_by,
-    )
-    probe = _materialize(child, [])
+    child = _row_shaped(_compile(plan.child, relations, ids, sanitize), sanitize)
     out_schema = RelationSchema(
         f"{child.schema.name}_agg",
         [
-            Column(item.output_name, _item_output_domain(item, probe))
+            Column(item.output_name, _output_domain(item.expr, child))
             for item in plan.items
         ],
     )
+    keys = [_operand(ref, child) for ref in plan.group_by]
+    outputs = [
+        (item.output_name, _aggregate_output(item.expr, plan.group_by, child))
+        for item in plan.items
+    ]
     child_run = child.run
-    tagged = child.tagged
     segment_type = _segment_type(sanitize)
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
-        temp = _materialize(child, _rows_of(child, child_run(binding, stats)))
-        return segment_type(_execute_aggregate(stub, temp, tagged)), None
+        segment, sel = child_run(binding, stats)
+        key_values = [fetch(segment) for fetch in keys]
+        # Groups in first-seen order, each the positions it holds.
+        groups: dict[tuple, list] = {}
+        for i in _positions(segment, sel):
+            key = tuple([values[i] for values in key_values])
+            groups.setdefault(key, []).append(i)
+        if not groups and not keys:
+            groups[()] = []
+        bound = [(name, bind(segment)) for name, bind in outputs]
+        result = Relation(out_schema)
+        for key, members in groups.items():
+            # Aggregates compute new values: the validating insert.
+            result.insert({name: value(key, members) for name, value in bound})
+        return segment_type(result), None
 
     return CompiledNode(run, out_schema, False, None)
 
 
+def _aggregate_output(
+    expr: Any, group_by: tuple, child: CompiledNode
+) -> Callable[[Segment], Callable[[tuple, list], Any]]:
+    """One Aggregate select item as ``bind(segment) -> value(key, members)``."""
+    if not isinstance(expr, AggregateCall):
+        index = group_by.index(expr)  # a grouping key (the parser checks)
+        return lambda segment: lambda key, members: key[index]
+    if expr.operand is None:  # COUNT(*)
+        return lambda segment: lambda key, members: len(members)
+    fetch = _operand(expr.operand, child)
+    combine = plain_algebra.AGGREGATES[expr.func.lower()]
+
+    def bind(segment: Segment) -> Callable[[tuple, list], Any]:
+        values = fetch(segment)
+        return lambda key, members: combine([values[i] for i in members])
+
+    return bind
+
+
 def _check_aggregate_order(plan: Sort | TopK, child: CompiledNode) -> None:
-    """The executor's post-aggregation ORDER BY validation, verbatim."""
+    """ORDER BY after aggregation names output columns, never QUALITY."""
     for item in plan.order_by:
         if isinstance(item.key, (QualityRef, QualityScoreRef)):
             raise SQLError("ORDER BY QUALITY(...) cannot follow aggregation")
@@ -1067,32 +1205,15 @@ def _check_aggregate_order(plan: Sort | TopK, child: CompiledNode) -> None:
 def _order_key(
     item: Any, node: CompiledNode
 ) -> Callable[[Segment], Callable[[int], tuple]]:
-    """One ORDER BY item as ``fetch(segment) -> key(position)``.
+    """One ORDER BY item as ``fetch(segment) -> key(position)``: the
+    operand's value as a None-safe ``(not None, value)`` pair."""
+    fetch = _operand(item.key, node)
 
-    Keys are the executor's None-safe ``(not None, value)`` pairs: a
-    column's come from its value array, a QUALITY(...) key's from the
-    executor's operand closure over the position's row.
-    """
-    if isinstance(item.key, ColumnRef):
-        position = node.schema.position(item.key.column)
+    def fetch_key(segment: Segment) -> Callable[[int], tuple]:
+        values = fetch(segment)
+        return lambda i: ((value := values[i]) is not None, value)
 
-        def fetch_column(segment: Segment) -> Callable[[int], tuple]:
-            array = segment.values(position)
-            return lambda i: (array[i] is not None, array[i])
-
-        return fetch_column
-    get = _compile_operand(item.key, node.schema, node.tagged, node.tag_schema)
-
-    def fetch_quality(segment: Segment) -> Callable[[int], tuple]:
-        rows = segment.rows()
-
-        def key(i: int) -> tuple:
-            value = get(rows[i])
-            return (value is not None, value)
-
-        return key
-
-    return fetch_quality
+    return fetch_key
 
 
 def _compile_sort(
@@ -1101,8 +1222,7 @@ def _compile_sort(
     child = _row_shaped(_compile(plan.child, relations, ids, sanitize), sanitize)
     if isinstance(plan.child, Aggregate):
         _check_aggregate_order(plan, child)
-    # Repeated stable single-key sorts, least-significant first — the
-    # executor's exact ordering semantics.
+    # Repeated stable single-key sorts, least-significant first.
     passes = [
         (_order_key(item, child), item.descending)
         for item in reversed(plan.order_by)

@@ -356,7 +356,8 @@ def derive_plan_columns(
 def logical_plan(statement: SelectStatement, tagged: bool) -> PlanNode:
     """Lower a parsed statement into the unoptimized logical plan.
 
-    The pipeline mirrors the reference executor's clause order exactly:
+    The pipeline follows QSQL's clause order (the one the test oracle,
+    :func:`repro.experiments.naive.naive_execute`, interprets):
     scan → filter → (aggregate | sort) → project → distinct → limit,
     with ORDER BY evaluated *before* projection so order keys may name
     non-projected columns.

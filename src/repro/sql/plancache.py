@@ -33,11 +33,9 @@ and produce the cached plan.
 Strict-mode analysis is memoized in an :class:`AnalysisMemo` under the
 same rule — the analyzer reads through a recorder too, so a verdict is
 replayed only while the schemas, catalog and scoring profile it read
-are unchanged.  Both execute paths share the memo, so
-``execute(..., strict=True)`` pays the analysis pass once per
-(statement, source state) — including for statements that *fail*
-analysis, which never reach the plan cache, and for the
-``planner=False`` reference path, which has no prepared entries.
+are unchanged, so ``execute(..., strict=True)`` pays the analysis pass
+once per (statement, source state) — including for statements that
+*fail* analysis, which never reach the plan cache.
 """
 
 from __future__ import annotations
@@ -202,7 +200,7 @@ class AnalysisMemo(_ValidatedLRU):
         self._put(sql, reads, diagnostics)
 
 
-#: The process-wide default cache used by ``execute(..., planner=True)``.
+#: The process-wide default cache used by ``execute``.
 _DEFAULT_CACHE = PlanCache()
 
 #: The process-wide strict-analysis memo (both execute paths).
@@ -349,10 +347,7 @@ def _record_execution(
             description="wall time per planner-path statement execution",
         ).observe(elapsed)
     if collector is not None:
-        collector._fill(
-            sql, stats, elapsed, len(result), planned=True,
-            cache_hit=cache_hit,
-        )
+        collector._fill(sql, stats, elapsed, len(result), cache_hit=cache_hit)
     return result, stats
 
 
@@ -420,10 +415,7 @@ def execute_planned(
         result = compiled.execute(binding, stats)
         elapsed = perf_counter() - start
         if collector is not None:
-            collector._fill(
-                sql, stats, elapsed, len(result), planned=True,
-                cache_hit=False,
-            )
+            collector._fill(sql, stats, elapsed, len(result), cache_hit=False)
         return explain_analyze_relation(stats)
     entry = PreparedStatement(
         sql, statement, plan, compiled, context.reads, verify

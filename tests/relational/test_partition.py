@@ -253,11 +253,8 @@ def _check_value_arrays(relation):
             assert segment.value_array(position) == _column(segment, position)
 
 
-@pytest.mark.parametrize("kind", ["plain", "tagged"])
-def test_row_store_behaviour_on_both_kinds(kind):
-    """Plain and tagged relations share one row store: partitioning,
-    dirty tracking, per-shard value arrays, snapshots and copies behave
-    the same on both."""
+def _events_of_kind(kind):
+    """Twenty EVENTS rows in a plain or a tagged relation."""
     if kind == "plain":
         relation = Relation(EVENTS)
     else:
@@ -266,6 +263,15 @@ def test_row_store_behaviour_on_both_kinds(kind):
         )
     for i in range(20):
         relation.insert({"id": i, "region": "abcd"[i % 4], "n": i % 5})
+    return relation
+
+
+@pytest.mark.parametrize("kind", ["plain", "tagged"])
+def test_row_store_behaviour_on_both_kinds(kind):
+    """Plain and tagged relations share one row store: partitioning,
+    dirty tracking, per-shard value arrays, snapshots and copies behave
+    the same on both."""
+    relation = _events_of_kind(kind)
     layout = relation.partition_layout_version
     relation.repartition(hash_partitions("region", 4))
     assert relation.partition_layout_version > layout
@@ -305,3 +311,30 @@ def test_row_store_behaviour_on_both_kinds(kind):
     _check_value_arrays(relation)
     relation.repartition(None)
     _check_value_arrays(relation)
+
+
+@pytest.mark.parametrize("layout", ["flat", "partitioned"])
+@pytest.mark.parametrize("kind", ["plain", "tagged"])
+def test_delete_of_nothing_keeps_derived_state(kind, layout):
+    """A delete that removes no row still counts as a mutation (the
+    version moves) but rewrites nothing: the next read reuses every
+    value array and the tag store instead of rebuilding them."""
+    from repro.obs import metrics
+
+    relation = _events_of_kind(kind)
+    if layout == "partitioned":
+        relation.repartition(hash_partitions("region", 4))
+    positions = range(len(EVENTS.column_names))
+    warm = [relation.value_array(position) for position in positions]
+    store = relation.columnar_store() if kind == "tagged" else None
+    version = relation.version
+    with metrics.instrumented() as registry:
+        counter = registry.counter("relation.value_array_rows")
+        rows_before = counter.value
+        assert relation.delete(lambda row: False) == 0
+        again = [relation.value_array(position) for position in positions]
+        if store is not None:
+            assert relation.columnar_store() is store
+        assert counter.value - rows_before == 0
+    assert relation.version == version + 1
+    assert all(new is old for new, old in zip(again, warm))

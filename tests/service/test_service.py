@@ -76,9 +76,11 @@ def test_execution_options_flow_through():
                 "SELECT a FROM t WHERE a = 'zzz'", strict=False
             )
             assert len(result) == 0
-        # the planner toggle executes cleanly through the service
-        with service.session(planner=False) as session:
-            assert len(session.execute("SELECT a FROM t")) == 20
+        # planner=False means "run the test oracle": not a service option
+        with pytest.raises(TypeError):
+            service.session(planner=False)
+        with pytest.raises(TypeError):
+            service.execute("SELECT a FROM t", planner=False)
 
 
 def test_explain_and_explain_analyze():

@@ -1,6 +1,5 @@
 """Batch execution over column arrays: plan shapes, annotations, and
-selection-vector edge cases, each checked against the direct
-interpreter (``planner=False``) and the naive reference."""
+selection-vector edge cases, each checked against the naive oracle."""
 
 import pytest
 
@@ -54,14 +53,14 @@ def fresh_cache():
 
 class TestAccessPathChoice:
     """Every plan shape runs on the one batch engine and matches the
-    direct interpreter; plain passthroughs never transpose the rows."""
+    naive oracle; plain passthroughs never transpose the rows."""
 
     def test_bare_scan_stays_on_row_path(self):
         # SELECT * hands the segment's row list straight through: no
         # value arrays are built.
         relation = make_relation(200)
         result = execute("SELECT * FROM t", relation)
-        assert_same(result, execute("SELECT * FROM t", relation, planner=False))
+        assert_same(result, naive_execute("SELECT * FROM t", relation))
         assert not arrays_built(relation)
 
     def test_limit_only_stays_on_row_path(self):
@@ -92,13 +91,13 @@ class TestAccessPathChoice:
         sql = "SELECT DISTINCT c FROM t WHERE a > 10"
         relation = make_relation(200)
         assert "Distinct" in explain(sql, relation)
-        assert_same(execute(sql, relation), execute(sql, relation, planner=False))
+        assert_same(execute(sql, relation), naive_execute(sql, relation))
 
     def test_escape_hatch_same_result(self):
-        # planner=False is the escape hatch onto the direct interpreter.
+        # A two-key ORDER BY with LIMIT, mixed directions, vs the oracle.
         relation = make_relation(200)
         sql = "SELECT a, c FROM t WHERE b >= 2 ORDER BY a DESC, c LIMIT 9"
-        assert_same(execute(sql, relation), execute(sql, relation, planner=False))
+        assert_same(execute(sql, relation), naive_execute(sql, relation))
 
 
 class TestRemappedColumns:
@@ -159,7 +158,6 @@ class TestSelectionVectorEdgeCases:
     def run_both(self, sql, relation):
         clear_plan_cache()
         fast = execute(sql, relation)
-        assert_same(fast, execute(sql, relation, planner=False))
         assert_same(fast, naive_execute(sql, relation))
         return fast
 
@@ -265,3 +263,80 @@ class TestSelectionVectorEdgeCases:
         assert [row["a"] for row in result] == [1, 4, 7, 10]
         assert len(self.run_both("SELECT a FROM t WHERE c = 'q' LIMIT 4", relation)) == 0
         self.run_both("SELECT a FROM t LIMIT 0", relation)
+
+
+class TestComputedValuesOverPrunedShards:
+    """Aggregate and QUALITY-valued Project read their operands off the
+    batch.  Over a multi-shard pruned scan of a partitioned tagged
+    relation, under a WHERE selection, they equal the oracle in order:
+    groups come out in first-seen order, so they follow the flat row
+    order the shards merge back into."""
+
+    WHERE = "k IN (1, 2, 5, 9, 14, 20, 27, 33) AND b >= 2"
+    STATEMENTS = [
+        "SELECT QUALITY(a.source) AS src, COUNT(*) AS n, "
+        "AVG(QUALITY(a.age)) AS age, MIN(b) AS lo FROM t WHERE {where} "
+        "GROUP BY QUALITY(a.source)",
+        "SELECT c, QUALITY(a.source) AS src, SUM(b) AS total FROM t "
+        "WHERE {where} GROUP BY c, QUALITY(a.source) "
+        "ORDER BY total DESC, c LIMIT 4",
+        "SELECT k, QUALITY(a.source) AS src, QUALITY(a.age) AS age FROM t "
+        "WHERE {where}",
+        "SELECT k, QUALITY(a.age) AS age FROM t WHERE {where} "
+        "ORDER BY QUALITY(a.age) DESC, k LIMIT 5",
+        "SELECT COUNT(*) AS n, MAX(QUALITY(a.age)) AS oldest FROM t "
+        "WHERE {where} AND b > 1000",
+    ]
+
+    @staticmethod
+    def relation():
+        from repro.relational import hash_partitions
+        from repro.relational.schema import schema
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.indicators import (
+            IndicatorDefinition,
+            IndicatorValue,
+            TagSchema,
+        )
+        from repro.tagging.relation import TaggedRelation
+
+        tags = TagSchema(
+            [IndicatorDefinition("source"), IndicatorDefinition("age", "INT")],
+            allowed={"a": ["source", "age"]},
+        )
+        relation = TaggedRelation(
+            schema("t", [("k", "INT"), ("a", "INT"), ("b", "INT"), ("c", "STR")]),
+            tags,
+        )
+        for k in range(40):
+            cell_tags = []
+            if k % 4:
+                cell_tags.append(
+                    IndicatorValue("source", ["fax", "phone", "mail"][k % 3])
+                )
+            if k % 6:
+                cell_tags.append(IndicatorValue("age", k % 11))
+            relation.insert(
+                {
+                    "k": k,
+                    "a": QualityCell(k % 9, cell_tags),
+                    "b": k % 7,
+                    "c": "xyz"[k % 3],
+                }
+            )
+        relation.repartition(hash_partitions("k", 8))
+        return relation
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_matches_naive_in_order(self, sql):
+        relation = self.relation()
+        sql = sql.format(where=self.WHERE)
+        survivors = explain(sql, relation).split("partitions=")[1].split("/")[0]
+        assert int(survivors) > 1
+        result = execute(sql, relation)
+        expected = naive_execute(sql, relation)
+        assert [(c.name, c.domain) for c in result.schema.columns] == [
+            (c.name, c.domain) for c in expected.schema.columns
+        ]
+        assert len(expected) > 0
+        assert_same(result, expected)

@@ -220,9 +220,9 @@ class TestMultiKeyOrdering:
 class TestColumnLiteralComparison:
     """``column op literal`` on either side, every operator, vs naive.
 
-    Literal/column comparisons compile to one flat closure per row in
-    the interpreter and to one value-array test in the planned engine;
-    the NULL literal, the mixed-type literal (``TypeError`` → false) and
+    Literal/column comparisons compile to one value-array test in the
+    planned engine; the NULL literal, the mixed-type literal
+    (``TypeError`` → false) and
     the flipped left-literal forms are listed exhaustively here instead
     of waiting for the random generator to draw them.  Copies
     partitioned on ``c`` run the same tests over pruned scans.
@@ -261,7 +261,38 @@ class TestColumnLiteralComparison:
             for where in wheres:
                 sql = f"SELECT a, c FROM t WHERE {where}"
                 expected = [r.values_tuple() for r in naive_execute(sql, relation)]
-                for options in ({"planner": False}, {}):
-                    result = execute(sql, relation, **options)
-                    got = [r.values_tuple() for r in result]
-                    assert got == expected, (sql, options)
+                got = [r.values_tuple() for r in execute(sql, relation)]
+                assert got == expected, sql
+
+    @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
+    def test_quality_operand_matches_naive(self, op):
+        # Under OR the comparison stays a Filter leaf instead of moving
+        # into the tag store, so the engine reads QUALITY(c.source) per
+        # selected row; absent tags read as NULL.
+        from repro.experiments.naive import naive_execute
+        from repro.relational import hash_partitions
+        from repro.relational.schema import schema
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.indicators import (
+            IndicatorDefinition,
+            IndicatorValue,
+            TagSchema,
+        )
+
+        tagged = TaggedRelation(
+            schema("t", [("a", "INT"), ("c", "STR")]),
+            TagSchema([IndicatorDefinition("source")], allowed={"c": ["source"]}),
+        )
+        for (a, c), source in zip(self.ROWS, ["x", None, "y", "x", "z"]):
+            tags = [] if source is None else [IndicatorValue("source", source)]
+            tagged.insert({"a": QualityCell(a), "c": QualityCell(c, tags)})
+        partitioned = tagged.copy()
+        partitioned.repartition(hash_partitions("c", 3))
+        quality = "QUALITY(c.source)"
+        for relation in (tagged, partitioned):
+            for literal in ("NULL", "2", "'x'"):
+                for where in (f"{quality} {op} {literal}", f"{literal} {op} {quality}"):
+                    sql = f"SELECT a, c FROM t WHERE {where} OR a = 99"
+                    expected = [r.values_tuple() for r in naive_execute(sql, relation)]
+                    got = [r.values_tuple() for r in execute(sql, relation)]
+                    assert got == expected, sql

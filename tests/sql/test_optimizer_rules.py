@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.naive import naive_equi_join
+from repro.experiments.naive import naive_equi_join, naive_execute
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import execute, logical_plan, optimize, parse
@@ -93,10 +93,10 @@ def context_for(relation):
 
 def same_results(sql, relation):
     planned = execute(sql, relation)
-    unplanned = execute(sql, relation, planner=False)
-    assert planned.schema.column_names == unplanned.schema.column_names
+    expected = naive_execute(sql, relation)
+    assert planned.schema.column_names == expected.schema.column_names
     assert [r.values_tuple() for r in planned] == [
-        r.values_tuple() for r in unplanned
+        r.values_tuple() for r in expected
     ]
     return planned
 
@@ -323,14 +323,13 @@ class TestExplain:
         assert "Scan [t (tagged)]" in text
 
     def test_explain_rejected_from_unplanned_path(self, tagged):
-        # There is no plan to render on the planner-free path; asking
-        # for one is a contradiction and fails loudly (DQ209) instead
-        # of silently routing through the planner anyway.
+        # planner=False answers through the test oracle, which builds no
+        # plan; asking it for one fails loudly instead of silently
+        # routing through the planner.
         import pytest
 
-        from repro.analysis.diagnostics import QueryAnalysisError
+        from repro.errors import QueryError
 
         sql = "EXPLAIN SELECT * FROM t WHERE a > 1"
-        with pytest.raises(QueryAnalysisError) as info:
+        with pytest.raises(QueryError, match="does not implement EXPLAIN"):
             execute(sql, tagged, planner=False)
-        assert [d.code for d in info.value.diagnostics] == ["DQ209"]

@@ -7,7 +7,7 @@ depend on — create/drop/recreate (structurally equal schemas included),
 insert/delete, repartition (hash, range, none), profile
 register/rebind/clear, swapping a tagged relation for its
 ``values_relation()`` under one name, and growth and shrinkage — and
-after every step runs each statement on both execute paths, strict on
+after every step runs each statement through the planner, strict on
 and off, checking:
 
 - every result (or error) equals ``naive_execute``'s, and every strict
@@ -50,7 +50,6 @@ from repro.quality.scoring import credibility_scorer, timeliness_scorer
 from repro.relational import hash_partitions, range_partitions
 from repro.relational.catalog import Database
 from repro.relational.schema import schema
-from repro.sql.executor import execute
 from repro.sql.parser import parse
 from repro.sql.plancache import (
     PlanCache,
@@ -370,11 +369,6 @@ class PlanCacheMachine(RuleBasedStateMachine):
             if found is not None:
                 fresh, _, _ = plan_statement(found[0].statement, source)
                 assert found[0].plan == fresh, (sql, "stale plan")
-            got = outcome(
-                lambda: execute(sql, source, strict=strict, planner=False),
-                ordered,
-            )
-            assert got == want, (sql, strict, "planner=False")
 
 
 PlanCacheMachine.TestCase.settings = settings(

@@ -1,13 +1,12 @@
-"""Planner equivalence properties: planned ≡ unplanned ≡ naive.
+"""Planner equivalence properties: cold plan ≡ cached plan ≡ naive.
 
-Three independent QSQL implementations must agree on every statement:
+Three answers must agree on every statement:
 
-- ``execute(sql, rel)`` — the planner path (logical plan → optimizer
-  rewrites → compiled physical plan, with plan caching);
-- ``execute(sql, rel, planner=False)`` — the direct interpretation
-  path (one compiled closure per clause, no plan);
-- ``naive_execute(sql, rel)`` — the AST-walking per-row reference
-  interpreter in :mod:`repro.experiments.naive`.
+- ``execute(sql, rel)`` on a cold plan cache — the planner path
+  (logical plan → optimizer rewrites → compiled physical plan);
+- ``execute(sql, rel)`` again — the cached compiled plan;
+- ``naive_execute(sql, rel)`` — the AST-walking per-row test oracle
+  in :mod:`repro.experiments.naive`.
 
 Statements are generated randomly over plain, tagged, and
 polygen-derived sources, so values, tags, *and* polygen source
@@ -217,10 +216,8 @@ def assert_three_way(sql, relation):
     clear_plan_cache()
     planned_cold = canonical(execute(sql, relation))
     planned_cached = canonical(execute(sql, relation))  # plan-cache hit
-    unplanned = canonical(execute(sql, relation, planner=False))
     naive = canonical(naive_execute(sql, relation))
     assert planned_cold == planned_cached
-    assert planned_cold == unplanned
     assert planned_cold == naive
 
 

@@ -4,7 +4,7 @@ The parameter form (``QUALITY(credibility) > 0.8``) resolves against
 the relation's registered :class:`ScoringProfile` and is pushed into
 the materialized score arrays (a ``ScoreFilter`` plan node); the tag
 form (``QUALITY(column.indicator)``) keeps its own pushdown.  Every
-pushed plan must agree with the planner-off per-cell path.
+pushed plan must agree with the per-cell test oracle, ``naive_execute``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import analyze_query
+from repro.experiments.naive import naive_execute
 from repro.sql.errors import SQLError
 from repro.quality.materialize import (
     ScoringProfile,
@@ -145,7 +146,7 @@ class TestEquivalence:
             "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
         )
         pushed = execute(sql, relation)
-        reference = execute(sql, relation, planner=False)
+        reference = naive_execute(sql, relation)
         assert canonical(pushed) == canonical(reference)
         scores = materializer_for(relation).row_scores("credibility")
         oracle = sorted(
@@ -165,7 +166,7 @@ class TestEquivalence:
             "AND QUALITY(timeliness) >= 0.4 AND k < 20"
         )
         assert canonical(execute(sql, relation)) == canonical(
-            execute(sql, relation, planner=False)
+            naive_execute(sql, relation)
         )
 
     def test_scores_in_projection_and_order_by(self):
@@ -177,7 +178,7 @@ class TestEquivalence:
             "ORDER BY QUALITY(credibility) DESC, k LIMIT 6"
         )
         pushed = execute(sql, relation)
-        reference = execute(sql, relation, planner=False)
+        reference = naive_execute(sql, relation)
         assert [r.values_tuple() for r in pushed] == [
             r.values_tuple() for r in reference
         ]
@@ -196,7 +197,7 @@ class TestEquivalence:
         assert "partitions=1/8" in plan
         assert "ScoreFilter" in plan
         assert canonical(execute(sql, relation)) == canonical(
-            execute(sql, relation, planner=False)
+            naive_execute(sql, relation)
         )
 
     def test_multi_bucket_scan_stacks_tag_and_score_filters(self):
@@ -215,7 +216,7 @@ class TestEquivalence:
         assert survivors > 1
         pushed = execute(sql, relation)
         assert canonical(pushed) == canonical(
-            execute(sql, relation, planner=False)
+            naive_execute(sql, relation)
         )
         assert 0 < len(pushed) < 8
 
@@ -227,7 +228,7 @@ class TestEquivalence:
             "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
         )
         assert canonical(execute(sql, relation)) == canonical(
-            execute(sql, relation, planner=False)
+            naive_execute(sql, relation)
         )
 
 
@@ -357,7 +358,7 @@ class TestStrictVerdictFollowsProfiles:
 
         self.assert_rejected(run)
         self.register_fund_raising()
-        expected = execute(self.SQL, relation, planner=False)
+        expected = naive_execute(self.SQL, relation)
         assert len(expected) > 0
         assert run().rows == expected.rows
 
@@ -393,8 +394,8 @@ class TestStrictVerdictFollowsProfiles:
 
 
 class TestNaiveOracleScores:
-    """``naive_execute`` answers QUALITY(parameter) like the reference
-    path: a row's score is the mean over its scorable tagged cells."""
+    """``naive_execute`` answers QUALITY(parameter) like the planned
+    engine: a row's score is the mean over its scorable tagged cells."""
 
     FUND_RAISING = [
         "SELECT co_name, employees FROM customer WHERE employees > 100 "
@@ -427,10 +428,8 @@ class TestNaiveOracleScores:
 
     @pytest.mark.parametrize("sql", FUND_RAISING)
     def test_matches_reference_path(self, sql):
-        from repro.experiments.naive import naive_execute
-
         relation = self.bound_customers()
-        expected = execute(sql, relation, planner=False)
+        expected = execute(sql, relation)
         assert len(expected) > 0
         got = naive_execute(sql, relation)
         assert got.schema.column_names == expected.schema.column_names
@@ -442,8 +441,6 @@ class TestNaiveOracleScores:
         ]
 
     def test_unbound_parameter_raises_sqlerror(self):
-        from repro.experiments.naive import naive_execute
-
         relation = self.bound_customers()
         clear_profiles()
         with pytest.raises(SQLError):

@@ -2,8 +2,8 @@
 
 The plan verifier's core contract: for every statement the semantic
 analyzer accepts, the optimizer's output passes static verification —
-under every flag combination the engine supports (planner on/off,
-cold plan vs. cached plan, tagged and plain sources), with the
+under every configuration the engine supports (cold plan vs. cached
+plan, tagged and plain sources), with the
 ``REPRO_VERIFY_PLANS`` runtime hooks armed throughout.  The statement
 strategies are shared with :mod:`tests.analysis.test_property` so the
 corpus spans projections, quality predicates, aggregates, ordering,
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import analyze_query, verify_plan
+from repro.experiments.naive import naive_execute
 from repro.sql.executor import execute
 from repro.sql.optimizer import PlanContext
 from repro.sql.parser import parse
@@ -61,13 +62,13 @@ def test_accepted_statements_plan_verifier_clean(sql):
 @settings(max_examples=40, deadline=None)
 @given(sql=select_statements())
 def test_execute_under_verified_mode(sql):
-    """Cold and cached execution, both paths, with verification and the
-    batch sanitizer armed: accepted statements run without raising
-    and both engine paths agree."""
+    """Cold and cached execution with verification and the batch
+    sanitizer armed: accepted statements run without raising and agree
+    with the naive oracle."""
     if analyze_query(sql, RELATION).has_errors:
         return
-    reference = execute(sql, RELATION, planner=False)
-    cold = execute(sql, RELATION, planner=True)
-    cached = execute(sql, RELATION, planner=True)
+    reference = naive_execute(sql, RELATION)
+    cold = execute(sql, RELATION)
+    cached = execute(sql, RELATION)
     assert len(cold) == len(cached)
     assert len(reference) == len(cold)
