@@ -4,7 +4,7 @@ The obs layer threads a ``stats`` slot through every compiled physical
 operator and installs one thin timing wrapper per operator at compile
 time.  The contract (ISSUE 4 / DESIGN §10): with instrumentation
 *disabled* — no collector passed, ambient flag off — the E2 hot path
-(a selective columnar tag scan over a wide tagged relation) pays under
+(a selective tag-array filter over a wide tagged relation) pays under
 5% versus a plan compiled with no wrappers at all
 (``compile_plan(..., instrument=False)``).
 

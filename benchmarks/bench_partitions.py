@@ -12,8 +12,6 @@ BENCH_PART.json is a ratio of same-round numbers.
 """
 
 import shutil
-import tempfile
-from pathlib import Path
 
 from conftest import emit
 

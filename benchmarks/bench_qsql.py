@@ -6,8 +6,6 @@ provides it to strings.  We verify the string path answers exactly like
 the programmatic path and measure its overhead.
 """
 
-import datetime as dt
-
 from conftest import emit
 
 from repro.experiments.scenarios import customer_database
@@ -156,10 +154,10 @@ def test_qsql_planner_json():
     Floors come from ``SPEEDUP_FLOORS``, which the bench-trend CI gate
     reads too.
 
-    - *columnar-routed vs per-cell scan*: a cached plan routes
-      ``QUALITY(...)`` equality through the columnar tag store's
-      C-level array scan; the naive oracle (``naive_execute``) tests
-      the cell's tag on every row.  Floor: 23.5x — the earlier 10x
+    - *tag-array vs per-cell scan*: a cached plan's Filter leaf reads
+      the ``QUALITY(...)`` equality off the tag store's array, hopping
+      hit to hit with C-level ``list.index``; the naive oracle
+      (``naive_execute``) tests the cell's tag on every row.  Floor: 23.5x — the earlier 10x
       over the planner-free interpreter (deleted since) times the
       oracle's 2.35x slowdown against that interpreter on this
       statement (median of five interleaved trials).
@@ -174,7 +172,7 @@ def test_qsql_planner_json():
     from repro.obs.export import SPEEDUP_FLOORS
     from repro.sql import clear_plan_cache
 
-    # -- columnar routing: large relation, selective tag predicate -----
+    # -- tag-array scan: large relation, selective tag predicate -------
     n = 30000
     ticks = _ticks_relation(n)
     scan_sql = "SELECT * FROM ticks WHERE QUALITY(price.source) = 'manual'"

@@ -1,17 +1,17 @@
-"""Materialized parameter scoring — incremental rescore + pushdown.
+"""Materialized parameter scoring — incremental rescore + array-backed filter.
 
 Not a paper artifact: a performance ablation of the scoring subsystem.
 A registered :class:`ScoringProfile` materializes one score array per
 quality parameter beside the relation's tag store, maintained per
 partition: a refresh scores only the rows appended since the last one
-(the written shard's block is extended), the rest reuse their block.  The planner pushes
-``QUALITY(parameter)`` comparisons into those arrays (ScoreFilter), so
+(the written shard's block is extended), the rest reuse their block.  A
+``QUALITY(parameter)`` leaf of the WHERE Filter reads those arrays, so
 a score-constrained scan never re-runs a scorer per row.
 
 Both speedups recorded in BENCH_SCORING.json are ratios of same-round
 interleaved timings: incremental refresh vs a cold full rebuild, and
-the pushed-down filter vs the naive oracle's per-cell scoring
-(``naive_execute``).
+the array-backed filter vs the naive oracle's per-cell scoring
+(``naive_execute``).  The record names keep their ``pushdown`` wording.
 """
 
 from conftest import emit
@@ -79,7 +79,7 @@ def _selective_query(relation):
 
 
 def test_scoring_pushdown_plan_shape():
-    """The optimizer must route the score predicate into ScoreFilter."""
+    """The score predicate stays a leaf of the Filter over the Scan."""
     relation, _ = _setup()
     clear_plan_cache()
     plan = "\n".join(
@@ -90,8 +90,9 @@ def test_scoring_pushdown_plan_shape():
             relation,
         )
     )
-    assert "ScoreFilter" in plan
-    assert "QUALITY(timeliness) > 0.5" in plan
+    assert (
+        "Filter [QUALITY(timeliness) > 0.5]\n   └─ Scan [customer (tagged)]"
+    ) in plan
 
 
 def test_scoring_json_incremental_and_pushdown():
@@ -100,7 +101,7 @@ def test_scoring_json_incremental_and_pushdown():
     Floors come from ``SPEEDUP_FLOORS``, which the bench-trend CI gate
     reads too: refreshing after one dirtied bucket must hold 8x over a
     cold full rebuild (ideal is ~64x on this layout, derated for reuse
-    bookkeeping and CI noise), and the pushed-down score filter 6.8x
+    bookkeeping and CI noise), and the array-backed score filter 6.8x
     over the naive oracle's per-cell scoring.  6.8x is the earlier 4x
     over the planner-free interpreter (deleted since) times the
     oracle's 1.70x slowdown against that interpreter on this statement

@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-import pytest
-
 #: Repository root — BENCH_*.json artifacts are written here.
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

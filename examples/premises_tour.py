@@ -8,8 +8,6 @@ all of them over concrete data.
 Run:  python examples/premises_tour.py
 """
 
-import datetime as dt
-
 from repro.core.mapping import UserQualityStandard, timeliness_from_age
 from repro.core.premises import (
     classify_attribute_role,

@@ -12,8 +12,9 @@ The subsystem has three parts (DESIGN.md §8):
 - the **schema linter** (:mod:`repro.analysis.schema`) — batched
   checks over tag schemas and methodology artifacts;
 - the **plan verifier** (:mod:`repro.analysis.verifier`) — walks an
-  optimized plan checking schema derivation, pushdown legality,
-  fusion parameters, and plan-cache entries (``DQ40x``);
+  optimized plan checking schema derivation, QUALITY placement,
+  fusion parameters, partition pruning and plan-cache entries
+  (``DQ40x``);
 - the **workload analyzer** (:mod:`repro.analysis.workload`) —
   cross-statement lint over a corpus (``DQ42x``).
 

@@ -251,15 +251,6 @@ _CODES: tuple[CodeInfo, ...] = (
         "disagrees with the catalog relation.",
     ),
     CodeInfo(
-        "DQ403",
-        "illegal quality pushdown",
-        ERROR,
-        "A QualityFilter does not sit directly above a tagged Scan, or "
-        "routes a constraint the columnar tag store cannot answer with "
-        "row semantics (unknown column/indicator, disallowed indicator, "
-        "NULL operand, unknown operator).",
-    ),
-    CodeInfo(
         "DQ404",
         "misplaced QUALITY reference",
         ERROR,
@@ -301,16 +292,6 @@ _CODES: tuple[CodeInfo, ...] = (
         "that does not restrict the partition key, stale layout "
         "metadata, or a surviving set that drops buckets the predicate "
         "can still reach. Executing it would silently drop rows.",
-    ),
-    CodeInfo(
-        "DQ411",
-        "illegal score pushdown",
-        ERROR,
-        "An optimized plan's ScoreFilter is not legal: it does not sit "
-        "directly above a tagged Scan (or the QualityFilter over one), "
-        "routes an operator the materialized score arrays do not "
-        "implement, compares against NULL, or names a parameter the "
-        "scanned relation's bound scoring profile does not define.",
     ),
     # -- DQ42x: workload lint --------------------------------------------------
     CodeInfo(

@@ -17,14 +17,8 @@ violations through the diagnostics engine as the DQ40x family:
 - **schema consistency** (DQ402) — no duplicate output names, join
   inputs disjoint, join column annotations fresh, scan flags matching
   the catalog;
-- **pushdown legality** (DQ403/DQ404) — QualityFilters sit directly
-  above tagged scans and route only store-answerable constraints;
-  QUALITY references only appear over tag-carrying subtrees;
-- **score-pushdown legality** (DQ411) — a ``ScoreFilter`` sits directly
-  above a tagged Scan (or the QualityFilter over one), routes only
-  operators the materialized score arrays answer, never compares
-  against NULL, and every routed parameter is defined by the scanned
-  relation's bound :class:`~repro.quality.materialize.ScoringProfile`;
+- **QUALITY placement** (DQ404) — QUALITY references only appear over
+  tag-carrying subtrees;
 - **fusion legality** (DQ407/DQ408) — TopK/Limit/Sort parameters are
   legal and LIMIT-over-ORDER-BY was fused;
 - **partition-pruning legality** (DQ410) — a pruned ``Scan`` (one
@@ -82,15 +76,12 @@ from repro.sql.plan import (
     Limit,
     PlanNode,
     Project,
-    QualityFilter,
     Scan,
-    ScoreFilter,
     Sort,
     TopK,
     render_expr,
 )
 from repro.sql.physical import sanitize_enabled as verify_plans_enabled
-from repro.tagging.query import OPERATORS as _STORE_OPERATORS
 
 __all__ = [
     "PlanVerificationError",
@@ -180,10 +171,6 @@ class _PlanVerifier:
     def visit(self, node: PlanNode) -> _Shape:
         if isinstance(node, Scan):
             return self.visit_scan(node)
-        if isinstance(node, QualityFilter):
-            return self.visit_quality_filter(node)
-        if isinstance(node, ScoreFilter):
-            return self.visit_score_filter(node)
         if isinstance(node, Filter):
             return self.visit_filter(node)
         if isinstance(node, Project):
@@ -220,110 +207,6 @@ class _PlanVerifier:
             context.tag_schema(node.relation) if tagged else None,
             True,
         )
-
-    def visit_quality_filter(self, node: QualityFilter) -> _Shape:
-        child_shape = self.visit(node.child)
-        child = node.child
-        if not (isinstance(child, Scan) and child.tagged):
-            self.add(
-                "DQ403",
-                f"QualityFilter must sit directly above a tagged Scan, "
-                f"not {type(child).__name__}; the columnar tag store is "
-                f"only addressable at the base relation",
-            )
-            return child_shape
-        for column, indicator, op, operand in node.constraints:
-            label = f"QUALITY({column}.{indicator}) {op} {operand!r}"
-            if op not in _STORE_OPERATORS:
-                self.add(
-                    "DQ403",
-                    f"pushed constraint {label} uses operator {op!r}, "
-                    f"which the tag store does not implement "
-                    f"(known: {sorted(_STORE_OPERATORS)})",
-                )
-            if operand is None:
-                self.add(
-                    "DQ403",
-                    f"pushed constraint {label} compares against NULL; "
-                    f"row semantics never match NULL, the store would "
-                    f"match differently",
-                )
-            if not child_shape.known:
-                continue
-            if child_shape.columns is not None and column not in child_shape.columns:
-                self.add(
-                    "DQ401",
-                    f"pushed constraint {label} references column "
-                    f"{column!r}, which the scanned relation does not "
-                    f"provide (columns: {list(child_shape.columns)})",
-                )
-                continue
-            tag_schema = child_shape.tag_schema
-            if tag_schema is not None:
-                try:
-                    allowed = tag_schema.allowed_for(column)
-                except Exception:
-                    allowed = ()
-                if indicator not in allowed:
-                    self.add(
-                        "DQ403",
-                        f"pushed constraint {label}: indicator "
-                        f"{indicator!r} is not allowed on column "
-                        f"{column!r} — per-cell it reads as NULL (never "
-                        f"matches) but the store scan would raise",
-                    )
-        return child_shape
-
-    def visit_score_filter(self, node: ScoreFilter) -> _Shape:
-        child_shape = self.visit(node.child)
-        child = node.child
-        if isinstance(child, QualityFilter):
-            scan = child.child
-        else:
-            scan = child
-        if not (isinstance(scan, Scan) and scan.tagged):
-            self.add(
-                "DQ411",
-                f"ScoreFilter must sit directly above a tagged Scan (or "
-                f"the QualityFilter over one), not "
-                f"{type(child).__name__}; materialized score arrays are "
-                f"only addressable at the base relation",
-            )
-            return child_shape
-        profile = None
-        if child_shape.known:
-            profile = self.context.profile(scan.relation)
-            if profile is None:
-                self.add(
-                    "DQ411",
-                    f"ScoreFilter over {scan.relation!r} but no scoring "
-                    f"profile is bound to that relation; executing it "
-                    f"would raise instead of filtering",
-                )
-        for parameter, op, operand in node.constraints:
-            label = f"QUALITY({parameter}) {op} {operand!r}"
-            if op not in _STORE_OPERATORS:
-                self.add(
-                    "DQ411",
-                    f"pushed score constraint {label} uses operator "
-                    f"{op!r}, which the score arrays do not implement "
-                    f"(known: {sorted(_STORE_OPERATORS)})",
-                )
-            if operand is None:
-                self.add(
-                    "DQ411",
-                    f"pushed score constraint {label} compares against "
-                    f"NULL; row semantics never match NULL",
-                )
-            if profile is not None and not profile.defines(parameter):
-                self.add(
-                    "DQ411",
-                    f"pushed score constraint {label}: parameter "
-                    f"{parameter!r} is not defined by the bound scoring "
-                    f"profile {profile.name!r} "
-                    f"(defined: {list(profile.parameters)})",
-                )
-        return child_shape
 
     def visit_filter(self, node: Filter) -> _Shape:
         shape = self.visit(node.child)
@@ -566,13 +449,11 @@ class _PlanVerifier:
     def check_partition_pruning(self, plan: PlanNode) -> None:
         """Pre-pass: every pruned Scan's bucket set is justified.
 
-        Walks the tree tracking the *governing* Filter predicate — the
-        nearest enclosing Filter whose child chain reaches the scan
-        through Quality/ScoreFilters only (the exact shapes the
-        optimizer's ``prune_partitions`` and ``push_score_predicates``
-        rewrites produce).  Any other interposed
-        operator resets the governing predicate: a pruned scan it
-        reaches has no justification and is a hard error.
+        The *governing* predicate of a pruned scan is that of the Filter
+        directly above it (the shape the optimizer's
+        ``prune_partitions`` rewrite produces).  Any other parent
+        leaves it ungoverned: nothing justifies the dropped buckets,
+        and that is a hard error.
         """
 
         def walk(node: PlanNode, governing: Any) -> None:
@@ -582,9 +463,6 @@ class _PlanVerifier:
                 return
             if isinstance(node, Filter):
                 walk(node.child, node.predicate)
-                return
-            if isinstance(node, (QualityFilter, ScoreFilter)):
-                walk(node.child, governing)
                 return
             for child in node.children():
                 walk(child, None)

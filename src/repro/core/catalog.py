@@ -24,7 +24,7 @@ team".  This module reproduces that catalog as structured data:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.terminology import (
     AttributeKind,

@@ -24,7 +24,7 @@ Three mechanisms are implemented:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from repro.core.terminology import QualityIndicatorSpec
 from repro.core.views import (
@@ -33,7 +33,7 @@ from repro.core.views import (
     QualitySchema,
     QualityView,
 )
-from repro.er.model import ERAttribute, ERSchema
+from repro.er.model import ERAttribute
 from repro.errors import ViewIntegrationError
 
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import AssessmentError, MethodologyError
 from repro.tagging.cell import QualityCell
-from repro.tagging.relation import TaggedRelation, TaggedRow
+from repro.tagging.relation import TaggedRelation
 
 #: Signature of a mapping function: (indicator values, context) → value.
 MappingFunction = Callable[[Mapping[str, Any], Mapping[str, Any]], Any]

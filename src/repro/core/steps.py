@@ -9,7 +9,7 @@ documentation" the paper asks for at each step).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.catalog import CandidateCatalog, default_catalog
 from repro.core.terminology import (

@@ -21,7 +21,7 @@ The paper defines a small vocabulary that everything else builds on:
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import MethodologyError
 from repro.relational.types import Domain, domain_by_name

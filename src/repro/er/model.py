@@ -14,7 +14,7 @@ of an entity, or a relationship (see
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import ERModelError
 from repro.relational.types import Domain, domain_by_name

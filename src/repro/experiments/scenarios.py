@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.methodology import DataQualityModeling
 from repro.er.model import (

@@ -10,7 +10,7 @@ duplicate structure is known (benchmark E7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import LinkageError
 from repro.linkage.blocking import BlockingKey, block_pairs, full_pairs

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import LinkageError
 

@@ -18,12 +18,7 @@ from repro.manufacturing.seeding import stable_seed
 from typing import Any, Optional
 
 from repro.errors import ManufacturingError
-from repro.manufacturing.errorsim import (
-    ErrorInjector,
-    mixed_injector,
-    transposition,
-    typo,
-)
+from repro.manufacturing.errorsim import ErrorInjector, mixed_injector
 
 
 class CollectionMethod:

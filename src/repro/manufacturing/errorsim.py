@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ManufacturingError
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.manufacturing.seeding import stable_seed
-from typing import Any, Optional
+from typing import Any
 
 _COMPANY_STEMS = (
     "Fruit", "Nut", "Grain", "Iron", "Copper", "Cedar", "Harbor", "Summit",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import ManufacturingError
 from repro.manufacturing.collection import CollectionMethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ManufacturingError
 

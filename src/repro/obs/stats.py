@@ -23,9 +23,6 @@ __all__ = ["ExecutionStats", "OperatorStats", "StatsCollector"]
 #: entry's index in the skeleton tuple; the root is op-id 0.
 Skeleton = Sequence[tuple[str, tuple[int, ...]]]
 
-#: Operator labels whose output/input row ratio reads as a selectivity.
-_FILTER_PREFIXES = ("Filter", "QualityFilter")
-
 
 class OperatorStats:
     """Measured facts about one operator in one execution."""
@@ -111,8 +108,8 @@ class ExecutionStats:
         return None
 
     def selectivity(self, node: OperatorStats) -> Optional[float]:
-        """Output/input row ratio for filter-shaped operators."""
-        if not node.label.startswith(_FILTER_PREFIXES):
+        """Output/input row ratio of a Filter."""
+        if not node.label.startswith("Filter"):
             return None
         if len(node.children) != 1 or not node.executed:
             return None

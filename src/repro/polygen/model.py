@@ -9,7 +9,7 @@ of source names, so set algebra is cheap and cells are hashable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import PolygenError, UnknownColumnError
 from repro.relational.schema import RelationSchema

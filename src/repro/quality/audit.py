@@ -17,11 +17,10 @@ trace queries over them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import AuditError
 from repro.relational.catalog import Database
-from repro.relational.transactions import JournalEntry
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import InspectionError

@@ -24,10 +24,11 @@ storage:
   extends its predecessor's blocks the same way — the incremental-
   maintenance contract the BENCH_SCORING floor enforces.
 
-The QSQL surface (``WHERE QUALITY(credibility) > 0.8``) routes here:
-the optimizer's ``push_score_predicates`` rewrite compiles such
-conjuncts into a ``ScoreFilter`` plan node whose physical operator
-calls :meth:`ScoreMaterializer.filter_indices`.
+The QSQL surface reads these blocks: wherever ``QUALITY(credibility)``
+appears (a WHERE leaf, an ORDER BY key, an aggregate input, a select
+item), the physical executor's operand reads the block's
+:meth:`ScoreMaterializer.score_array` while the relation's bound
+profile defines the parameter.
 
 Observability (under :func:`repro.obs.metrics.enabled`): per refresh,
 ``scores.recomputed`` counts the rows actually scored and
@@ -404,8 +405,15 @@ class ScoreMaterializer:
     def row_scores(
         self, parameter: str, bucket: Optional[int] = None
     ) -> list[Optional[float]]:
+        """A copy of :meth:`score_array`."""
+        return list(self.score_array(parameter, bucket))
+
+    def score_array(
+        self, parameter: str, bucket: Optional[int] = None
+    ) -> list[Optional[float]]:
         """The materialized score array for one block (flat by default),
-        aligned with that block's row order."""
+        aligned with that block's row order — the block's own list, not
+        a copy (treat as read-only)."""
         profile, block = self._block(bucket)
         if parameter not in block:
             raise AssessmentError(
@@ -413,7 +421,7 @@ class ScoreMaterializer:
                 f"parameter {parameter!r} "
                 f"(defined: {list(profile.parameters)})"
             )
-        return list(block[parameter])
+        return block[parameter]
 
     def filter_indices(
         self,
@@ -426,8 +434,7 @@ class ScoreMaterializer:
         Each constraint is ``(parameter, op, operand)`` with ``op``
         from :data:`repro.tagging.query.OPERATORS`.  ``None`` scores
         (no scorable cell) never match, mirroring SQL NULL semantics.
-        ``candidates`` restricts the scan to those (ascending) indices —
-        the path a stacked tag-constraint scan feeds.
+        ``candidates`` restricts the scan to those (ascending) indices.
         """
         profile, block = self._block(bucket)
         hits: Optional[list[int]] = (

@@ -14,7 +14,7 @@ classes of data").
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import QualityError
 from repro.tagging.query import QualityFilter

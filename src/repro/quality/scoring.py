@@ -19,7 +19,7 @@ investigation, built from the paper's own ingredients:
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import AssessmentError

@@ -29,8 +29,8 @@ that loop.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 from typing import TYPE_CHECKING
 

@@ -12,7 +12,7 @@ so code can be written against either layer.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import QueryError, SchemaError
 from repro.relational.relation import Relation, Row

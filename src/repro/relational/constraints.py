@@ -13,7 +13,7 @@ on every insert/update.  Each constraint implements
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.errors import ConstraintViolation, SchemaError
 from repro.relational.relation import Relation, Row

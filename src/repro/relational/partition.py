@@ -24,7 +24,7 @@ import datetime as _dt
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import SchemaError
 

@@ -592,7 +592,9 @@ class Relation(RowStore):
         """Replace matching rows with updated copies; return the count.
 
         ``updater`` receives the old row and returns a dict of column
-        updates applied via :meth:`Row.replace`.
+        updates applied via :meth:`Row.replace`.  Like :meth:`delete`,
+        an update that matches nothing moves the version but keeps the
+        rewrite epoch.
         """
         with self._lock:
             self._require_mutable()
@@ -605,7 +607,10 @@ class Relation(RowStore):
                         count += 1
                     else:
                         new_rows.append(row)
-                self._replace_rows(new_rows)
+                if count:
+                    self._replace_rows(new_rows)
+                else:
+                    self._version += 1
                 return count
             # Partitioned: replace in the flat list, then patch only the
             # shards that held a matching row.  An update that changes
@@ -623,11 +628,11 @@ class Relation(RowStore):
                     count += 1
                 else:
                     new_rows.append(row)
-            self._rows = new_rows
             self._version += 1
-            self._epoch += 1
             if not count:
                 return 0
+            self._rows = new_rows
+            self._epoch += 1
             spec = self._partition_spec
             position = self._partition_position
             patched: dict[int, list[tuple[int, Row]]] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import TransactionError

@@ -18,6 +18,10 @@ fact            what is read                                    compared by
 ``cardinality`` the row count (hash-join build side)            equality
 =============== =============================================== ===========
 
+Only strict analysis reads ``profile`` (DQ212, an undefined
+``QUALITY(parameter)``): plans never do, because the physical executor
+looks up the bound profile on each execution.
+
 The recorded :attr:`PlanContext.reads` are the whole validity condition
 of whatever was decided from the context: :meth:`PlanContext.unchanged`
 re-reads exactly those facts against a live source, and a cached plan

@@ -8,23 +8,12 @@ fixed order.  All rules preserve QSQL semantics, as the test oracle
 - :func:`fold_constants` — evaluate constant predicates at plan time
   using the engine's exact comparison semantics (NULL never matches,
   ``TypeError`` → false) and simplify AND/OR/NOT around the results;
-- :func:`push_quality_predicates` — split a WHERE conjunction over a
-  tagged scan and route ``QUALITY(col.ind) <op> literal`` conjuncts
-  into a :class:`~repro.sql.plan.QualityFilter` (a
-  :class:`ColumnarTagStore` array scan) ahead of the residual
-  row predicate.  Only indicators the tag schema allows on the column
-  are routed: an unknown indicator reads as NULL per-cell (never
-  matches) but would raise in the store;
 - :func:`prune_partitions` — turn equality/range/IN conjuncts on a
   partitioned relation's declared partition key into static partition
   elimination: the :class:`~repro.sql.plan.Scan` records the surviving
   bucket set (EXPLAIN shows ``partitions=k/N``) and the physical
   executor feeds only those shards.  The predicate itself is kept, so
   pruning is purely an access-path restriction;
-- :func:`push_score_predicates` — route ``QUALITY(parameter) <op>
-  literal`` conjuncts over a tagged scan with a bound scoring profile
-  into a :class:`~repro.sql.plan.ScoreFilter` (a scan over the
-  relation's materialized parameter-score arrays);
 - :func:`annotate_join_columns` / :func:`push_value_predicates` — move
   single-side conjuncts of a filter above a :class:`HashJoin` below
   the join, shrinking both build and probe inputs;
@@ -36,10 +25,15 @@ fixed order.  All rules preserve QSQL semantics, as the test oracle
   :class:`~repro.sql.plan.TopK` (``heapq.nsmallest`` instead of a
   full sort).
 
+``QUALITY(...)`` predicates are not rewritten: they stay leaves of the
+Filter over the Scan, and the physical executor reads them from the tag
+and score arrays (:func:`repro.sql.physical._operand`), so no rule reads
+the scoring profile.
+
 Rules never see relation objects: every fact they consult (relation
-kind, schemas, partition layout, bound scoring profile, cardinality) is
-read through a :class:`~repro.sql.context.PlanContext`, which records
-it — those recorded reads are what the plan cache revalidates.
+kind, schemas, partition layout, cardinality) is read through a
+:class:`~repro.sql.context.PlanContext`, which records it — those
+recorded reads are what the plan cache revalidates.
 """
 
 from __future__ import annotations
@@ -68,18 +62,11 @@ from repro.sql.plan import (
     Limit,
     PlanNode,
     Project,
-    QualityFilter,
     Scan,
-    ScoreFilter,
     Sort,
     TopK,
     derive_plan_columns,
 )
-
-#: QSQL comparison operator → tagging-store operator vocabulary.
-_TAG_OPS = {"=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=",
-            ">": ">", ">=": ">="}
-
 
 def _transform(plan: PlanNode, visit: Callable[[PlanNode], PlanNode]) -> PlanNode:
     """Apply ``visit`` bottom-up over the plan tree."""
@@ -160,7 +147,7 @@ def fold_constants(plan: PlanNode) -> PlanNode:
     return _transform(plan, visit)
 
 
-# -- quality-predicate pushdown ----------------------------------------------
+# -- conjuncts ---------------------------------------------------------------
 
 
 def split_conjuncts(expr: Any) -> list[Any]:
@@ -176,75 +163,6 @@ def join_conjuncts(conjuncts: list[Any]) -> Any:
     for conjunct in conjuncts[1:]:
         result = BoolOp("AND", result, conjunct)
     return result
-
-
-def _as_quality_constraint(conjunct: Any, tag_schema) -> Optional[tuple]:
-    """(column, indicator, op, operand) when the conjunct can route
-    through the columnar store with identical semantics, else None."""
-    if isinstance(conjunct, Comparison):
-        left, right, op = conjunct.left, conjunct.right, conjunct.op
-        if isinstance(right, QualityRef) and isinstance(left, Literal):
-            left, right = right, left
-            op = _FLIPPED[op]
-        if not (isinstance(left, QualityRef) and isinstance(right, Literal)):
-            return None
-        # A NULL literal: `!=` would match every tagged row in the store
-        # but never matches per-cell — don't route.
-        if right.value is None:
-            return None
-        tag_op = _TAG_OPS.get(op)
-        if tag_op is None:
-            return None
-        quality = left
-        operand = right.value
-    elif isinstance(conjunct, InList) and isinstance(
-        conjunct.operand, QualityRef
-    ):
-        quality = conjunct.operand
-        tag_op = "not in" if conjunct.negated else "in"
-        operand = conjunct.options
-    else:
-        return None
-    # Unknown indicators read as NULL per-cell (never match) but raise
-    # in the store — keep them in the residual predicate.
-    try:
-        allowed = tag_schema.allowed_for(quality.column)
-    except Exception:
-        return None
-    if quality.indicator not in allowed:
-        return None
-    return (quality.column, quality.indicator, tag_op, operand)
-
-
-def push_quality_predicates(plan: PlanNode, context: PlanContext) -> PlanNode:
-    """Route QUALITY-vs-literal conjuncts over tagged scans into the
-    columnar store; the residual predicate stays a row Filter above."""
-
-    def visit(node: PlanNode) -> PlanNode:
-        if not (isinstance(node, Filter) and isinstance(node.child, Scan)):
-            return node
-        scan = node.child
-        if not scan.tagged:
-            return node
-        tag_schema = context.tag_schema(scan.relation)
-        if tag_schema is None:
-            return node
-        constraints: list[tuple] = []
-        residual: list[Any] = []
-        for conjunct in split_conjuncts(node.predicate):
-            constraint = _as_quality_constraint(conjunct, tag_schema)
-            if constraint is None:
-                residual.append(conjunct)
-            else:
-                constraints.append(constraint)
-        if not constraints:
-            return node
-        rewritten: PlanNode = QualityFilter(scan, tuple(constraints))
-        if residual:
-            rewritten = Filter(rewritten, join_conjuncts(residual))
-        return rewritten
-
-    return _transform(plan, visit)
 
 
 # -- partition pruning -------------------------------------------------------
@@ -355,25 +273,16 @@ def derive_partition_buckets(spec, predicate: Any) -> Optional[frozenset]:
 def prune_partitions(plan: PlanNode, context: PlanContext) -> PlanNode:
     """Statically eliminate partitions a Filter predicate cannot reach.
 
-    Fires on ``Filter(Scan)`` and ``Filter(QualityFilter(Scan))`` (the
-    shape :func:`push_quality_predicates` leaves behind) when the base
-    relation declares a partition layout.  The scan records the
-    surviving bucket tuple plus the layout's total and key; the Filter
-    stays in place, so the rewrite can only shrink the rows fed to it.
+    Fires on ``Filter(Scan)`` when the base relation declares a
+    partition layout.  The scan records the surviving bucket tuple plus
+    the layout's total and key; the Filter stays in place, so the
+    rewrite can only shrink the rows fed to it.
     """
 
     def visit(node: PlanNode) -> PlanNode:
-        if not isinstance(node, Filter):
+        if not (isinstance(node, Filter) and isinstance(node.child, Scan)):
             return node
-        child = node.child
-        if isinstance(child, Scan):
-            scan = child
-        elif isinstance(child, QualityFilter) and isinstance(
-            child.child, Scan
-        ):
-            scan = child.child
-        else:
-            return node
+        scan = node.child
         if scan.partitions is not None:
             return node
         spec = context.partition_spec(scan.relation)
@@ -388,97 +297,7 @@ def prune_partitions(plan: PlanNode, context: PlanContext) -> PlanNode:
             partition_total=spec.count,
             partition_key=spec.column,
         )
-        if child is scan:
-            return replace(node, child=pruned)
-        return replace(node, child=replace(child, child=pruned))
-
-    return _transform(plan, visit)
-
-
-# -- score-predicate pushdown ------------------------------------------------
-
-
-def _as_score_constraint(conjunct: Any) -> Optional[tuple]:
-    """(parameter, op, operand) when the conjunct has the shape the
-    materialized score arrays answer with identical semantics, else
-    None (whether the bound profile defines the parameter is checked
-    separately)."""
-    if isinstance(conjunct, Comparison):
-        left, right, op = conjunct.left, conjunct.right, conjunct.op
-        if isinstance(right, QualityScoreRef) and isinstance(left, Literal):
-            left, right = right, left
-            op = _FLIPPED[op]
-        if not (
-            isinstance(left, QualityScoreRef) and isinstance(right, Literal)
-        ):
-            return None
-        # A NULL literal never matches per-row; don't route it.
-        if right.value is None:
-            return None
-        tag_op = _TAG_OPS.get(op)
-        if tag_op is None:
-            return None
-        score = left
-        operand = right.value
-    elif isinstance(conjunct, InList) and isinstance(
-        conjunct.operand, QualityScoreRef
-    ):
-        score = conjunct.operand
-        tag_op = "not in" if conjunct.negated else "in"
-        operand = conjunct.options
-    else:
-        return None
-    return (score.parameter, tag_op, operand)
-
-
-def push_score_predicates(plan: PlanNode, context: PlanContext) -> PlanNode:
-    """Route QUALITY(parameter)-vs-literal conjuncts over tagged scans
-    into the relation's materialized score arrays.
-
-    Fires on ``Filter(Scan)`` and ``Filter(QualityFilter(Scan))`` (the
-    shapes :func:`push_quality_predicates` and :func:`prune_partitions`
-    leave behind) when the scan's relation has a bound
-    :class:`~repro.quality.materialize.ScoringProfile` defining every
-    routed parameter; the residual predicate stays a row Filter above.
-    """
-
-    def visit(node: PlanNode) -> PlanNode:
-        if not isinstance(node, Filter):
-            return node
-        child = node.child
-        if isinstance(child, Scan):
-            scan = child
-        elif isinstance(child, QualityFilter) and isinstance(
-            child.child, Scan
-        ):
-            scan = child.child
-        else:
-            return node
-        if not scan.tagged:
-            return node
-        conjuncts = split_conjuncts(node.predicate)
-        shapes = [_as_score_constraint(conjunct) for conjunct in conjuncts]
-        if not any(shapes):
-            return node  # score-free: the registry is never read
-        profile = context.profile(scan.relation)
-        if profile is None:
-            return node
-        constraints: list[tuple] = []
-        residual: list[Any] = []
-        for conjunct, shape in zip(conjuncts, shapes):
-            # Unregistered parameters raise per-row in the executor; keep
-            # them in the residual predicate so the error surfaces
-            # identically.
-            if shape is not None and profile.defines(shape[0]):
-                constraints.append(shape)
-            else:
-                residual.append(conjunct)
-        if not constraints:
-            return node
-        rewritten: PlanNode = ScoreFilter(child, tuple(constraints))
-        if residual:
-            rewritten = Filter(rewritten, join_conjuncts(residual))
-        return rewritten
+        return replace(node, child=pruned)
 
     return _transform(plan, visit)
 
@@ -594,7 +413,7 @@ def prune_projections(plan: PlanNode, context: PlanContext) -> PlanNode:
 
     def side_filter_columns(node: PlanNode) -> set[str]:
         used: set[str] = set()
-        while isinstance(node, (Filter, QualityFilter, Limit, Distinct)):
+        while isinstance(node, (Filter, Limit, Distinct)):
             if isinstance(node, Filter):
                 columns = _expr_columns(node.predicate)
                 if columns is None:
@@ -719,9 +538,7 @@ def optimize(
     ``REPRO_VERIFY_PLANS`` environment flag.
     """
     plan = fold_constants(plan)
-    plan = push_quality_predicates(plan, context)
     plan = prune_partitions(plan, context)
-    plan = push_score_predicates(plan, context)
     plan = annotate_join_columns(plan, context)
     plan = push_value_predicates(plan)
     plan = prune_projections(plan, context)

@@ -8,31 +8,31 @@ plain and tagged, flat and partitioned relations alike:
 
 - The :class:`Segment` is what a Scan reads — the bound relation (or
   snapshot), or a pruned scan's surviving shards merged back into the
-  relation's row order — addressed by position.  Its per-column value
-  arrays are built on first use, one column at a time, and cached on
-  the relation or shard against its epoch and row count
-  (:meth:`~repro.relational.relation.RowStore.value_array`, for both
-  kinds).  Tag arrays and score arrays are the tag store's and the
-  score materializer's.
+  relation's row order — addressed by position.  One accessor
+  (:meth:`Segment.array`) hands out its per-position arrays: a column's
+  value array (:meth:`~repro.relational.relation.RowStore.value_array`,
+  for both kinds), a tag array of the relation's
+  :meth:`~repro.tagging.relation.TaggedRelation.columnar_store`, and a
+  score array of its :class:`~repro.quality.materialize.ScoreMaterializer`.
+  Each is built on first use and cached on the relation or shard
+  against its epoch and row count.
 - The *selection vector* lists the positions still alive (``None``:
   every position), ascending wherever row order is preserved.
 
-Scan hands out the segment.  Filter, QualityFilter and ScoreFilter
-narrow the selection: QualityFilter scans the
-:meth:`~repro.tagging.relation.TaggedRelation.columnar_store` tag arrays,
-ScoreFilter the materialized score arrays, and Filter tests each
-predicate leaf over its operands' values (a column-vs-literal equality
-over a whole column hops hit to hit with the C-level ``list.index``).
-TopK, Sort and Limit reorder or cut the selection; Project remaps
-columns through a compile-time *layout*.  Every operator reads an
-operand the same way, through :func:`_operand`: a column's value
-array, or a literal's or ``QUALITY(...)`` operand's per-row getter on
-the selected rows.  Aggregate and QUALITY-valued projections compute
-new values from the batch and insert them, validated, into a new
-plain relation.  Whole rows are built only where an operator needs
-them — in :meth:`CompiledPlan.execute` for the result, and by Distinct
-and HashJoin, which call the algebra modules' implementations — and
-an operator that builds a relation hands it on as a new segment.
+Scan hands out the segment.  Filter narrows the selection: it tests each
+predicate leaf over its operands' values (an equality over a whole
+array hops hit to hit with the C-level ``list.index``).  TopK, Sort and
+Limit reorder or cut the selection; Project remaps columns through a
+compile-time *layout*.  Every operator reads an operand the same way,
+through :func:`_operand`: a column's value array, a ``QUALITY(...)``
+operand's tag or score array, or — for a literal, and for a
+``QUALITY(...)`` operand no array answers — a per-row getter on the
+selected rows.  Aggregate and QUALITY-valued projections compute new
+values from the batch and insert them, validated, into a new plain
+relation.  Whole rows are built only where an operator needs them — in
+:meth:`CompiledPlan.execute` for the result, and by Distinct and
+HashJoin, which call the algebra modules' implementations — and an
+operator that builds a relation hands it on as a new segment.
 
 Semantics are QSQL's, checked against the test oracle
 (:func:`repro.experiments.naive.naive_execute`): comparisons use the
@@ -42,8 +42,10 @@ the rows a short-circuiting row-at-a-time test would evaluate, and sort
 keys are None-safe ``(not None, value)`` pairs.
 
 Compiled plans close over *names and schemas only*, never over relation
-instances: the binding supplies relations at run time, which is what
-makes cached plans safe to re-execute after data mutations (the plan
+instances or scoring profiles: the binding supplies relations at run
+time, and a ``QUALITY(parameter)`` operand looks up the relation's
+bound profile on each execution, which is what makes cached plans safe
+to re-execute after data mutations and profile registrations (the plan
 cache revalidates the facts planning read, not data).
 
 Instrumentation (:mod:`repro.obs`): every compiled operator's batch
@@ -61,17 +63,15 @@ benchmark measures against.
 Sanitizer mode (``compile_plan(..., sanitize=True)``, defaulted from
 ``REPRO_VERIFY_PLANS``): debug wrappers check every operator's batch —
 the selection is in bounds, strictly ascending where the operator
-preserves row order and duplicate-free after TopK/Sort — every row list
-and value array an operator reads is as long as its segment, and
-tag-store and score hits are in bounds and ascending.  Violations raise
-:class:`ColumnarSanitizerError`.
+preserves row order and duplicate-free after TopK/Sort — and every row
+list and value, tag or score array an operator reads is as long as its
+segment.  Violations raise :class:`ColumnarSanitizerError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left
 from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
@@ -105,9 +105,7 @@ from repro.sql.plan import (
     Limit,
     PlanNode,
     Project,
-    QualityFilter,
     Scan,
-    ScoreFilter,
     Sort,
     TopK,
 )
@@ -142,8 +140,8 @@ def sanitize_enabled() -> bool:
 
 
 class ColumnarSanitizerError(SQLError):
-    """A batch (or tag-store / score scan) violated the selection-
-    vector / array invariants the executor relies on.
+    """A batch violated the selection-vector / array invariants the
+    executor relies on.
 
     Only raised in sanitizer mode; in normal operation these
     invariants hold by construction and are never checked.
@@ -170,24 +168,21 @@ class Segment:
 
     ``parts`` are the ``(bucket, relation)`` pairs the positions run
     over: the relation itself (bucket ``None``) or the surviving shards
-    of a pruned scan.  Rows and value arrays come from the parts, which
-    cache the arrays against their epoch and row count.  Over several
-    parts, positions follow the relation's row order, as an unpruned
-    scan's do: every shard is a subsequence of it, and the shards'
-    sequence numbers (``row_sequence``) merge them back once per
+    of a pruned scan.  Rows and per-position arrays come from the parts,
+    which cache the arrays against their epoch and row count.  Over
+    several parts, positions follow the relation's row order, as an
+    unpruned scan's do: every shard is a subsequence of it, and the
+    shards' sequence numbers (``row_sequence``) merge them back once per
     execution.
     """
 
-    __slots__ = (
-        "relation", "parts", "length", "_order", "_rank", "_rows", "_values"
-    )
+    __slots__ = ("relation", "parts", "length", "_order", "_rows", "_arrays")
 
     def __init__(self, relation: Any, parts: Optional[tuple] = None) -> None:
         self.relation = relation
         #: Multi-part segments whose shards interleave: position →
-        #: position in the parts' concatenation (``_rank`` inverts it).
+        #: position in the parts' concatenation.
         self._order: Optional[list] = None
-        self._rank: Optional[list] = None
         if parts is None:
             self.parts: tuple = ((None, relation),)
             self.length = len(relation)
@@ -202,7 +197,7 @@ class Segment:
                 if any(i != at for at, i in enumerate(order)):
                     self._order = order
         self._rows: Optional[list] = None
-        self._values: dict[int, list] = {}
+        self._arrays: dict[str, list] = {}
 
     def rows(self) -> list:
         """Every row, by position (treat as read-only)."""
@@ -215,17 +210,23 @@ class Segment:
             )
         return self._rows
 
-    def values(self, position: int) -> list:
-        """One column's values, by position (treat as read-only)."""
+    def array(self, key: str, read: Callable[[Any, Any], list]) -> list:
+        """One per-position array, by position (treat as read-only).
+
+        ``read(bucket, part)`` returns one part's array, aligned with
+        its rows: a column's value array, a tag array or a score array.
+        With one part that array is the answer; over several, ``key``
+        names the parts' merged array, built once per execution.
+        """
         parts = self.parts
         if len(parts) == 1:
-            return parts[0][1].value_array(position)
-        array = self._values.get(position)
+            return read(*parts[0])
+        array = self._arrays.get(key)
         if array is None:
             array = []
-            for _, part in parts:
-                array += part.value_array(position)
-            array = self._values[position] = self._merged(array)
+            for bucket, part in parts:
+                array += read(bucket, part)
+            array = self._arrays[key] = self._merged(array)
         return array
 
     def _merged(self, concatenated: list) -> list:
@@ -235,55 +236,17 @@ class Segment:
             return concatenated
         return [concatenated[i] for i in order]
 
-    def narrow(
-        self,
-        sel: Optional[list],
-        scan: Callable[[Any, Any, Optional[list]], list],
-    ) -> list:
-        """The positions of ascending ``sel`` (None: all) a storage scan keeps.
-
-        ``scan(bucket, part, candidates)`` returns one part's ascending
-        local hits among ``candidates`` (None: the whole part).
-        """
-        parts = self.parts
-        if len(parts) == 1:
-            bucket, part = parts[0]
-            return scan(bucket, part, sel)
-        order = self._order
-        if order is not None and sel is not None:
-            sel = sorted(order[i] for i in sel)
-        hits: list = []
-        offset = 0
-        for bucket, part in parts:
-            end = offset + len(part)
-            candidates = None
-            if sel is not None:
-                low = bisect_left(sel, offset)
-                candidates = [
-                    i - offset for i in sel[low:bisect_left(sel, end, low)]
-                ]
-            hits.extend(offset + i for i in scan(bucket, part, candidates))
-            offset = end
-        if order is None:
-            return hits
-        rank = self._rank
-        if rank is None:  # the inverse permutation of ``order``
-            rank = self._rank = sorted(range(len(order)), key=order.__getitem__)
-        return sorted(rank[i] for i in hits)
-
 
 class _CheckedSegment(Segment):
-    """Sanitizer: every row list and value array read is segment-long."""
+    """Sanitizer: every row list and array read is segment-long."""
 
     __slots__ = ()
 
     def rows(self) -> list:
         return self._checked("row batch", super().rows())
 
-    def values(self, position: int) -> list:
-        return self._checked(
-            f"value array of column {position}", super().values(position)
-        )
+    def array(self, key: str, read: Callable[[Any, Any], list]) -> list:
+        return self._checked(f"{key} array", super().array(key, read))
 
     def _checked(self, what: str, array: list) -> list:
         if len(array) != self.length:
@@ -474,7 +437,7 @@ def _selection_ordered(plan: PlanNode) -> bool:
     """
     if isinstance(plan, (Sort, TopK)):
         return False
-    if isinstance(plan, (Filter, QualityFilter, ScoreFilter, Limit)) or (
+    if isinstance(plan, (Filter, Limit)) or (
         isinstance(plan, Project) and not _computes_quality(plan)
     ):
         return _selection_ordered(plan.children()[0])
@@ -520,32 +483,11 @@ def _check_batch(label: str, batch: Batch, ordered: bool) -> None:
             seen.add(index)
 
 
-def _check_scan_indices(label: str, indices: Any, length: int) -> None:
-    """Sanitizer: tag-store / score scan hits are in-bounds and ascending."""
-    previous = -1
-    for index in indices:
-        if not isinstance(index, int) or not -1 < index < length:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan returned out-of-bounds "
-                f"index {index!r} (relation has {length} rows)"
-            )
-        if index <= previous:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan indices are not strictly "
-                f"ascending ({index} after {previous})"
-            )
-        previous = index
-
-
 def _compile(
     plan: PlanNode, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
     if isinstance(plan, Scan):
         node = _compile_scan(plan, relations, ids, sanitize)
-    elif isinstance(plan, QualityFilter):
-        node = _compile_quality_filter(plan, relations, ids, sanitize)
-    elif isinstance(plan, ScoreFilter):
-        node = _compile_score_filter(plan, relations, ids, sanitize)
     elif isinstance(plan, Filter):
         node = _compile_filter(plan, relations, ids, sanitize)
     elif isinstance(plan, Project):
@@ -621,8 +563,8 @@ def _row_shaped(child: CompiledNode, sanitize: bool) -> CompiledNode:
 
 
 class _RowValues:
-    """A non-column operand's values by position: its per-row getter,
-    run on a position's row only when that position is read."""
+    """An operand's values by position from its per-row getter, run on a
+    position's row only when that position is read."""
 
     __slots__ = ("_get", "_rows")
 
@@ -639,18 +581,70 @@ def _operand(operand: Any, node: CompiledNode) -> Callable[[Segment], Any]:
 
     The one way operators read an operand off a batch (WHERE leaves,
     Aggregate keys and inputs, QUALITY-valued projections, Sort and
-    TopK keys).  A column's values are the segment's value array; a
-    literal's and a ``QUALITY(...)`` operand's come from
-    :func:`_row_operand` over the segment's rows, evaluated only at the
-    positions read, so an error (a missing scoring profile) raises only
+    TopK keys).  Three operands read one of the segment's arrays
+    (:meth:`Segment.array`):
+
+    - a column, its value array;
+    - ``QUALITY(column.indicator)``, the tag store's array, when the
+      tag schema allows that indicator on that column;
+    - ``QUALITY(parameter)``, the score materializer's array, when the
+      relation's bound profile defines the parameter at execution time.
+
+    Anything else — a literal, a disallowed indicator (NULL on every
+    row), an unbound or undefined parameter — is a :class:`_RowValues`
+    over :func:`_row_operand`'s getter, evaluated only at the positions
+    read, so an error (no profile defining the parameter) raises only
     when a selected row needs the value.  ``node`` is row-shaped (see
     :func:`_row_shaped`).
     """
     if isinstance(operand, ColumnRef):
         position = node.schema.position(operand.column)
-        return lambda segment: segment.values(position)
+        key = f"column {position}"
+
+        def read_values(bucket: Any, part: Any) -> list:
+            return part.value_array(position)
+
+        return lambda segment: segment.array(key, read_values)
     get = _row_operand(operand, node)
-    return lambda segment: _RowValues(get, segment.rows())
+
+    def per_row(segment: Segment) -> _RowValues:
+        return _RowValues(get, segment.rows())
+
+    if isinstance(operand, QualityRef):
+        column, indicator = operand.column, operand.indicator
+        if indicator not in node.tag_schema.allowed_for(column):
+            return per_row
+        key = f"QUALITY({column}.{indicator})"
+
+        def read_tags(bucket: Any, part: Any) -> list:
+            return part.columnar_store().array(column, indicator)
+
+        return lambda segment: segment.array(key, read_tags)
+    if isinstance(operand, QualityScoreRef):
+        return _score_operand(operand.parameter, per_row)
+    return per_row
+
+
+def _score_operand(
+    parameter: str, per_row: Callable[[Segment], _RowValues]
+) -> Callable[[Segment], Any]:
+    """``QUALITY(parameter)``: the score array while the relation's
+    bound profile defines ``parameter``, else the per-row getter."""
+    from repro.quality.materialize import materializer_for, profile_for
+
+    key = f"QUALITY({parameter})"
+
+    def fetch(segment: Segment) -> Any:
+        relation = segment.relation
+        profile = profile_for(relation)
+        if profile is None or not profile.defines(parameter):
+            return per_row(segment)
+        scores = materializer_for(relation).score_array
+        return segment.array(
+            key, lambda bucket, part: scores(parameter, bucket)
+        )
+
+    return fetch
 
 
 def _row_operand(operand: Any, node: CompiledNode) -> Callable[[Any], Any]:
@@ -758,70 +752,6 @@ def _compile_scan(
         tagged,
         relation.tag_schema if tagged else None,
     )
-
-
-def _compile_quality_filter(
-    plan: QualityFilter, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    scan = plan.child
-    if not (isinstance(scan, Scan) and scan.tagged):
-        raise SQLError(
-            "QualityFilter must sit directly above a tagged Scan"
-        )
-    child = _compile(scan, relations, ids, sanitize)
-    child_run = child.run
-    constraints = list(plan.constraints)
-    label = plan.label()
-
-    def scan_tags(bucket: Any, part: Any, candidates: Optional[list]) -> list:
-        hits = part.columnar_store().scan(constraints)
-        if sanitize:
-            _check_scan_indices(label, hits, len(part))
-        return hits
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
-        segment, _ = child_run(binding, stats)
-        return segment, segment.narrow(None, scan_tags)
-
-    return CompiledNode(run, child.schema, True, child.tag_schema)
-
-
-def _compile_score_filter(
-    plan: ScoreFilter, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    inner = plan.child
-    scan = inner.child if isinstance(inner, QualityFilter) else inner
-    if not isinstance(scan, Scan):
-        raise SQLError(
-            "ScoreFilter must sit directly above a tagged Scan or a "
-            "QualityFilter over one"
-        )
-    if not scan.tagged:
-        raise SQLError("ScoreFilter requires a tagged Scan")
-    child = _compile(inner, relations, ids, sanitize)
-    child_run = child.run
-    constraints = list(plan.constraints)
-    label = plan.label()
-
-    from repro.quality.materialize import materializer_for
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
-        segment, sel = child_run(binding, stats)
-        materializer = materializer_for(segment.relation)
-
-        def scan_scores(
-            bucket: Any, part: Any, candidates: Optional[list]
-        ) -> list:
-            hits = materializer.filter_indices(
-                constraints, bucket=bucket, candidates=candidates
-            )
-            if sanitize:
-                _check_scan_indices(label, hits, len(part))
-            return hits
-
-        return segment, segment.narrow(sel, scan_scores)
-
-    return CompiledNode(run, child.schema, True, child.tag_schema)
 
 
 def _compile_filter(
@@ -947,34 +877,35 @@ def _leaf_selection(expr: Any, node: CompiledNode) -> Selection:
     return run_in
 
 
-def _never(value: Any, constant: Any) -> bool:
-    return False
-
-
 def _comparison_kernel(
     operand: Any, op: str, constant: Any, node: CompiledNode
 ) -> Selection:
     """``operand op constant`` over the operand's values.
 
-    A NULL constant matches nothing: a column is then not read at all,
-    and any other operand is still evaluated at each selected position,
-    for the errors it raises.
+    Over an array (a column's values, a tag or a score array) a NULL
+    constant matches nothing without a scan, and an equality over the
+    whole array hops hit to hit with the C-level ``list.index``.  A
+    per-row getter is still evaluated at each selected position, for
+    the errors it raises.
     """
-    column = isinstance(operand, ColumnRef)
-    if constant is None and column:
-        return lambda segment, sel: []
     fetch = _operand(operand, node)
-    compare = _never if constant is None else _COMPARATORS[op]
-    hop = column and op == "="
+    compare = _COMPARATORS[op]
+    hop = op == "="
 
     def run(segment: Segment, sel: Optional[list]) -> list:
         values = fetch(segment)
         hits: list = []
         emit = hits.append
-        if sel is None and hop:
-            # A whole-column equality hops hit to hit with list.index, a
-            # C-level search (``==`` never raises TypeError, and a None
-            # constant was rejected above, so Nones cannot match).
+        if isinstance(values, _RowValues):
+            if constant is None:
+                for i in _positions(segment, sel):
+                    values[i]  # read for the errors it raises
+                return hits
+        elif constant is None:
+            return hits
+        elif sel is None and hop:
+            # ``==`` never raises TypeError, and the constant is not
+            # None, so Nones cannot match.
             find = values.index
             index = -1
             try:

@@ -8,11 +8,11 @@ are plain immutable dataclasses; rewriting builds new trees.
 
 Node vocabulary:
 
-- :class:`Scan` — read every row of the FROM relation;
-- :class:`QualityFilter` — a conjunction of indicator constraints
-  routed through the relation's :class:`ColumnarTagStore` arrays
-  (always sits directly above a :class:`Scan`);
-- :class:`Filter` — a residual row predicate (compiled closure);
+- :class:`Scan` — read every row of the FROM relation (or, once
+  pruned, of its surviving partitions);
+- :class:`Filter` — the WHERE predicate, ``QUALITY(...)`` leaves
+  included (compiled into selection functions over the scan's value,
+  tag and score arrays);
 - :class:`Project` — projection/renaming, including materialized
   ``QUALITY(...)`` value columns;
 - :class:`HashJoin` — equi-join with an explicit build side (built by
@@ -58,8 +58,6 @@ from repro.sql.nodes import (
 
 PlanNode = Union[
     "Scan",
-    "QualityFilter",
-    "ScoreFilter",
     "Filter",
     "Project",
     "HashJoin",
@@ -109,68 +107,9 @@ class Scan:
         return tuple(base) if base is not None else None
 
 
-#: One columnar tag constraint: (column, indicator, operator, operand).
-#: Operators use the :data:`repro.tagging.query.OPERATORS` vocabulary.
-QualityConstraint = tuple[str, str, str, Any]
-
-
-@dataclass(frozen=True)
-class QualityFilter:
-    """Indicator constraints pushed into columnar tag-array scans."""
-
-    child: PlanNode
-    constraints: tuple[QualityConstraint, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        rendered = " AND ".join(
-            f"QUALITY({column}.{indicator}) {op} {operand!r}"
-            for column, indicator, op, operand in self.constraints
-        )
-        return f"QualityFilter [{rendered} -> columnar scan]"
-
-    def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
-        return inputs[0]
-
-
-#: One materialized-score constraint: (parameter, operator, operand).
-#: Operators use the :data:`repro.tagging.query.OPERATORS` vocabulary.
-ScoreConstraint = tuple[str, str, Any]
-
-
-@dataclass(frozen=True)
-class ScoreFilter:
-    """Parameter-score constraints pushed into materialized score arrays.
-
-    The constraints evaluate against the relation's
-    :class:`~repro.quality.materialize.ScoreMaterializer` columns rather
-    than per-row scorer invocations; the optimizer only builds this node
-    when the scan's relation has a bound scoring profile defining every
-    referenced parameter.
-    """
-
-    child: PlanNode
-    constraints: tuple[ScoreConstraint, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        rendered = " AND ".join(
-            f"QUALITY({parameter}) {op} {operand!r}"
-            for parameter, op, operand in self.constraints
-        )
-        return f"ScoreFilter [{rendered} -> materialized scores]"
-
-    def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
-        return inputs[0]
-
-
 @dataclass(frozen=True)
 class Filter:
-    """A residual row predicate (whatever could not be pushed down)."""
+    """A row predicate: the WHERE clause, or a conjunct of it."""
 
     child: PlanNode
     predicate: Union[Expr, Literal]

@@ -9,14 +9,14 @@ compiled plan carries the batch sanitizer, it is not state.
 Validity has one rule.  Planning reads the source's mutable state only
 through a :class:`~repro.sql.context.PlanContext`, which records every
 fact it read — relation kind, schema and tag-schema identity, catalog
-version, partition layout, bound scoring profile, a hash-join build
-side's row count — and the entry keeps that record.  A lookup re-reads
-exactly those facts against the live source; the entry is served iff
-all are unchanged.  Nothing else invalidates a plan: compiled plans
-bind relations at *execution* time, so row mutations matter only to
-join plans whose build-side choice read a row count, and score-free
-statements never read the scoring registry, so profile churn leaves
-them cached.
+version, partition layout, a hash-join build side's row count — and
+the entry keeps that record.  A lookup re-reads exactly those facts
+against the live source; the entry is served iff all are unchanged.
+Nothing else invalidates a plan: compiled plans bind relations at
+*execution* time, so row mutations matter only to join plans whose
+build-side choice read a row count, and no plan reads the scoring
+registry — a ``QUALITY(parameter)`` operand looks up the bound profile
+on each execution — so profile churn leaves every plan cached.
 
 One statement key keeps a few entries, most recently used first, one
 per distinct source state it was answered for (a flat and a partitioned

@@ -16,7 +16,7 @@ census" before any cell-level constraint runs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import TaggingError, UnknownIndicatorError
 from repro.tagging.indicators import IndicatorDefinition, IndicatorValue

@@ -27,9 +27,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import QueryError, SchemaError, TagSchemaError
-from repro.relational.schema import RelationSchema
 from repro.tagging.cell import QualityCell
-from repro.tagging.indicators import IndicatorValue, TagSchema
+from repro.tagging.indicators import IndicatorValue
 from repro.tagging.relation import TaggedRelation, TaggedRow
 
 TaggedPredicate = Callable[[TaggedRow], bool]

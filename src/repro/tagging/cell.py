@@ -9,7 +9,7 @@ between input and output relations safely.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable
 
 from repro.errors import UnknownIndicatorError
 from repro.tagging.indicators import IndicatorValue

@@ -46,18 +46,34 @@ def _record_scan(rows_total: int, rows_hit: int) -> None:
         ).observe(rows_hit / rows_total)
 
 
+def _array_keys(tag_schema: TagSchema) -> list[tuple[str, str]]:
+    """The ``(column, indicator)`` pairs a store keeps an array for."""
+    return [
+        (column, indicator)
+        for column in tag_schema.tagged_columns
+        for indicator in tag_schema.allowed_for(column)
+    ]
+
+
 class ColumnarTagStore:
     """Plain relation + aligned per-(column, indicator) tag arrays."""
 
-    def __init__(self, relation: Relation, tag_schema: TagSchema) -> None:
+    def __init__(
+        self,
+        relation: Relation,
+        tag_schema: TagSchema,
+        arrays: Optional[dict[tuple[str, str], list[Any]]] = None,
+    ) -> None:
         tag_schema.check_against(relation.schema)
         self.relation = relation
         self.tag_schema = tag_schema
-        # (column, indicator) → list aligned with relation rows.
-        self._arrays: dict[tuple[str, str], list[Any]] = {}
-        for column in tag_schema.tagged_columns:
-            for indicator in tag_schema.allowed_for(column):
-                self._arrays[(column, indicator)] = [None] * len(relation)
+        # (column, indicator) → list aligned with relation rows; blank
+        # unless the caller built them.
+        if arrays is None:
+            arrays = {
+                key: [None] * len(relation) for key in _array_keys(tag_schema)
+            }
+        self._arrays: dict[tuple[str, str], list[Any]] = arrays
 
     # -- construction ----------------------------------------------------------
 
@@ -83,27 +99,33 @@ class ColumnarTagStore:
         """
         rows = tagged.row_batch()
         kept = 0 if base is None else min(count, len(rows))
+        fresh_rows = rows[kept:] if kept else rows
         schema = tagged.schema
+        tag_schema = tagged.tag_schema
         make = Row._from_validated
-        plain = [make(schema, row.values_tuple()) for row in rows[kept:]]
-        if kept:
-            plain = base.relation.row_batch()[:kept] + plain
-        store = cls(Relation.from_rows(schema, plain), tagged.tag_schema)
-        if kept:
-            for key, array in store._arrays.items():
-                array[:kept] = base._arrays[key][:kept]
+        plain = [make(schema, row.values_tuple()) for row in fresh_rows]
+        arrays = {
+            key: [None] * len(plain) for key in _array_keys(tag_schema)
+        }
         positions = [
             (schema.index_of(column), column)
-            for column in tagged.tag_schema.tagged_columns
+            for column in tag_schema.tagged_columns
         ]
-        arrays = store._arrays
-        for row_index in range(kept, len(rows)):
-            cells = rows[row_index]._cells
+        for row_index, row in enumerate(fresh_rows):
+            cells = row._cells
             for position, column in positions:
                 for tag in cells[position].tags:
                     arrays[(column, tag.name)][row_index] = tag.value
-        store.relation._frozen = True
-        return store
+        if kept:
+            plain = base.relation.row_batch()[:kept] + plain
+            arrays = {
+                key: base._arrays[key][:kept] + array
+                for key, array in arrays.items()
+            }
+        relation = Relation(schema)
+        relation._replace_rows(plain)
+        relation._frozen = True
+        return cls(relation, tag_schema, arrays)
 
     def to_tagged_relation(self) -> TaggedRelation:
         """Convert back to per-cell representation (round-trip)."""
@@ -202,23 +224,22 @@ class ColumnarTagStore:
     def __len__(self) -> int:
         return len(self.relation)
 
+    def array(self, column: str, indicator: str) -> list[Any]:
+        """The aligned tag array itself, not a copy (treat as read-only)."""
+        try:
+            return self._arrays[(column, indicator)]
+        except KeyError:
+            raise UnknownIndicatorError(
+                f"indicator {indicator!r} is not allowed on column {column!r}"
+            ) from None
+
     def tag_value(self, row_index: int, column: str, indicator: str) -> Any:
         """One tag value (None when untagged)."""
-        key = (column, indicator)
-        if key not in self._arrays:
-            raise UnknownIndicatorError(
-                f"indicator {indicator!r} is not allowed on column {column!r}"
-            )
-        return self._arrays[key][row_index]
+        return self.array(column, indicator)[row_index]
 
     def tag_array(self, column: str, indicator: str) -> Sequence[Any]:
-        """The whole aligned tag array (read-only view by convention)."""
-        key = (column, indicator)
-        if key not in self._arrays:
-            raise UnknownIndicatorError(
-                f"indicator {indicator!r} is not allowed on column {column!r}"
-            )
-        return tuple(self._arrays[key])
+        """A copy of the whole aligned tag array, as a tuple."""
+        return tuple(self.array(column, indicator))
 
     def tag_count(self) -> int:
         """Number of non-None tag values stored."""

@@ -11,7 +11,7 @@ provides the helpers to stamp, query, and audit them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorValue

@@ -16,7 +16,7 @@ is the fluent pipeline combining value predicates with quality filters
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import QueryError
 from repro.relational.schema import RelationSchema

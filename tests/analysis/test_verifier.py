@@ -38,9 +38,7 @@ from repro.sql.physical import compile_plan
 from repro.sql.plan import (
     Filter,
     Limit,
-    QualityFilter,
     Scan,
-    ScoreFilter,
     Sort,
     TopK,
 )
@@ -84,10 +82,6 @@ MUTATIONS = {
     ),
     # Scan flag contradicts the catalog: 'big' is a plain relation.
     "DQ402": lambda: Scan("big", tagged=True),
-    # Quality pushdown over an untagged scan (no tag store to answer it).
-    "DQ403": lambda: QualityFilter(
-        Scan("big"), (("name", "source", "==", "x"),)
-    ),
     # QUALITY(...) evaluated over a subtree that carries no tags.
     "DQ404": lambda: Filter(
         Scan("big"),
@@ -103,10 +97,6 @@ MUTATIONS = {
     # dropped buckets.
     "DQ410": lambda: Scan(
         "big", partitions=(0,), partition_total=8, partition_key="score"
-    ),
-    # Score pushdown over an untagged scan (no materialized arrays).
-    "DQ411": lambda: ScoreFilter(
-        Scan("big"), (("credibility", ">", 0.5),)
     ),
 }
 
@@ -170,8 +160,8 @@ class TestCleanPlans:
 class TestAssertAndOptimizeHooks:
     def test_assert_raises_with_diagnostics(self):
         with pytest.raises(PlanVerificationError) as excinfo:
-            assert_plan_verifies(MUTATIONS["DQ403"](), CONTEXT)
-        assert "DQ403" in str(excinfo.value)
+            assert_plan_verifies(MUTATIONS["DQ404"](), CONTEXT)
+        assert "DQ404" in str(excinfo.value)
         assert excinfo.value.diagnostics.has_errors
 
     def test_warning_does_not_raise(self):

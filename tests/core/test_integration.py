@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.integration import (
-    DEFAULT_DERIVABILITY_RULES,
     DerivabilityRule,
     Refinement,
     integrate_views,

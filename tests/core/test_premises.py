@@ -1,7 +1,5 @@
 """Unit tests for the executable premises (§2)."""
 
-import pytest
-
 from repro.core.mapping import UserQualityStandard, timeliness_from_age
 from repro.core.premises import (
     classify_attribute_role,

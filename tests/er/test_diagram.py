@@ -4,7 +4,6 @@ import pytest
 
 from repro.er.diagram import (
     Annotation,
-    STYLE_CLOUD,
     STYLE_DOTTED,
     STYLE_INSPECTION,
     render_er_diagram,

@@ -2,8 +2,6 @@
 
 import datetime as dt
 
-import pytest
-
 from repro.experiments import scenarios
 
 

@@ -21,7 +21,6 @@ from repro.manufacturing.pipeline import ManufacturingPipeline
 from repro.manufacturing.sources import DataSource
 from repro.manufacturing.world import AttributeSpec, World, integer_step
 from repro.polygen.federation import Federation
-from repro.quality.admin import DataQualityAdministrator
 from repro.quality.audit import ElectronicTrail
 from repro.relational.schema import schema
 from repro.tagging.cell import QualityCell

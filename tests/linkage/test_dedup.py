@@ -6,11 +6,7 @@ from repro.experiments.scenarios import duplicated_customers
 from repro.linkage.blocking import prefix_key
 from repro.linkage.comparators import jaro_winkler, numeric_closeness
 from repro.linkage.dedup import DuplicateFinder
-from repro.linkage.fellegi_sunter import (
-    FellegiSunterModel,
-    FieldModel,
-    MatchDecision,
-)
+from repro.linkage.fellegi_sunter import FellegiSunterModel, FieldModel
 
 
 def make_model(upper=6.0):

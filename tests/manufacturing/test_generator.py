@@ -1,7 +1,5 @@
 """Unit tests for the synthetic population generators."""
 
-import pytest
-
 from repro.manufacturing.generator import (
     make_address_book,
     make_clients,

@@ -61,14 +61,13 @@ class TestExplainAnalyze:
         text = "\n".join(row["plan"] for row in result)
         # Same operators as plain EXPLAIN...
         assert "Project" in text and "TopK" in text
-        assert "QualityFilter" in text
+        assert "Filter [(QUALITY(a.source) = 's1' AND b > 6)]" in text
         assert "Scan [t (tagged)]" in text
         # ...but annotated with measured facts from a real execution.
         assert "rows=4" in text  # the TopK/Project output
         assert " ms" in text and "time=" in text
-        assert "selectivity=" in text
-        # 10 of 20 rows carry source=s1: the columnar scan ratio.
-        assert "selectivity=50.0%" in text
+        # 10 of 20 rows carry source=s1, 9 of them with b > 6.
+        assert "selectivity=45.0%" in text
 
     def test_matches_plain_explain_shape(self, tagged):
         plain = execute(f"EXPLAIN {SQL}", tagged)
@@ -113,9 +112,9 @@ class TestStatsCollector:
         assert collector.cache_hit
         assert "plan-cache hit; rows: 4" in collector.render()
         assert collector.rows == len(warm) == 4
-        quality = collector.execution.operator("QualityFilter")
+        quality = collector.execution.operator("Filter")
         assert quality is not None and quality.executed
-        assert collector.execution.selectivity(quality) == pytest.approx(0.5)
+        assert collector.execution.selectivity(quality) == pytest.approx(0.45)
 
     def test_collection_does_not_change_results(self, tagged):
         clear_plan_cache()
@@ -129,20 +128,30 @@ class TestStatsCollector:
 
 class TestAmbientMetrics:
     def test_engine_counters_flow_when_enabled(self, tagged):
+        from repro.tagging.query import IndicatorConstraint, QualityFilter
+
         clear_plan_cache()
+        # QSQL reads the tag arrays without a store scan; the §4 filter's
+        # columnar path is what scans the store.
+        mailing = QualityFilter(
+            [IndicatorConstraint("a", "source", "==", "s1")]
+        )
         with obs_metrics.instrumented() as registry:
             registry.reset()
-            execute(SQL, tagged)  # cold: miss + columnar scan
+            execute(SQL, tagged)  # cold: miss
             execute(SQL, tagged)  # warm: hit
             assert registry.get("qsql.plancache.misses").value == 1
             assert registry.get("qsql.plancache.hits").value == 1
             assert registry.get("qsql.executions").value == 2
             assert registry.get("qsql.statement_seconds").count == 2
-            assert registry.get("columnar.scans").value >= 2
-            assert registry.get("columnar.rows_scanned").value >= 2 * len(
+            assert registry.get("columnar.scans") is None
+            mailing.apply_columnar(tagged)
+            mailing.apply_columnar(tagged)
+            assert registry.get("columnar.scans").value == 2
+            assert registry.get("columnar.rows_scanned").value == 2 * len(
                 tagged
             )
-            assert registry.get("columnar.scan_selectivity").count >= 2
+            assert registry.get("columnar.scan_selectivity").count == 2
 
     def test_disabled_by_default_records_nothing(self, tagged):
         clear_plan_cache()

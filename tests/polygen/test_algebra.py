@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import QueryError, SchemaError
 from repro.polygen import algebra
-from repro.polygen.model import PolygenCell, PolygenRelation
+from repro.polygen.model import PolygenRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 

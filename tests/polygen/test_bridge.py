@@ -6,7 +6,6 @@ from repro.polygen.bridge import polygen_to_tagged, tagged_to_polygen
 from repro.polygen.model import PolygenCell, PolygenRelation
 from repro.relational.schema import schema
 from repro.tagging.query import QualityQuery
-from repro.tagging.relation import TaggedRelation
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import QualityError
 from repro.quality.allocation import (
-    Allocation,
     DatasetProfile,
     allocate_budget,
     profiles_from_monitoring,

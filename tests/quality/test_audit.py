@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import AuditError
 from repro.quality.audit import ElectronicTrail
-from repro.relational.catalog import Database
-from repro.relational.schema import schema
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quality.allocation import DatasetProfile, allocate_budget
@@ -13,7 +13,6 @@ from repro.quality.scoring import (
 )
 from repro.quality.spc import p_chart
 from repro.tagging.cell import QualityCell
-from repro.tagging.indicators import IndicatorValue
 
 # ---------------------------------------------------------------------------
 # Scoring

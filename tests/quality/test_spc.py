@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QualityError
-from repro.quality.spc import ControlChart, p_chart, xbar_r_charts
+from repro.quality.spc import p_chart, xbar_r_charts
 
 
 class TestPChart:

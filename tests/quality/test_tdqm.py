@@ -13,12 +13,8 @@ from repro.manufacturing.generator import make_companies
 from repro.manufacturing.pipeline import ManufacturingPipeline
 from repro.manufacturing.sources import DataSource
 from repro.manufacturing.world import World
-from repro.quality.scoring import (
-    QualityScorecard,
-    collection_accuracy_scorer,
-    credibility_scorer,
-)
-from repro.quality.tdqm import ImprovementAction, TDQMCycle
+from repro.quality.scoring import QualityScorecard, credibility_scorer
+from repro.quality.tdqm import TDQMCycle
 from repro.relational.schema import schema
 
 

@@ -8,7 +8,6 @@ from repro.relational.constraints import (
     CheckConstraint,
     ForeignKeyConstraint,
     NotNullConstraint,
-    PrimaryKeyConstraint,
     UniqueConstraint,
 )
 from repro.relational.schema import schema

@@ -314,10 +314,18 @@ def test_row_store_behaviour_on_both_kinds(kind):
 
 
 @pytest.mark.parametrize("layout", ["flat", "partitioned"])
-@pytest.mark.parametrize("kind", ["plain", "tagged"])
-def test_delete_of_nothing_keeps_derived_state(kind, layout):
-    """A delete that removes no row still counts as a mutation (the
-    version moves) but rewrites nothing: the next read reuses every
+@pytest.mark.parametrize(
+    "kind, write",
+    [
+        pytest.param("plain", "delete", id="plain"),
+        pytest.param("tagged", "delete", id="tagged"),
+        # TaggedRelation has no update.
+        pytest.param("plain", "update", id="plain-update"),
+    ],
+)
+def test_delete_of_nothing_keeps_derived_state(kind, write, layout):
+    """A delete or update that matches no row still counts as a mutation
+    (the version moves) but rewrites nothing: the next read reuses every
     value array and the tag store instead of rebuilding them."""
     from repro.obs import metrics
 
@@ -331,7 +339,10 @@ def test_delete_of_nothing_keeps_derived_state(kind, layout):
     with metrics.instrumented() as registry:
         counter = registry.counter("relation.value_array_rows")
         rows_before = counter.value
-        assert relation.delete(lambda row: False) == 0
+        if write == "delete":
+            assert relation.delete(lambda row: False) == 0
+        else:
+            assert relation.update(lambda row: False, lambda row: {}) == 0
         again = [relation.value_array(position) for position in positions]
         if store is not None:
             assert relation.columnar_store() is store

@@ -1,7 +1,5 @@
 """Unit tests for QSQL aggregates, GROUP BY, aliases, and QUALITY values."""
 
-import datetime as dt
-
 import pytest
 
 from repro.relational.relation import Relation

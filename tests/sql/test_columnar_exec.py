@@ -266,11 +266,13 @@ class TestSelectionVectorEdgeCases:
 
 
 class TestComputedValuesOverPrunedShards:
-    """Aggregate and QUALITY-valued Project read their operands off the
-    batch.  Over a multi-shard pruned scan of a partitioned tagged
-    relation, under a WHERE selection, they equal the oracle in order:
-    groups come out in first-seen order, so they follow the flat row
-    order the shards merge back into."""
+    """Aggregate, QUALITY-valued Project, Sort/TopK keys and Filter leaves
+    read their operands off the batch: tag and score arrays as well as
+    value arrays.  Over a multi-shard pruned scan of a partitioned
+    tagged relation, under a WHERE selection, they equal the oracle in
+    order: groups come out in first-seen order, so they follow the flat
+    row order the shards merge back into.  The flat relation and read
+    snapshots of both answer the same, on cold and cached plans."""
 
     WHERE = "k IN (1, 2, 5, 9, 14, 20, 27, 33) AND b >= 2"
     STATEMENTS = [
@@ -286,7 +288,36 @@ class TestComputedValuesOverPrunedShards:
         "ORDER BY QUALITY(a.age) DESC, k LIMIT 5",
         "SELECT COUNT(*) AS n, MAX(QUALITY(a.age)) AS oldest FROM t "
         "WHERE {where} AND b > 1000",
+        "SELECT c, COUNT(*) AS n, AVG(QUALITY(credibility)) AS cred, "
+        "MAX(QUALITY(credibility)) AS best FROM t WHERE {where} GROUP BY c",
+        "SELECT k, QUALITY(credibility) AS cred FROM t "
+        "WHERE {where} AND QUALITY(credibility) >= 0.5 "
+        "ORDER BY QUALITY(credibility) DESC, k LIMIT 4",
+        "SELECT k, QUALITY(a.source) AS src FROM t WHERE {where} "
+        "AND (QUALITY(a.source) = 'fax' OR NOT QUALITY(credibility) < 0.8) "
+        "ORDER BY QUALITY(credibility), k",
+        "SELECT k FROM t WHERE {where} AND QUALITY(a.source) <> 'mail' "
+        "AND QUALITY(credibility) IN (0.2, 0.7)",
     ]
+
+    @pytest.fixture(autouse=True)
+    def credibility(self):
+        from repro.quality.materialize import (
+            ScoringProfile,
+            clear_profiles,
+            register_profile,
+        )
+        from repro.quality.scoring import credibility_scorer
+
+        register_profile(
+            ScoringProfile(
+                "p",
+                [credibility_scorer({"fax": 0.2, "phone": 0.7, "mail": 0.9})],
+            ),
+            relations=["t"],
+        )
+        yield
+        clear_profiles()
 
     @staticmethod
     def relation():
@@ -324,19 +355,28 @@ class TestComputedValuesOverPrunedShards:
                     "c": "xyz"[k % 3],
                 }
             )
-        relation.repartition(hash_partitions("k", 8))
-        return relation
+        partitioned = relation.copy()
+        partitioned.repartition(hash_partitions("k", 8))
+        return relation, partitioned
 
     @pytest.mark.parametrize("sql", STATEMENTS)
     def test_matches_naive_in_order(self, sql):
-        relation = self.relation()
+        flat, partitioned = self.relation()
         sql = sql.format(where=self.WHERE)
-        survivors = explain(sql, relation).split("partitions=")[1].split("/")[0]
+        survivors = explain(sql, partitioned).split("partitions=")[1].split("/")[0]
         assert int(survivors) > 1
-        result = execute(sql, relation)
-        expected = naive_execute(sql, relation)
-        assert [(c.name, c.domain) for c in result.schema.columns] == [
-            (c.name, c.domain) for c in expected.schema.columns
-        ]
-        assert len(expected) > 0
-        assert_same(result, expected)
+        for source in (
+            flat,
+            partitioned,
+            flat.read_snapshot(),
+            partitioned.read_snapshot(),
+        ):
+            expected = naive_execute(sql, source)
+            assert len(expected) > 0
+            clear_plan_cache()
+            for _ in ("cold", "cached"):
+                result = execute(sql, source)
+                assert [(c.name, c.domain) for c in result.schema.columns] == [
+                    (c.name, c.domain) for c in expected.schema.columns
+                ]
+                assert_same(result, expected)

@@ -1,7 +1,5 @@
 """Unit tests for QSQL execution."""
 
-import datetime as dt
-
 import pytest
 
 from repro.relational.relation import Relation
@@ -264,12 +262,15 @@ class TestColumnLiteralComparison:
                 got = [r.values_tuple() for r in execute(sql, relation)]
                 assert got == expected, sql
 
-    @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
-    def test_quality_operand_matches_naive(self, op):
-        # Under OR the comparison stays a Filter leaf instead of moving
-        # into the tag store, so the engine reads QUALITY(c.source) per
-        # selected row; absent tags read as NULL.
-        from repro.experiments.naive import naive_execute
+    #: Tags on column c, row by row, and the credibility each scores.
+    SOURCES = ["x", None, "y", "x", "z"]
+
+    def quality_sources(self, bound=True):
+        """The tagged table, flat and partitioned on ``c``, and a read
+        snapshot of each; ``bound`` binds a credibility profile to it
+        (x: 0.9, y: 0.4, anything else unscorable)."""
+        from repro.quality.materialize import ScoringProfile, register_profile
+        from repro.quality.scoring import credibility_scorer
         from repro.relational import hash_partitions
         from repro.relational.schema import schema
         from repro.tagging.cell import QualityCell
@@ -283,16 +284,113 @@ class TestColumnLiteralComparison:
             schema("t", [("a", "INT"), ("c", "STR")]),
             TagSchema([IndicatorDefinition("source")], allowed={"c": ["source"]}),
         )
-        for (a, c), source in zip(self.ROWS, ["x", None, "y", "x", "z"]):
+        for (a, c), source in zip(self.ROWS, self.SOURCES):
             tags = [] if source is None else [IndicatorValue("source", source)]
             tagged.insert({"a": QualityCell(a), "c": QualityCell(c, tags)})
         partitioned = tagged.copy()
         partitioned.repartition(hash_partitions("c", 3))
-        quality = "QUALITY(c.source)"
-        for relation in (tagged, partitioned):
-            for literal in ("NULL", "2", "'x'"):
-                for where in (f"{quality} {op} {literal}", f"{literal} {op} {quality}"):
-                    sql = f"SELECT a, c FROM t WHERE {where} OR a = 99"
-                    expected = [r.values_tuple() for r in naive_execute(sql, relation)]
-                    got = [r.values_tuple() for r in execute(sql, relation)]
-                    assert got == expected, sql
+        if bound:
+            register_profile(
+                ScoringProfile("p", [credibility_scorer({"x": 0.9, "y": 0.4})]),
+                relations=["t"],
+            )
+        return [
+            tagged,
+            partitioned,
+            tagged.read_snapshot(),
+            partitioned.read_snapshot(),
+        ]
+
+    @staticmethod
+    def assert_matches_naive(sql, sources):
+        """Engine answers equal the oracle's in order, cold and cached,
+        on every source: the same rows, or both raise SQLError."""
+        from repro.experiments.naive import naive_execute
+        from repro.sql import clear_plan_cache
+
+        def answer(run, source):
+            try:
+                return [r.values_tuple() for r in run(sql, source)]
+            except SQLError:
+                return SQLError
+
+        for source in sources:
+            expected = answer(naive_execute, source)
+            clear_plan_cache()
+            assert answer(execute, source) == expected, (sql, source, "cold")
+            assert answer(execute, source) == expected, (sql, source, "cached")
+
+    @pytest.mark.parametrize("op", ["=", "<>", "!=", "<", "<=", ">", ">="])
+    def test_quality_operand_matches_naive(self, op):
+        # Every QUALITY form reads per position: the tag array of an
+        # allowed indicator (``=`` over a whole array hops with
+        # list.index), NULL for a disallowed one (a.source), the score
+        # array of a defined parameter.  Absent tags and unscorable rows
+        # read as NULL.  ``c IN ('x', 'y')`` prunes the partitioned
+        # copies to two shards.
+        from repro.quality.materialize import clear_profiles
+
+        sources = self.quality_sources()
+        wheres = [
+            where
+            for quality in ("QUALITY(c.source)", "QUALITY(a.source)", "QUALITY(credibility)")
+            for literal in ("NULL", "2", "'x'", "0.5")
+            for comparison in (f"{quality} {op} {literal}", f"{literal} {op} {quality}")
+            for where in (
+                comparison,
+                f"{comparison} OR a = 99",
+                f"NOT ({comparison})",
+                f"a > 1 AND {comparison}",
+                f"c IN ('x', 'y') AND {comparison}",
+            )
+        ]
+        try:
+            for where in wheres:
+                self.assert_matches_naive(f"SELECT a, c FROM t WHERE {where}", sources)
+        finally:
+            clear_profiles()
+
+    QUALITY_FORMS = [
+        "SELECT a, c FROM t WHERE QUALITY(c.source) IN ('x', 'z', NULL)",
+        "SELECT a, c FROM t WHERE QUALITY(c.source) NOT IN ('x') OR a IS NULL",
+        "SELECT a, c FROM t WHERE QUALITY(c.source) IS NULL",
+        "SELECT a, c FROM t WHERE c IN ('x', 'y') AND QUALITY(c.source) IS NOT NULL",
+        "SELECT a, c FROM t WHERE QUALITY(a.source) IS NULL AND a > 1",
+        "SELECT a, c FROM t WHERE QUALITY(a.source) NOT IN ('x')",
+        "SELECT a, c FROM t WHERE QUALITY(c.source) = c",
+        "SELECT a, c FROM t WHERE QUALITY(credibility) IN (0.9, 0.4)",
+        "SELECT a, c FROM t WHERE c IN ('x', 'y') AND QUALITY(credibility) NOT IN (0.4)",
+        "SELECT a, c FROM t WHERE QUALITY(credibility) IS NULL OR a = 1",
+        "SELECT a, c FROM t WHERE NOT (QUALITY(credibility) IS NOT NULL "
+        "AND QUALITY(c.source) <> 'y')",
+        "SELECT a, QUALITY(credibility) AS cred FROM t "
+        "ORDER BY QUALITY(credibility) DESC, a",
+        "SELECT c FROM t WHERE c IN ('x', 'y') ORDER BY QUALITY(credibility), c DESC LIMIT 3",
+        "SELECT QUALITY(c.source) AS src, COUNT(*) AS n, "
+        "AVG(QUALITY(credibility)) AS cred FROM t GROUP BY QUALITY(c.source)",
+        "SELECT MAX(QUALITY(credibility)) AS best, MIN(QUALITY(credibility)) AS worst "
+        "FROM t WHERE c IN ('x', 'y')",
+        # A parameter no bound profile defines raises when a row is read,
+        # and only then.
+        "SELECT a FROM t WHERE QUALITY(accuracy) > 0.5",
+        "SELECT a FROM t WHERE QUALITY(accuracy) = NULL",
+        "SELECT a FROM t WHERE a = 99 AND QUALITY(accuracy) > 0.5",
+        "SELECT a FROM t WHERE a = 99 OR QUALITY(accuracy) IS NULL",
+        "SELECT a FROM t ORDER BY QUALITY(accuracy) LIMIT 2",
+        "SELECT a FROM t WHERE a = 99 ORDER BY QUALITY(accuracy) LIMIT 2",
+        "SELECT AVG(QUALITY(accuracy)) AS acc FROM t WHERE a = 99",
+    ]
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
+    @pytest.mark.parametrize("sql", QUALITY_FORMS)
+    def test_quality_forms_match_naive(self, sql, bound):
+        # Without a bound profile every QUALITY(parameter) reads per
+        # row, like an undefined parameter: raising only when a selected
+        # row is read.
+        from repro.quality.materialize import clear_profiles
+
+        sources = self.quality_sources(bound)
+        try:
+            self.assert_matches_naive(sql, sources)
+        finally:
+            clear_profiles()

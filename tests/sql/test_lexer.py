@@ -3,16 +3,7 @@
 import pytest
 
 from repro.sql.errors import SQLError
-from repro.sql.lexer import (
-    EOF,
-    IDENT,
-    KEYWORD,
-    NUMBER,
-    OPERATOR,
-    PUNCT,
-    STRING,
-    tokenize,
-)
+from repro.sql.lexer import EOF, IDENT, KEYWORD, NUMBER, PUNCT, tokenize
 
 
 def kinds(text):

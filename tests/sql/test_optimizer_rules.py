@@ -14,14 +14,12 @@ from repro.sql.optimizer import (
     choose_build_side,
     fold_constants,
     fuse_topk,
-    push_quality_predicates,
 )
 from repro.sql.physical import execute_plan
 from repro.sql.plan import (
     Filter,
     HashJoin,
     Project,
-    QualityFilter,
     Scan,
     Sort,
     TopK,
@@ -133,47 +131,47 @@ class TestFoldConstants:
 
 
 class TestQualityPushdown:
+    """QUALITY(column.indicator) predicates are not pushed anywhere: the
+    whole WHERE clause stays one Filter directly over the tagged Scan,
+    whose leaves read the tag store's arrays, and every shape answers
+    like the oracle."""
+
+    @staticmethod
+    def filter_over_scan(sql, relation):
+        optimized = optimize(plan_for(sql, relation), context_for(relation))
+        (filter_node,) = find(optimized, Filter)
+        assert isinstance(filter_node.child, Scan)
+        assert filter_node.child.tagged
+        return filter_node
+
     def test_routes_into_columnar_scan(self, tagged):
         sql = "SELECT * FROM t WHERE QUALITY(a.source) = 's1' AND b > 0"
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        (quality,) = find(optimized, QualityFilter)
-        assert quality.constraints == (("a", "source", "==", "s1"),)
-        assert isinstance(quality.child, Scan) and quality.child.tagged
-        # The value conjunct stays behind as a residual filter.
-        (residual,) = find(optimized, Filter)
-        assert residual.predicate == Comparison(
-            ">", ColumnRef("b"), Literal(0)
-        )
-        same_results(sql, tagged)
+        filter_node = self.filter_over_scan(sql, tagged)
+        assert filter_node.predicate == parse(sql).where
+        assert len(same_results(sql, tagged)) == 6
 
     def test_in_list_routes(self, tagged):
         sql = "SELECT a FROM t WHERE QUALITY(a.age) IN (0, 1)"
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        (quality,) = find(optimized, QualityFilter)
-        assert quality.constraints == (("a", "age", "in", (0, 1)),)
-        same_results(sql, tagged)
+        self.filter_over_scan(sql, tagged)
+        assert len(same_results(sql, tagged)) == 6
 
     def test_flipped_literal_side_routes(self, tagged):
         sql = "SELECT * FROM t WHERE 2 >= QUALITY(a.age)"
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        (quality,) = find(optimized, QualityFilter)
-        assert quality.constraints == (("a", "age", "<=", 2),)
-        same_results(sql, tagged)
+        filter_node = self.filter_over_scan(sql, tagged)
+        assert filter_node.predicate == parse(sql).where
+        assert len(same_results(sql, tagged)) == 9
 
     def test_null_literal_not_routed(self, tagged):
-        # `QUALITY(x) != NULL` never matches per-cell; the store would
-        # match every tagged row.  Must stay a residual filter.
+        # `QUALITY(x) <> NULL` never matches, even on tagged cells.
         sql = "SELECT * FROM t WHERE QUALITY(a.source) <> NULL"
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        assert find(optimized, QualityFilter) == []
+        self.filter_over_scan(sql, tagged)
         assert len(same_results(sql, tagged)) == 0
 
     def test_unknown_indicator_not_routed(self, tagged):
-        # b allows no indicators: per-cell reads NULL (no match); the
-        # store would raise UnknownIndicatorError.  Must not route.
+        # b allows no indicators: QUALITY(b.source) reads NULL per row
+        # (the tag store keeps no array for it), so nothing matches.
         sql = "SELECT * FROM t WHERE QUALITY(b.source) = 's1'"
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        assert find(optimized, QualityFilter) == []
+        self.filter_over_scan(sql, tagged)
         assert len(same_results(sql, tagged)) == 0
 
     def test_disjunction_not_routed(self, tagged):
@@ -181,18 +179,14 @@ class TestQualityPushdown:
             "SELECT * FROM t "
             "WHERE QUALITY(a.source) = 's1' OR QUALITY(a.age) = 0"
         )
-        optimized = optimize(plan_for(sql, tagged), context_for(tagged))
-        assert find(optimized, QualityFilter) == []
-        same_results(sql, tagged)
+        self.filter_over_scan(sql, tagged)
+        assert len(same_results(sql, tagged)) == 9
 
     def test_rule_direct_shape(self, tagged):
-        plan = plan_for(
-            "SELECT * FROM t WHERE QUALITY(a.age) < 2", tagged
-        )
-        pushed = push_quality_predicates(plan, context_for(tagged))
-        (quality,) = find(pushed, QualityFilter)
-        assert quality.constraints == (("a", "age", "<", 2),)
-        assert find(pushed, Filter) == []  # fully absorbed
+        plan = plan_for("SELECT * FROM t WHERE QUALITY(a.age) < 2", tagged)
+        # No rule rewrites a QUALITY predicate: optimization leaves the
+        # logical plan as it was.
+        assert optimize(plan, context_for(tagged)) == plan
 
 
 class TestTopKFusion:
@@ -319,8 +313,10 @@ class TestExplain:
         text = "\n".join(row["plan"] for row in result)
         assert "Project" in text
         assert "TopK" in text
-        assert "QualityFilter" in text and "columnar scan" in text
-        assert "Scan [t (tagged)]" in text
+        assert (
+            "Filter [(QUALITY(a.source) = 's1' AND b > 2)]\n"
+            "      └─ Scan [t (tagged)]"
+        ) in text
 
     def test_explain_rejected_from_unplanned_path(self, tagged):
         # planner=False answers through the test oracle, which builds no

@@ -15,7 +15,6 @@ from repro.sql.physical import (
     ColumnarSanitizerError,
     Segment,
     _check_batch,
-    _check_scan_indices,
     _CheckedSegment,
     _selection_ordered,
     sanitize_enabled,
@@ -33,24 +32,6 @@ def make_relation(n=30):
     return relation
 
 
-class TestScanIndexCheck:
-    def test_ascending_in_bounds_passes(self):
-        _check_scan_indices("QualityFilter", [0, 2, 5], 6)
-        _check_scan_indices("QualityFilter", [], 0)
-
-    def test_out_of_bounds_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="out-of-bounds"):
-            _check_scan_indices("QualityFilter", [0, 6], 6)
-        with pytest.raises(ColumnarSanitizerError, match="out-of-bounds"):
-            _check_scan_indices("QualityFilter", [-1], 6)
-
-    def test_non_ascending_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="ascending"):
-            _check_scan_indices("QualityFilter", [3, 1], 6)
-        with pytest.raises(ColumnarSanitizerError, match="ascending"):
-            _check_scan_indices("QualityFilter", [2, 2], 6)
-
-
 class TestBatchCheck:
     def test_well_formed_batch_passes(self):
         segment = Segment(make_relation(3))
@@ -61,10 +42,14 @@ class TestBatchCheck:
         # A write behind the segment's back: its arrays outgrow it.
         relation = make_relation(3)
         segment = _CheckedSegment(relation)
-        assert segment.values(0) == [0, 1, 2]
+
+        def read(bucket, part):
+            return part.value_array(0)
+
+        assert segment.array("column 0", read) == [0, 1, 2]
         relation.insert({"a": 3, "b": "s3"})
         with pytest.raises(ColumnarSanitizerError, match="entries"):
-            segment.values(0)
+            segment.array("column 0", read)
         with pytest.raises(ColumnarSanitizerError, match="entries"):
             segment.rows()
 
@@ -125,6 +110,58 @@ class TestEndToEnd:
             relation,
         )
         assert [row["a"] for row in topk.rows] == [29, 28, 27, 26]
+
+    @pytest.mark.parametrize(
+        "where, owner, accessor",
+        [
+            ("QUALITY(a.source) = 's1'", "tags", "array"),
+            ("QUALITY(credibility) > 0.5", "scores", "score_array"),
+        ],
+        ids=["tag", "score"],
+    )
+    def test_short_quality_array_raises(self, monkeypatch, where, owner, accessor):
+        # Tag and score arrays pass the same length check as value
+        # arrays: one a part hands out short of its rows is caught
+        # before any position is read.
+        from repro.quality.materialize import (
+            ScoreMaterializer,
+            ScoringProfile,
+            clear_profiles,
+            register_profile,
+        )
+        from repro.quality.scoring import credibility_scorer
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.columnar import ColumnarTagStore
+        from repro.tagging.indicators import (
+            IndicatorDefinition,
+            IndicatorValue,
+            TagSchema,
+        )
+        from repro.tagging.relation import TaggedRelation
+
+        relation = TaggedRelation(
+            T_SCHEMA,
+            TagSchema([IndicatorDefinition("source")], allowed={"a": ["source"]}),
+        )
+        for i in range(6):
+            source = IndicatorValue("source", "s1" if i % 2 else "s2")
+            relation.insert({"a": QualityCell(i, [source]), "b": f"s{i}"})
+        register_profile(
+            ScoringProfile("p", [credibility_scorer({"s1": 0.9})]),
+            relations=["t"],
+        )
+        sql = f"SELECT a FROM t WHERE {where}"
+        try:
+            assert [row.value("a") for row in execute(sql, relation)] == [1, 3, 5]
+            cls = ColumnarTagStore if owner == "tags" else ScoreMaterializer
+            full = getattr(cls, accessor)
+            monkeypatch.setattr(
+                cls, accessor, lambda self, *args: full(self, *args)[:-1]
+            )
+            with pytest.raises(ColumnarSanitizerError, match="5 entries"):
+                execute(sql, relation)
+        finally:
+            clear_profiles()
 
     def test_cached_sanitized_plan_reruns_clean(self):
         relation = make_relation()

@@ -1,10 +1,12 @@
-"""End-to-end tests for ``QUALITY(parameter)`` scoring pushdown.
+"""End-to-end tests for ``QUALITY(parameter)`` scoring.
 
 The parameter form (``QUALITY(credibility) > 0.8``) resolves against
-the relation's registered :class:`ScoringProfile` and is pushed into
-the materialized score arrays (a ``ScoreFilter`` plan node); the tag
-form (``QUALITY(column.indicator)``) keeps its own pushdown.  Every
-pushed plan must agree with the per-cell test oracle, ``naive_execute``.
+the relation's registered :class:`ScoringProfile` at execution time.
+It stays a leaf of the Filter over the Scan, like the tag form
+(``QUALITY(column.indicator)``), and the leaf reads the materialized
+score arrays while the bound profile defines the parameter.  Every
+answer must equal the per-cell test oracle, ``naive_execute``, in
+order.
 """
 
 from __future__ import annotations
@@ -83,59 +85,80 @@ def explain(sql, source):
     return "\n".join(row["plan"] for row in execute(f"EXPLAIN {sql}", source))
 
 
-def canonical(result):
-    return sorted(row.values_tuple() for row in result)
+def in_order(result):
+    return [row.values_tuple() for row in result]
+
+
+def assert_matches_oracle(sql, relation):
+    result = execute(sql, relation)
+    assert in_order(result) == in_order(naive_execute(sql, relation)), sql
+    return result
+
+
+def filter_over_scan(sql, relation):
+    """The plan: Project over one Filter over the tagged Scan."""
+    plan = explain(sql, relation).splitlines()
+    assert plan[0].startswith("Project [")
+    assert plan[1].startswith("└─ Filter [")
+    assert plan[2].startswith("   └─ Scan [readings (tagged")
+    assert len(plan) == 3
+    return plan[1][len("└─ "):]
 
 
 class TestPlanShape:
+    """Score predicates are no plan node of their own: each stays a leaf
+    of the Filter directly over the Scan, with or without a bound
+    profile, and the plan reads no scoring profile."""
+
     def test_score_conjunct_becomes_score_filter(self):
         relation = make_relation()
         register()
-        plan = explain(
-            "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5",
-            relation,
+        sql = "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
+        assert filter_over_scan(sql, relation) == (
+            "Filter [QUALITY(credibility) > 0.5]"
         )
-        assert "ScoreFilter [QUALITY(credibility) > 0.5" in plan
-        assert "Filter" not in plan.replace("ScoreFilter", "")
+        assert 0 < len(assert_matches_oracle(sql, relation)) < len(relation)
 
     def test_residual_value_predicate_survives(self):
         relation = make_relation()
         register()
-        plan = explain(
+        sql = (
             "SELECT k FROM readings "
-            "WHERE QUALITY(credibility) > 0.5 AND k >= 4",
-            relation,
+            "WHERE QUALITY(credibility) > 0.5 AND k >= 4"
         )
-        assert "ScoreFilter" in plan
-        assert "Filter [k >= 4]" in plan
+        assert filter_over_scan(sql, relation) == (
+            "Filter [(QUALITY(credibility) > 0.5 AND k >= 4)]"
+        )
+        assert_matches_oracle(sql, relation)
 
     def test_score_filter_stacks_on_tag_pushdown(self):
         relation = make_relation()
         register()
-        plan = explain(
+        sql = (
             "SELECT k FROM readings "
             "WHERE QUALITY(v.source) = 'audit' "
-            "AND QUALITY(timeliness) >= 0.4",
-            relation,
+            "AND QUALITY(timeliness) >= 0.4"
         )
-        assert "ScoreFilter" in plan
-        assert "QualityFilter" in plan
+        assert filter_over_scan(sql, relation) == (
+            "Filter [(QUALITY(v.source) = 'audit' "
+            "AND QUALITY(timeliness) >= 0.4)]"
+        )
+        assert len(assert_matches_oracle(sql, relation)) > 0
 
     def test_unregistered_relation_keeps_per_row_filter(self):
         relation = make_relation()
         register()
-        clear_profiles()  # no binding: the rewrite must not fire
+        sql = "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
+        bound = filter_over_scan(sql, relation)
+        clear_profiles()  # no binding: the same plan reads per row
         register_profile(
             ScoringProfile(
                 "unbound", [credibility_scorer({"audit": 0.9})]
             )
         )
-        plan = explain(
-            "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5",
-            relation,
-        )
-        assert "ScoreFilter" not in plan
-        assert "Filter" in plan
+        assert filter_over_scan(sql, relation) == bound
+        with pytest.raises(SQLError, match="no registered scoring profile"):
+            execute(sql, relation)
 
 
 class TestEquivalence:
@@ -145,16 +168,14 @@ class TestEquivalence:
         sql = (
             "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
         )
-        pushed = execute(sql, relation)
-        reference = naive_execute(sql, relation)
-        assert canonical(pushed) == canonical(reference)
+        pushed = assert_matches_oracle(sql, relation)
         scores = materializer_for(relation).row_scores("credibility")
-        oracle = sorted(
+        oracle = [
             (row.value("k"),)
             for row, score in zip(relation.row_batch(), scores)
             if score is not None and score > 0.5
-        )
-        assert canonical(pushed) == oracle
+        ]
+        assert in_order(pushed) == oracle
         assert 0 < len(pushed) < len(relation)
 
     def test_mixed_tag_score_and_value_predicates(self):
@@ -165,9 +186,7 @@ class TestEquivalence:
             "WHERE QUALITY(v.source) <> 'fax' "
             "AND QUALITY(timeliness) >= 0.4 AND k < 20"
         )
-        assert canonical(execute(sql, relation)) == canonical(
-            naive_execute(sql, relation)
-        )
+        assert_matches_oracle(sql, relation)
 
     def test_scores_in_projection_and_order_by(self):
         relation = make_relation()
@@ -194,15 +213,15 @@ class TestEquivalence:
             "WHERE k = 5 AND QUALITY(timeliness) >= 0.1"
         )
         plan = explain(sql, relation)
-        assert "partitions=1/8" in plan
-        assert "ScoreFilter" in plan
-        assert canonical(execute(sql, relation)) == canonical(
-            naive_execute(sql, relation)
-        )
+        assert (
+            "Filter [(k = 5 AND QUALITY(timeliness) >= 0.1)]\n"
+            "   └─ Scan [readings (tagged, partitions=1/8)]"
+        ) in plan
+        assert_matches_oracle(sql, relation)
 
     def test_multi_bucket_scan_stacks_tag_and_score_filters(self):
-        # Several surviving shards: the tag-store hits of every shard
-        # feed that shard's score scan as its candidates.
+        # Several surviving shards: the tag and score leaves read each
+        # shard's arrays, merged back into the relation's row order.
         relation = make_relation(n=48)
         relation.repartition(hash_partitions("k", 8))
         register()
@@ -211,13 +230,10 @@ class TestEquivalence:
             "AND QUALITY(v.source) <> 'fax' AND QUALITY(timeliness) >= 0.1"
         )
         plan = explain(sql, relation)
-        assert "QualityFilter" in plan and "ScoreFilter" in plan
+        assert "QualityFilter" not in plan and "ScoreFilter" not in plan
         survivors = int(plan.split("partitions=")[1].split("/")[0])
         assert survivors > 1
-        pushed = execute(sql, relation)
-        assert canonical(pushed) == canonical(
-            naive_execute(sql, relation)
-        )
+        pushed = assert_matches_oracle(sql, relation)
         assert 0 < len(pushed) < 8
 
     def test_unpruned_partitioned_scan_uses_flat_block(self):
@@ -227,9 +243,7 @@ class TestEquivalence:
         sql = (
             "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
         )
-        assert canonical(execute(sql, relation)) == canonical(
-            naive_execute(sql, relation)
-        )
+        assert_matches_oracle(sql, relation)
 
 
 class TestDiagnosticsAndErrors:
@@ -295,7 +309,8 @@ class TestPlanCacheInvalidation:
         first = execute(sql, relation)
         assert len(first) > 0
         # Replace the profile with one that rates every source below
-        # the cut; a stale cached plan would keep the old hits.
+        # the cut; the cached plan looks the profile up on each
+        # execution, so it cannot keep the old hits.
         register(ratings={"audit": 0.4, "phone": 0.1})
         assert len(execute(sql, relation)) == 0
 
@@ -310,16 +325,22 @@ class TestPlanCacheInvalidation:
             "SELECT k FROM readings WHERE QUALITY(credibility) > 0.5"
         )
         execute_planned(plain_sql, relation, cache=cache)
-        execute_planned(scored_sql, relation, cache=cache)
+        first = execute_planned(scored_sql, relation, cache=cache)
+
         def facts(sql):
             return {fact for fact, _, _ in cache.lookup(sql, relation)[0].reads}
 
+        # No plan reads the scoring registry, the scored one included...
         assert "profile" not in facts(plain_sql)
-        assert "profile" in facts(scored_sql)
-        # A registry mutation stales only the score-reading entry.
-        register(ratings={"audit": 0.8})
+        assert "profile" not in facts(scored_sql)
+        # ...so a registry mutation stales neither entry, and the cached
+        # scored plan answers under the new registration.
+        register(ratings={"audit": 0.4, "phone": 0.8})
         assert cache.lookup(plain_sql, relation) is not None
-        assert cache.lookup(scored_sql, relation) is None
+        assert cache.lookup(scored_sql, relation) is not None
+        second = execute_planned(scored_sql, relation, cache=cache)
+        assert in_order(second) == in_order(naive_execute(scored_sql, relation))
+        assert in_order(second) != in_order(first)
 
 
 class TestStrictVerdictFollowsProfiles:

@@ -1,13 +1,10 @@
 """Unit tests for QualityDatabase."""
 
-import datetime as dt
-
 import pytest
 
 from repro.errors import SchemaError, TaggingError, UnknownRelationError
 from repro.experiments.scenarios import run_trading_methodology
 from repro.quality.profiles import ApplicationProfile
-from repro.relational.schema import schema
 from repro.tagging.catalog import QualityDatabase
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorValue

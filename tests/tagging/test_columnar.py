@@ -10,9 +10,7 @@ from repro.errors import (
     UnknownIndicatorError,
 )
 from repro.relational.relation import Relation
-from repro.relational.schema import schema
 from repro.tagging.columnar import ColumnarTagStore
-from repro.tagging.indicators import IndicatorDefinition, TagSchema
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Unit tests for tagged relations."""
 
-import datetime as dt
-
 import pytest
 
 from repro.errors import (
