@@ -118,7 +118,7 @@ def test_e1_json_fast_vs_naive_grading():
     """Emit BENCH_E1.json: compiled and columnar grading vs the naive path.
 
     The fund-raising grade runs through the compiled (pushdown) filter,
-    through the columnar tag store (array scans + late row gather), and
+    through the relation's tag arrays (array scans + late row gather), and
     through the seed strategy (per-row name lookups, re-validating
     inserts); all three must deliver identical rows.  The three legs
     are measured *interleaved* — the naive baseline is re-timed in the
@@ -142,7 +142,6 @@ def test_e1_json_fast_vs_naive_grading():
     ]
 
     n = len(relation)
-    relation.columnar_store()  # build outside the timed region
     fast_s, columnar_s, naive_s = best_seconds_interleaved(
         [
             lambda: fund.apply(relation),

@@ -154,8 +154,8 @@ def test_e2_overhead_curve(benchmark):
 
 
 def test_e2_ablation_per_cell_vs_columnar(benchmark):
-    """DESIGN.md §7 ablation: per-cell tag objects vs a columnar side
-    table.  Both must answer identically; the columnar scan touches one
+    """DESIGN.md §7 ablation: per-cell tag objects vs columnar tag
+    arrays.  Both must answer identically; the columnar scan touches one
     array and is expected to win on filter latency."""
     import time
 
@@ -253,7 +253,6 @@ def test_e2_json_fast_vs_naive_scan():
         r.cells for r in naive_result
     ]
 
-    relation.columnar_store()  # build outside the timed region
     fast_s, columnar_s, naive_s = best_seconds_interleaved(
         [
             lambda: grade.apply(relation),

@@ -171,7 +171,7 @@ def test_e3_json_fast_vs_naive_join():
     cell dicts and re-validates each output row.
     Acceptance floor for this PR: 3x ops/sec.
     """
-    from conftest import REPO_ROOT, best_seconds
+    from conftest import REPO_ROOT, best_seconds_interleaved
 
     from repro.experiments.harness import bench_record, write_bench_json
     from repro.experiments.naive import naive_polygen_equi_join
@@ -212,9 +212,11 @@ def test_e3_json_fast_vs_naive_join():
             assert fast_cell.originating == naive_cell.originating
             assert fast_cell.intermediate == naive_cell.intermediate
 
-    fast_s = best_seconds(lambda: algebra.equi_join(quotes, reports, on))
-    naive_s = best_seconds(
-        lambda: naive_polygen_equi_join(quotes, reports, on)
+    fast_s, naive_s = best_seconds_interleaved(
+        [
+            lambda: algebra.equi_join(quotes, reports, on),
+            lambda: naive_polygen_equi_join(quotes, reports, on),
+        ]
     )
     speedup = naive_s / fast_s
     write_bench_json(

@@ -79,7 +79,6 @@ def test_obs_overhead_json():
 
     n = 30000
     ticks = _ticks_relation(n)
-    ticks.columnar_store()  # build outside the timed region
     binding = {"ticks": ticks}
 
     statement = parse(SQL)

@@ -155,7 +155,7 @@ def test_qsql_planner_json():
     reads too.
 
     - *tag-array vs per-cell scan*: a cached plan's Filter leaf reads
-      the ``QUALITY(...)`` equality off the tag store's array, hopping
+      the ``QUALITY(...)`` equality off the relation's tag array, hopping
       hit to hit with C-level ``list.index``; the naive oracle
       (``naive_execute``) tests the cell's tag on every row.  Floor: 23.5x — the earlier 10x
       over the planner-free interpreter (deleted since) times the
@@ -165,7 +165,7 @@ def test_qsql_planner_json():
       lexing/parsing/analysis/planning/compilation entirely; cold runs
       pay all of it per call.  Floor: 5x.
     """
-    from conftest import REPO_ROOT, best_seconds
+    from conftest import REPO_ROOT, best_seconds_interleaved
 
     from repro.experiments.harness import bench_record, write_bench_json
     from repro.experiments.naive import naive_execute
@@ -176,13 +176,16 @@ def test_qsql_planner_json():
     n = 30000
     ticks = _ticks_relation(n)
     scan_sql = "SELECT * FROM ticks WHERE QUALITY(price.source) = 'manual'"
-    ticks.columnar_store()  # build outside the timed region
     clear_plan_cache()
     planned = execute(scan_sql, ticks)
     per_cell = naive_execute(scan_sql, ticks)
     assert len(planned) == len(per_cell) == n // 50
-    columnar_s = best_seconds(lambda: execute(scan_sql, ticks))
-    per_cell_s = best_seconds(lambda: naive_execute(scan_sql, ticks))
+    columnar_s, per_cell_s = best_seconds_interleaved(
+        [
+            lambda: execute(scan_sql, ticks),
+            lambda: naive_execute(scan_sql, ticks),
+        ]
+    )
     scan_speedup = per_cell_s / columnar_s
 
     # -- plan cache: small relation, heavyweight statement --------------
@@ -202,13 +205,14 @@ def test_qsql_planner_json():
     )
     clear_plan_cache()
     execute(cached_sql, customers)  # populate the cache
-    warm_s = best_seconds(lambda: execute(cached_sql, customers))
 
     def cold():
         clear_plan_cache()
-        return execute(cached_sql, customers)
+        return execute(cached_sql, customers)  # and leave it populated
 
-    cold_s = best_seconds(cold)
+    warm_s, cold_s = best_seconds_interleaved(
+        [lambda: execute(cached_sql, customers), cold]
+    )
     cache_speedup = cold_s / warm_s
 
     write_bench_json(

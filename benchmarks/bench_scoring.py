@@ -2,7 +2,7 @@
 
 Not a paper artifact: a performance ablation of the scoring subsystem.
 A registered :class:`ScoringProfile` materializes one score array per
-quality parameter beside the relation's tag store, maintained per
+quality parameter beside the relation's tag arrays, maintained per
 partition: a refresh scores only the rows appended since the last one
 (the written shard's block is extended), the rest reuse their block.  A
 ``QUALITY(parameter)`` leaf of the WHERE Filter reads those arrays, so

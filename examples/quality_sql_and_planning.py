@@ -64,7 +64,7 @@ def main() -> None:
     print()
 
     # EXPLAIN shows the optimized plan the planner runs: the quality
-    # predicates route into the columnar tag store, ORDER BY + LIMIT
+    # predicates are Filter leaves over the tag arrays, ORDER BY + LIMIT
     # fuse into a bounded top-k.
     plan = execute(f"EXPLAIN {query}", customers)
     print("EXPLAIN output:")

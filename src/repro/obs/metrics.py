@@ -10,10 +10,11 @@ Three instrument kinds, mirroring the Prometheus vocabulary:
 Instruments are owned by a :class:`MetricsRegistry`; ``counter()`` /
 ``gauge()`` / ``histogram()`` are get-or-create, so call sites never
 coordinate registration.  The process-wide registry behind
-:func:`global_registry` is what the engine layers (plan cache, columnar
-tag store, polygen join) report into — but only when the module-level
-instrumentation flag is on (:func:`enable` / :func:`enabled`), which
-keeps the disabled hot path at one boolean check per batch.
+:func:`global_registry` is what the engine layers (plan cache, derived
+arrays, columnar tag scans, polygen join) report into — but only when
+the module-level instrumentation flag is on (:func:`enable` /
+:func:`enabled`), which keeps the disabled hot path at one boolean
+check per batch.
 """
 
 from __future__ import annotations

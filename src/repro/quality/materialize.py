@@ -15,10 +15,10 @@ storage:
   copies (same schema object, different relation object) resolve to the
   same profile — service snapshots read frozen score columns for free;
 - a :class:`ScoreMaterializer` reads **score blocks** kept beside the
-  relation's :class:`~repro.tagging.columnar.ColumnarTagStore`: one
-  aligned ``parameter → [score | None]`` array per segment (the
-  relation itself, or one partition shard), cached on that segment
-  against its epoch, its row count and the profile's registration
+  relation's value and tag arrays: one aligned
+  ``parameter → [score | None]`` array per segment (the relation
+  itself, or one partition shard), cached on that segment against its
+  epoch, its row count and the profile's registration
   (:class:`~repro.relational.versioned.Carried`).  A block is rescored
   only for the rows appended since it was built, and a read snapshot
   extends its predecessor's blocks the same way — the incremental-
@@ -46,6 +46,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.errors import AssessmentError
 from repro.obs import metrics as _obs_metrics
 from repro.quality.scoring import ParameterScorer
+from repro.relational.versioned import carry
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
 
@@ -302,19 +303,22 @@ def _score_block(
     base: Optional[dict[str, list[Optional[float]]]],
     count: int,
 ) -> dict[str, list[Optional[float]]]:
-    """``segment``'s ``parameter → scores`` block: ``base``'s first
-    ``count`` scores (copied) and the rows after them scored."""
+    """``segment``'s ``parameter → scores`` block, each array carried
+    over from ``base``'s (:func:`~repro.relational.versioned.carry`)."""
     rows = segment.row_batch()
-    kept = 0 if base is None else min(count, len(rows))
-    fresh = rows[kept:] if kept else rows
     positions = tagged_positions(segment)
     block: dict[str, list[Optional[float]]] = {}
     for parameter in profile.parameters:
-        scores = [
-            row_parameter_score(profile, parameter, row, positions)
-            for row in fresh
-        ]
-        block[parameter] = base[parameter][:kept] + scores if kept else scores
+
+        def score(fresh: list) -> list[Optional[float]]:
+            return [
+                row_parameter_score(profile, parameter, row, positions)
+                for row in fresh
+            ]
+
+        block[parameter] = carry(
+            None if base is None else base[parameter], count, rows, score
+        )
     return block
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 from array import array
-from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -20,7 +19,7 @@ from repro.errors import SchemaError, SnapshotWriteError, UnknownColumnError
 from repro.obs import metrics as _obs_metrics
 from repro.relational.partition import PartitionSpec
 from repro.relational.schema import RelationSchema
-from repro.relational.versioned import Carried, Versioned
+from repro.relational.versioned import Carried, Versioned, carry
 
 
 class Row(Mapping[str, Any]):
@@ -124,7 +123,7 @@ class RowStore:
     A relation kind differs from another only in its row type, so every
     storage mechanic lives here once: the flat row list, the mutation
     counter and rewrite epoch, the carried derived state, the lock and
-    frozen flag, partitioning, read snapshots and value arrays.  A kind
+    frozen flag, partitioning, read snapshots and derived arrays.  A kind
     supplies three hooks:
 
     - :meth:`_prepare` validates one incoming row into the kind's row
@@ -143,7 +142,7 @@ class RowStore:
         self._version = 0
         #: Rewrite counter: bumped by every write that is not an append
         #: (delete, update, ``_replace_rows``).  Derived per-row state
-        #: (value arrays, the tag store, score blocks) is keyed by it
+        #: (value and tag arrays, score blocks) is keyed by it
         #: plus the row count, so an append extends that state instead
         #: of rebuilding it.
         self._epoch = 0
@@ -236,12 +235,10 @@ class RowStore:
         and the epoch).
 
         Every wholesale row replacement must flow through here so
-        derived caches (value arrays, the read snapshot) observe the
-        mutation — including replacements performed by side-tables
-        such as :class:`~repro.tagging.columnar.ColumnarTagStore`.
-        ``seqs``, ascending and aligned with ``rows``, are
-        the rows' flat-order sequence numbers on a partitioned
-        relation (default: their positions).
+        derived caches (value and tag arrays, the read snapshot)
+        observe the mutation.  ``seqs``, ascending and aligned with
+        ``rows``, are the rows' flat-order sequence numbers on a
+        partitioned relation (default: their positions).
         """
         with self._lock:
             self._require_mutable()
@@ -394,31 +391,36 @@ class RowStore:
         """All shard relations, in bucket order."""
         return list(self._partitions)
 
-    # -- value arrays ------------------------------------------------------------
+    # -- derived arrays ------------------------------------------------------------
 
     def value_array(self, position: int) -> list[Any]:
-        """One column's values, aligned with :meth:`row_batch`.
+        """One column's values, aligned with :meth:`row_batch` (see
+        :meth:`_derived_array`).  Treat as read-only."""
+        values_at = self._values_at
+        return self._derived_array(position, lambda rows: values_at(rows, position))
 
-        Read from the rows on first use, one column at a time, and
-        cached against the epoch and the row count
+    def _derived_array(self, key: Any, derive: Callable[[list], list]) -> list:
+        """The array ``derive`` reads from the rows, cached under ``key``.
+
+        The one builder of per-row arrays (value arrays; a tagged
+        relation's tag arrays).  Read on first use and cached against
+        the epoch and the row count
         (:class:`~repro.relational.versioned.Carried`): after an append
         the next array — this relation's or a later snapshot's — copies
-        the last one and reads only the appended rows.  Treat as
-        read-only.
+        the last one and ``derive`` reads only the appended rows
+        (:func:`~repro.relational.versioned.carry`).  Each build counts
+        into ``relation.value_array_builds`` and
+        ``relation.value_array_rows``.
         """
-        return self._derived.fetch(
-            position, self, partial(self._make_value_array, position)
-        )
 
-    def _make_value_array(
-        self, position: int, base: Optional[list], count: int
-    ) -> list[Any]:
-        rows = self._rows
-        kept = 0 if base is None else min(count, len(rows))
-        fresh = self._values_at(rows[kept:] if kept else rows, position)
-        if _obs_metrics.enabled():
-            _record_value_array_build(len(fresh))
-        return base[:kept] + fresh if kept else fresh
+        def counted(rows: list) -> list:
+            if _obs_metrics.enabled():
+                _record_array_build(len(rows))
+            return derive(rows)
+
+        return self._derived.fetch(
+            key, self, lambda base, count: carry(base, count, self._rows, counted)
+        )
 
     # -- snapshot reads --------------------------------------------------------
 
@@ -445,8 +447,8 @@ class RowStore:
         (lazily built) derived state across snapshot generations.  A
         new snapshot shares its relation's family of derived state
         (:class:`~repro.relational.versioned.Carried`), so after an
-        append it extends the previous generation's value arrays, tag
-        store and score blocks.
+        append it extends the previous generation's value and tag
+        arrays and score blocks.
         """
         with self._lock:
             if self._frozen:
@@ -506,15 +508,15 @@ class RowStore:
         return f"{type(self).__name__}({self.schema.name}, {len(self._rows)} rows)"
 
 
-def _record_value_array_build(rows: int) -> None:
-    """Report one value-array build into the global registry (enabled only)."""
+def _record_array_build(rows: int) -> None:
+    """Report one derived-array build into the global registry (enabled only)."""
     registry = _obs_metrics.global_registry()
     registry.counter(
         "relation.value_array_builds",
-        "value arrays built from row data, plain and tagged",
+        "value and tag arrays built or extended from row data",
     ).inc()
     registry.counter(
-        "relation.value_array_rows", "rows read into value arrays"
+        "relation.value_array_rows", "rows read into value and tag arrays"
     ).inc(rows)
 
 

@@ -6,11 +6,11 @@ Two rules cover every derived cache in the engine:
   was built for still equals the live token.  A relation's read
   snapshot is cached this way, against its mutation counter and
   partition layout.
-- :class:`Carried` — per-row state (a relation's value arrays and tag
-  store, the score materializer's blocks) is keyed by the relation's
-  rewrite *epoch* plus its row count.  An append keeps the
-  epoch, so the state is extended by the appended rows instead of
-  being rebuilt, on the live relation and across its read snapshots.
+- :class:`Carried` — per-row state (a relation's value and tag arrays,
+  the score materializer's blocks) is keyed by the relation's rewrite
+  *epoch* plus its row count.  An append keeps the epoch, so the state
+  is extended by the appended rows (:func:`carry`) instead of being
+  rebuilt, on the live relation and across its read snapshots.
 
 A cached entry lives in a single attribute or dictionary slot, so a
 reader that skips the lock sees either the old entry or the new one,
@@ -53,24 +53,24 @@ class Carried:
     redistribution into shards) may move any of them, and bumps the
     relation's *epoch*.  Within one epoch rows are only added at the
     end, so two states of one epoch, with ``m`` and ``n`` rows, agree
-    on their first ``min(m, n)`` rows.  State derived row by row (a tag
-    store, a column's values, a block of scores) and built for ``m``
-    rows of an epoch is then the start of the state for any ``n`` rows
-    of it: keep its first ``min(m, n)`` entries and derive the rows
-    after them.
+    on their first ``min(m, n)`` rows.  State derived row by row (a
+    column's values, one indicator's tags, a block of scores) and built
+    for ``m`` rows of an epoch is then the start of the state for any
+    ``n`` rows of it: :func:`carry` keeps its first ``min(m, n)``
+    entries and derives the rows after them.
 
-    Entries are keyed (``"tags"``, ``"scores"``, or a column position
-    for a value array) and stamped
-    ``(epoch, generation, rows)``;
-    ``generation`` names whatever else the state was derived from (a
-    scoring profile's registration).  A relation and its read snapshots
-    share one *family* table.  Frozen snapshots publish what they build
-    there — a frozen relation and its stores reject every write, so a
-    published value never changes — and every member derives from the
-    family's entry or its own stale one instead of starting over.  A
-    derived value is always a new value: arrays are copied, never
-    extended in place, because an older snapshot and the batch
-    sanitizer read them at their own length.
+    Entries are keyed (a column position for a value array, a
+    ``(column, indicator)`` pair for a tag array, ``"scores"``) and
+    stamped ``(epoch, generation, rows)``; ``generation`` names
+    whatever else the state was derived from (a scoring profile's
+    registration).  A relation and its read snapshots share one
+    *family* table.  Frozen snapshots publish what they build there — a
+    frozen relation rejects every write, so a published value never
+    changes — and every member derives from the family's entry or its
+    own stale one instead of starting over.  A derived value is always
+    a new value: arrays are copied, never extended in place, because an
+    older snapshot and the batch sanitizer read them at their own
+    length.
     """
 
     __slots__ = ("_own", "_family", "_publishes")
@@ -138,3 +138,22 @@ class Carried:
                 ):
                     self._family[key] = entry
             return value
+
+
+def carry(
+    base: Optional[list],
+    count: int,
+    rows: list,
+    derive: Callable[[list], list],
+) -> list:
+    """Per-row state of ``rows``, carried over from ``base``.
+
+    ``base`` is state derived from the first ``count`` rows of the same
+    epoch (``None``, with ``count`` 0, when there is none), as
+    :meth:`Carried.fetch` hands it to ``make``.  Its first
+    ``min(count, len(rows))`` entries are kept, copied, and
+    ``derive(rows)`` reads only the rows after them.
+    """
+    kept = 0 if base is None else min(count, len(rows))
+    fresh = derive(rows[kept:] if kept else rows)
+    return base[:kept] + fresh if kept else fresh

@@ -27,10 +27,11 @@ LIMIT; and typed literals (numbers, strings, booleans, NULL,
     FROM ticks GROUP BY ticker ORDER BY mean_age
 
 Statements run through a query planner by default: the AST lowers to a
-logical plan (:mod:`repro.sql.plan`), rewrite rules route
-``QUALITY(...)`` predicates into columnar tag-array scans and fuse
-ORDER BY + LIMIT into a bounded heap (:mod:`repro.sql.optimizer`), a
-batch physical executor runs the plan (:mod:`repro.sql.physical`), and
+logical plan (:mod:`repro.sql.plan`), rewrite rules prune partitions
+and projections and fuse ORDER BY + LIMIT into a bounded heap
+(:mod:`repro.sql.optimizer`), a batch physical executor runs the plan
+(:mod:`repro.sql.physical`), whose ``QUALITY(...)`` operands read the
+relation's tag and score arrays like any column's values, and
 a plan cache keyed on statement text, and valid while the facts its
 planning read are unchanged, skips lexing/parsing/planning for
 repeated statements (:mod:`repro.sql.plancache`).  ``EXPLAIN SELECT ...`` returns the

@@ -128,10 +128,10 @@ def execute(
     Statements run through the query planner (:mod:`repro.sql.plan` /
     :mod:`repro.sql.optimizer` / :mod:`repro.sql.physical`) with plan
     caching (:mod:`repro.sql.plancache`): repeated statement texts skip
-    lexing, parsing, and planning, and QUALITY predicates route through
-    the relation's columnar tag store.  Plans run over batches:
-    per-column value arrays plus a selection vector, with rows built
-    once, for the result.
+    lexing, parsing, and planning.  Plans run over batches: per-column
+    value arrays (and, for ``QUALITY(...)`` operands, tag and score
+    arrays) plus a selection vector, with rows built once, for the
+    result.
 
     ``stats`` accepts a :class:`~repro.obs.stats.StatsCollector`: after
     the call it holds the per-operator execution tree (what

@@ -11,11 +11,12 @@ plain and tagged, flat and partitioned relations alike:
   relation's row order — addressed by position.  One accessor
   (:meth:`Segment.array`) hands out its per-position arrays: a column's
   value array (:meth:`~repro.relational.relation.RowStore.value_array`,
-  for both kinds), a tag array of the relation's
-  :meth:`~repro.tagging.relation.TaggedRelation.columnar_store`, and a
-  score array of its :class:`~repro.quality.materialize.ScoreMaterializer`.
-  Each is built on first use and cached on the relation or shard
-  against its epoch and row count.
+  for both kinds), a tag array
+  (:meth:`~repro.tagging.relation.TaggedRelation.tag_array`, one
+  ``(column, indicator)`` pair) and a score array of the relation's
+  :class:`~repro.quality.materialize.ScoreMaterializer`.  Each is built
+  on first use and cached on the relation or shard against its epoch
+  and row count, and extended by the appended rows after an append.
 - The *selection vector* lists the positions still alive (``None``:
   every position), ascending wherever row order is preserved.
 
@@ -585,7 +586,7 @@ def _operand(operand: Any, node: CompiledNode) -> Callable[[Segment], Any]:
     (:meth:`Segment.array`):
 
     - a column, its value array;
-    - ``QUALITY(column.indicator)``, the tag store's array, when the
+    - ``QUALITY(column.indicator)``, the relation's tag array, when the
       tag schema allows that indicator on that column;
     - ``QUALITY(parameter)``, the score materializer's array, when the
       relation's bound profile defines the parameter at execution time.
@@ -617,7 +618,7 @@ def _operand(operand: Any, node: CompiledNode) -> Callable[[Segment], Any]:
         key = f"QUALITY({column}.{indicator})"
 
         def read_tags(bucket: Any, part: Any) -> list:
-            return part.columnar_store().array(column, indicator)
+            return part.tag_array(column, indicator)
 
         return lambda segment: segment.array(key, read_tags)
     if isinstance(operand, QualityScoreRef):

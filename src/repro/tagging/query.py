@@ -174,7 +174,7 @@ class QualityFilter:
         return algebra.select(relation, self.compile(relation.schema))
 
     def apply_columnar(self, relation: TaggedRelation) -> TaggedRelation:
-        """Filter through the relation's columnar tag store.
+        """Filter through the relation's tag arrays.
 
         Semantically identical to :meth:`apply` — same rows, same
         order, same tags — but the conjunction is evaluated over
@@ -184,7 +184,7 @@ class QualityFilter:
         intact).  Falls back to the per-cell path when a constraint
         names an indicator the tag schema does not allow on its column:
         the per-cell path reads such an indicator as *missing*, and the
-        store has no array to scan for it.
+        relation has no array to scan for it.
         """
         for constraint in self.constraints:
             # Same eager column check as compile(); raises for bad columns.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.errors import UnknownColumnError
+from repro.errors import UnknownColumnError, UnknownIndicatorError
 from repro.relational.relation import Relation, Row, RowStore
 from repro.relational.schema import RelationSchema
 from repro.tagging.cell import QualityCell
@@ -192,27 +192,40 @@ class TaggedRelation(RowStore):
     #: ``insert_many`` in this class's own namespace.
     insert_many = RowStore.insert_many
 
-    # -- tag store ------------------------------------------------------------------
+    # -- tag arrays -----------------------------------------------------------------
+
+    def tag_array(self, column: str, indicator: str) -> list[Any]:
+        """``indicator``'s tag on each ``column`` cell, aligned with
+        :meth:`row_batch` (None where a cell lacks the tag).
+
+        Built like a value array, by the row store's one builder
+        (:meth:`~repro.relational.relation.RowStore._derived_array`),
+        one ``(column, indicator)`` pair at a time, so a read builds or
+        extends only the arrays it names.  Raises
+        :class:`~repro.errors.UnknownIndicatorError` when the tag schema
+        does not allow ``indicator`` on ``column``.  Treat as read-only.
+        """
+        if indicator not in self.tag_schema.allowed_for(column):
+            raise UnknownIndicatorError(
+                f"indicator {indicator!r} is not allowed on column {column!r}"
+            )
+        position = self.schema.index_of(column)
+
+        def tags_at(rows: list) -> list[Any]:
+            return [row._cells[position].tag_value(indicator) for row in rows]
+
+        return self._derived_array((column, indicator), tags_at)
 
     def columnar_store(self):
-        """The relation's columnar tag store, built lazily and cached.
+        """A read-only columnar view of this relation's tags.
 
-        The store is cached against the epoch and the row count
-        (:class:`~repro.relational.versioned.Carried`), so query paths
-        can route indicator-constrained scans through contiguous tag
-        arrays without ever reading stale data; after an append the
-        next store — this relation's or a later snapshot's — copies the
-        last one's arrays and converts only the appended rows.  The
-        store is read-only: write to the relation.
+        The view (:class:`~repro.tagging.columnar.ColumnarTagStore`)
+        holds only the relation and scans its tag arrays
+        (:meth:`tag_array`), so it is made afresh on each call.
         """
-        # Built under the mutation lock so two sessions racing on a cold
-        # cache agree on one store (and neither sees a half-built one).
-        return self._derived.fetch("tags", self, self._make_columnar_store)
-
-    def _make_columnar_store(self, base: Any, count: int):
         from repro.tagging.columnar import ColumnarTagStore
 
-        return ColumnarTagStore.from_tagged_relation(self, base, count)
+        return ColumnarTagStore(self)
 
     # -- conversions ----------------------------------------------------------------
 

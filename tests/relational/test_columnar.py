@@ -160,27 +160,3 @@ class TestStoreMediatedMutation:
         before = relation.version
         relation.delete(lambda row: row["a"] == 1)
         assert relation.version > before
-
-
-class TestTagStoreDelete:
-    def test_tag_store_delete_bumps_backing_relation_version(self):
-        # The tag side-table replaces the backing relation's rows on
-        # delete; that replacement must bump the version counter so the
-        # relation's own value arrays can never be served stale
-        # afterwards.
-        from repro.tagging.columnar import ColumnarTagStore
-        from repro.tagging.indicators import IndicatorDefinition, TagSchema
-
-        plain = Relation.from_tuples(
-            SCHEMA, [(1, "x", 1.0), (2, "y", 2.0), (3, "z", 3.0)]
-        )
-        tags = TagSchema(
-            [IndicatorDefinition("source", "STR")], allowed={"a": ["source"]}
-        )
-        store = ColumnarTagStore(plain, tags)
-        values = plain.value_array(0)
-        before = plain.version
-        store.delete(lambda row: row["a"] == 2)
-        assert plain.version > before
-        assert plain.value_array(0) is not values
-        assert plain.value_array(0) == [1, 3]

@@ -259,7 +259,11 @@ def _events_of_kind(kind):
         relation = Relation(EVENTS)
     else:
         relation = TaggedRelation(
-            EVENTS, TagSchema(indicators=[IndicatorDefinition("source")])
+            EVENTS,
+            TagSchema(
+                indicators=[IndicatorDefinition("source")],
+                allowed={"n": ["source"]},
+            ),
         )
     for i in range(20):
         relation.insert({"id": i, "region": "abcd"[i % 4], "n": i % 5})
@@ -326,7 +330,7 @@ def test_row_store_behaviour_on_both_kinds(kind):
 def test_delete_of_nothing_keeps_derived_state(kind, write, layout):
     """A delete or update that matches no row still counts as a mutation
     (the version moves) but rewrites nothing: the next read reuses every
-    value array and the tag store instead of rebuilding them."""
+    value array and tag array instead of rebuilding them."""
     from repro.obs import metrics
 
     relation = _events_of_kind(kind)
@@ -334,7 +338,7 @@ def test_delete_of_nothing_keeps_derived_state(kind, write, layout):
         relation.repartition(hash_partitions("region", 4))
     positions = range(len(EVENTS.column_names))
     warm = [relation.value_array(position) for position in positions]
-    store = relation.columnar_store() if kind == "tagged" else None
+    tags = relation.tag_array("n", "source") if kind == "tagged" else None
     version = relation.version
     with metrics.instrumented() as registry:
         counter = registry.counter("relation.value_array_rows")
@@ -344,8 +348,8 @@ def test_delete_of_nothing_keeps_derived_state(kind, write, layout):
         else:
             assert relation.update(lambda row: False, lambda row: {}) == 0
         again = [relation.value_array(position) for position in positions]
-        if store is not None:
-            assert relation.columnar_store() is store
+        if tags is not None:
+            assert relation.tag_array("n", "source") is tags
         assert counter.value - rows_before == 0
     assert relation.version == version + 1
     assert all(new is old for new, old in zip(again, warm))

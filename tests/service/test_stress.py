@@ -183,7 +183,7 @@ def test_service_readers_race_writer_over_columnar_scans():
 
 def test_snapshot_readers_extend_carried_state_while_a_writer_appends():
     """Readers pin successive snapshots of a tagged relation while a
-    writer appends.  Each snapshot extends the tag store, value arrays
+    writer appends.  Each snapshot extends the tag arrays, value arrays
     and score blocks that another thread's snapshot published, and
     every result must match the rows its own snapshot holds.
     """

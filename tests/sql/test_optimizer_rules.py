@@ -133,7 +133,7 @@ class TestFoldConstants:
 class TestQualityPushdown:
     """QUALITY(column.indicator) predicates are not pushed anywhere: the
     whole WHERE clause stays one Filter directly over the tagged Scan,
-    whose leaves read the tag store's arrays, and every shape answers
+    whose leaves read the relation's tag arrays, and every shape answers
     like the oracle."""
 
     @staticmethod
@@ -169,7 +169,7 @@ class TestQualityPushdown:
 
     def test_unknown_indicator_not_routed(self, tagged):
         # b allows no indicators: QUALITY(b.source) reads NULL per row
-        # (the tag store keeps no array for it), so nothing matches.
+        # (the relation has no tag array for it), so nothing matches.
         sql = "SELECT * FROM t WHERE QUALITY(b.source) = 's1'"
         self.filter_over_scan(sql, tagged)
         assert len(same_results(sql, tagged)) == 0

@@ -177,14 +177,17 @@ class TestTaggedPlans:
         sql = "SELECT a FROM t WHERE QUALITY(a.source) = 's1'"
         first = execute_planned(sql, relation, cache=cache)
         assert values(first) == [(0,), (1,)]
+        read = relation.tag_array("a", "source")
         # Mutate the relation: the cached plan must not serve the stale
-        # columnar store (TaggedRelation.version gates the store cache).
+        # tag array (the epoch and row count gate the array cache).
         relation.insert(
             {"a": QualityCell(9, [IndicatorValue("source", "s1")])}
         )
         second = execute_planned(sql, relation, cache=cache)
         assert values(second) == [(0,), (1,), (9,)]
         assert cache.hits == 1
+        assert read == ["s1", "s1", "s2", "s2"]
+        assert relation.tag_array("a", "source") == read + ["s1"]
 
     def test_strict_mode_checked_once_then_cached(self):
         from repro.sql.plancache import AnalysisMemo, run_strict_analysis

@@ -114,7 +114,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "where, owner, accessor",
         [
-            ("QUALITY(a.source) = 's1'", "tags", "array"),
+            ("QUALITY(a.source) = 's1'", "tags", "tag_array"),
             ("QUALITY(credibility) > 0.5", "scores", "score_array"),
         ],
         ids=["tag", "score"],
@@ -131,7 +131,6 @@ class TestEndToEnd:
         )
         from repro.quality.scoring import credibility_scorer
         from repro.tagging.cell import QualityCell
-        from repro.tagging.columnar import ColumnarTagStore
         from repro.tagging.indicators import (
             IndicatorDefinition,
             IndicatorValue,
@@ -153,7 +152,7 @@ class TestEndToEnd:
         sql = f"SELECT a FROM t WHERE {where}"
         try:
             assert [row.value("a") for row in execute(sql, relation)] == [1, 3, 5]
-            cls = ColumnarTagStore if owner == "tags" else ScoreMaterializer
+            cls = TaggedRelation if owner == "tags" else ScoreMaterializer
             full = getattr(cls, accessor)
             monkeypatch.setattr(
                 cls, accessor, lambda self, *args: full(self, *args)[:-1]

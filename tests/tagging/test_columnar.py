@@ -1,77 +1,114 @@
-"""Unit tests for the columnar tag store (the E2 ablation alternative)."""
+"""Unit tests for columnar tag access: a tagged relation's tag arrays and
+the read-only view that scans them (the E2 ablation alternative)."""
 
 import datetime as dt
 
 import pytest
 
-from repro.errors import (
-    SnapshotWriteError,
-    TagSchemaError,
-    UnknownIndicatorError,
-)
-from repro.relational.relation import Relation
+from repro.errors import TagSchemaError, UnknownIndicatorError
+from repro.experiments.naive import naive_execute
+from repro.obs import metrics
+from repro.relational.partition import hash_partitions
+from repro.relational.schema import Column, RelationSchema
+from repro.sql import execute
+from repro.tagging.cell import QualityCell
 from repro.tagging.columnar import ColumnarTagStore
+from repro.tagging.indicators import IndicatorDefinition, IndicatorValue, TagSchema
+from repro.tagging.relation import TaggedRelation
+
+
+def customer_row(co_name, address, employees, address_tags=(), employees_tags=()):
+    """One customer row; ``*_tags`` are ``(indicator, value)`` pairs."""
+    return {
+        "co_name": co_name,
+        "address": QualityCell(
+            address, [IndicatorValue(*tag) for tag in address_tags]
+        ),
+        "employees": QualityCell(
+            employees, [IndicatorValue(*tag) for tag in employees_tags]
+        ),
+    }
 
 
 @pytest.fixture
 def store(customer_schema, customer_tag_schema):
-    relation = Relation.from_tuples(
-        customer_schema,
-        [("Fruit Co", "12 Jay St", 4004), ("Nut Co", "62 Lois Av", 700)],
+    relation = TaggedRelation(customer_schema, customer_tag_schema)
+    relation.insert(
+        customer_row(
+            "Fruit Co",
+            "12 Jay St",
+            4004,
+            [("source", "sales"), ("creation_time", dt.date(1991, 1, 2))],
+            [("source", "Nexis")],
+        )
     )
-    built = ColumnarTagStore(relation, customer_tag_schema)
-    built.set_tag(0, "address", "source", "sales")
-    built.set_tag(0, "address", "creation_time", dt.date(1991, 1, 2))
-    built.set_tag(1, "address", "source", "acct'g")
-    built.set_tag(1, "address", "creation_time", dt.date(1991, 10, 24))
-    built.set_tag(0, "employees", "source", "Nexis")
-    built.set_tag(1, "employees", "source", "estimate")
-    return built
+    relation.insert(
+        customer_row(
+            "Nut Co",
+            "62 Lois Av",
+            700,
+            [("source", "acct'g"), ("creation_time", dt.date(1991, 10, 24))],
+            [("source", "estimate")],
+        )
+    )
+    return ColumnarTagStore.from_tagged_relation(relation)
+
+
+def stored_tags(store):
+    """Non-None tag values across every allowed (column, indicator) array."""
+    tag_schema = store.relation.tag_schema
+    return sum(
+        value is not None
+        for column in tag_schema.tagged_columns
+        for indicator in tag_schema.allowed_for(column)
+        for value in store.array(column, indicator)
+    )
 
 
 class TestBasics:
     def test_tag_value(self, store):
-        assert store.tag_value(1, "address", "source") == "acct'g"
-        assert store.tag_value(0, "employees", "creation_time") is None
+        assert store.array("address", "source")[1] == "acct'g"
+        assert store.array("employees", "creation_time")[0] is None
 
     def test_tag_count(self, store):
-        assert store.tag_count() == 6
+        # Every tag of every cell sits in exactly one array.
+        assert stored_tags(store) == store.relation.tag_count() == 6
 
     def test_domain_validated(self, store):
-        store.set_tag(0, "address", "creation_time", "1991-03-01")
-        assert store.tag_value(0, "address", "creation_time") == dt.date(
+        store.relation.insert(
+            customer_row(
+                "Date Co", "1 Elm", 3, [("creation_time", "1991-03-01")]
+            )
+        )
+        assert store.array("address", "creation_time")[2] == dt.date(
             1991, 3, 1
         )
 
     def test_unknown_indicator(self, store):
         with pytest.raises(UnknownIndicatorError):
-            store.set_tag(0, "address", "ghost", 1)
+            store.array("address", "ghost")
         with pytest.raises(UnknownIndicatorError):
-            store.tag_value(0, "co_name", "source")
+            store.array("co_name", "source")
+        with pytest.raises(UnknownIndicatorError):
+            store.scan([("address", "ghost", "==", 1)])
 
     def test_tag_array(self, store):
-        assert store.tag_array("employees", "source") == ("Nexis", "estimate")
+        assert store.array("employees", "source") == ["Nexis", "estimate"]
 
     def test_append_keeps_alignment(self, store):
-        index = store.append(
-            {"co_name": "New Co", "address": "9 Elm", "employees": 5},
-            tags={("address", "source"): "sales"},
+        store.relation.insert(
+            customer_row("New Co", "9 Elm", 5, [("source", "sales")])
         )
-        assert index == 2
         assert len(store) == 3
-        assert store.tag_value(2, "address", "source") == "sales"
-        assert store.tag_value(2, "employees", "source") is None
-        assert len(store.tag_array("address", "creation_time")) == 3
+        assert store.array("address", "source")[2] == "sales"
+        assert store.array("employees", "source")[2] is None
+        assert len(store.array("address", "creation_time")) == 3
 
 
 class TestFiltering:
     def test_filter_indices(self, store):
         hits = store.filter_indices("employees", "source", "!=", "estimate")
         assert hits == [0]
-
-    def test_filter_materializes(self, store):
-        result = store.filter("address", "source", "==", "acct'g")
-        assert result.to_dicts()[0]["co_name"] == "Nut Co"
 
     def test_missing_ok(self, store):
         hits = store.filter_indices(
@@ -92,20 +129,10 @@ class TestFiltering:
 
 
 class TestConversions:
-    def test_round_trip_through_tagged_relation(self, store, tagged_customers):
-        tagged = store.to_tagged_relation()
-        assert len(tagged) == 2
-        assert tagged.rows[1]["address"].tag_value("source") == "acct'g"
-        back = ColumnarTagStore.from_tagged_relation(tagged)
-        assert back.tag_count() == store.tag_count()
-        assert back.tag_array("employees", "source") == store.tag_array(
-            "employees", "source"
-        )
-
     def test_from_table2(self, tagged_customers):
         store = ColumnarTagStore.from_tagged_relation(tagged_customers)
-        assert store.tag_count() == tagged_customers.tag_count()
-        assert store.tag_value(1, "employees", "source") == "estimate"
+        assert stored_tags(store) == tagged_customers.tag_count()
+        assert store.array("employees", "source")[1] == "estimate"
 
     def test_equivalent_filter_answers(self, tagged_customers):
         """Ablation invariant: both representations answer identically."""
@@ -117,83 +144,76 @@ class TestConversions:
             .require("employees", "source", "!=", "estimate")
             .values()
         )
-        columnar = store.filter(
-            "employees", "source", "!=", "estimate"
-        ).to_dicts()
+        rows = tagged_customers.row_batch()
+        columnar = [
+            rows[index].values_dict()
+            for index in store.filter_indices(
+                "employees", "source", "!=", "estimate"
+            )
+        ]
         assert per_cell == columnar
 
 
 class TestDeletionAlignment:
-    """Deletion must keep every (column, indicator) array aligned."""
+    """A delete from the relation keeps every tag array aligned with it."""
 
     def test_delete_then_scan_stays_aligned(self, store):
-        store.append(
-            {"co_name": "Third Co", "address": "1 Oak St", "employees": 50},
-            tags={
-                ("address", "source"): "sales",
-                ("employees", "source"): "Nexis",
-            },
+        relation = store.relation
+        relation.insert(
+            customer_row(
+                "Third Co", "1 Oak St", 50, [("source", "sales")], [("source", "Nexis")]
+            )
         )
-        removed = store.delete(lambda row: row["co_name"] == "Fruit Co")
+        store.scan([("employees", "source", "==", "Nexis")])
+        removed = relation.delete(lambda row: row.value("co_name") == "Fruit Co")
         assert removed == 1
         assert len(store) == 2
         # Every array dropped the same position: scanning after the
         # delete must return the rows the surviving tags describe.
+        rows = relation.row_batch()
         hits = store.scan([("employees", "source", "==", "Nexis")])
-        assert [store.relation.rows[i]["co_name"] for i in hits] == [
-            "Third Co"
-        ]
+        assert [rows[i].value("co_name") for i in hits] == ["Third Co"]
         hits = store.scan([("address", "source", "==", "acct'g")])
-        assert [store.relation.rows[i]["co_name"] for i in hits] == ["Nut Co"]
-        assert len(store.tag_array("address", "creation_time")) == 2
+        assert [rows[i].value("co_name") for i in hits] == ["Nut Co"]
+        assert len(store.array("address", "creation_time")) == 2
 
     def test_delete_no_match_is_noop(self, store):
-        assert store.delete(lambda row: False) == 0
+        before = store.array("address", "source")
+        assert store.relation.delete(lambda row: False) == 0
         assert len(store) == 2
-        assert len(store.tag_array("address", "source")) == 2
+        assert store.array("address", "source") is before
 
     def test_delete_conjunctive_scan_after_multiple_deletes(self, store):
+        relation = store.relation
         for name in ("New1", "New2", "New3"):
-            store.append(
-                {"co_name": name, "address": "9 Elm", "employees": 10},
-                tags={
-                    ("address", "source"): "sales",
-                    ("address", "creation_time"): dt.date(1992, 1, 1),
-                },
+            relation.insert(
+                customer_row(
+                    name,
+                    "9 Elm",
+                    10,
+                    [("source", "sales"), ("creation_time", dt.date(1992, 1, 1))],
+                )
             )
-        store.delete(lambda row: row["co_name"] == "New2")
-        store.delete(lambda row: row["co_name"] == "Nut Co")
+        relation.delete(lambda row: row.value("co_name") == "New2")
+        relation.delete(lambda row: row.value("co_name") == "Nut Co")
         hits = store.scan(
             [
                 ("address", "source", "==", "sales"),
                 ("address", "creation_time", ">=", dt.date(1992, 1, 1)),
             ]
         )
-        assert [store.relation.rows[i]["co_name"] for i in hits] == [
-            "New1",
-            "New3",
-        ]
-
-    def test_divergent_backing_relation_raises(self, store):
-        # Mutating the relation behind the store's back desynchronizes
-        # the arrays; scans must fail loudly instead of misaligning.
-        store.relation.insert(
-            {"co_name": "Rogue Co", "address": "?", "employees": 1}
-        )
-        with pytest.raises(TagSchemaError, match="out of sync"):
-            store.scan([("address", "source", "==", "sales")])
-        with pytest.raises(TagSchemaError, match="mutate through the store"):
-            store.check_aligned()
-        with pytest.raises(TagSchemaError):
-            store.delete(lambda row: True)
+        rows = relation.row_batch()
+        assert [rows[i].value("co_name") for i in hits] == ["New1", "New3"]
 
 
 class TestStoreCaching:
-    """TaggedRelation.columnar_store(): lazy build + version invalidation."""
+    """Tag arrays are built lazily, then reused until a write."""
 
     def test_store_is_cached_until_mutation(self, tagged_customers):
-        first = tagged_customers.columnar_store()
-        assert tagged_customers.columnar_store() is first
+        first = tagged_customers.columnar_store().array("address", "source")
+        assert tagged_customers.columnar_store().array(
+            "address", "source"
+        ) is first
         tagged_customers.insert(
             {
                 "co_name": "New Co",
@@ -201,54 +221,22 @@ class TestStoreCaching:
                 "employees": 5,
             }
         )
-        rebuilt = tagged_customers.columnar_store()
+        rebuilt = tagged_customers.columnar_store().array("address", "source")
         assert rebuilt is not first
-        assert len(rebuilt) == len(tagged_customers)
+        assert len(first) == 2
+        assert rebuilt == ["sales", "acct'g", None]
 
     def test_delete_invalidates_cached_store(self, tagged_customers):
-        before = tagged_customers.columnar_store()
+        store = tagged_customers.columnar_store()
+        before = store.array("address", "source")
         removed = tagged_customers.delete(
             lambda row: row.value("co_name") == "Fruit Co"
         )
         assert removed == 1
-        after = tagged_customers.columnar_store()
+        after = store.array("address", "source")
         assert after is not before
-        assert len(after) == len(tagged_customers)
-        assert after.scan([("address", "source", "==", "sales")]) == []
-
-    def test_live_store_rejects_writes(self, tagged_customers):
-        # A live relation's store is derived state too: a write through
-        # it would answer queries the relation itself never saw.
-        from repro.experiments.naive import naive_execute
-        from repro.sql import execute
-
-        store = tagged_customers.columnar_store()
-        with pytest.raises(SnapshotWriteError):
-            store.set_tag(0, "address", "source", "rumor")
-        with pytest.raises(SnapshotWriteError):
-            store.append({"co_name": "New Co", "address": "9 Elm"})
-        with pytest.raises(SnapshotWriteError):
-            store.delete(lambda row: True)
-        assert len(store) == len(tagged_customers)
-        sql = (
-            "SELECT co_name FROM customer "
-            "WHERE QUALITY(address.source) = 'rumor'"
-        )
-        assert execute(sql, tagged_customers).rows == (
-            naive_execute(sql, tagged_customers).rows
-        )
-
-    def test_snapshot_store_rejects_writes(self, tagged_customers):
-        # A snapshot's store may be extended by the next generation, so
-        # it must never change: writes through it are refused.
-        store = tagged_customers.read_snapshot().columnar_store()
-        with pytest.raises(SnapshotWriteError):
-            store.set_tag(0, "address", "source", "sales")
-        with pytest.raises(SnapshotWriteError):
-            store.append({"co_name": "New Co", "address": "9 Elm"})
-        with pytest.raises(SnapshotWriteError):
-            store.delete(lambda row: True)
-        assert len(store) == len(tagged_customers)
+        assert len(after) == len(store) == len(tagged_customers)
+        assert store.scan([("address", "source", "==", "sales")]) == []
 
 
 class TestScanMissingOk:
@@ -256,20 +244,16 @@ class TestScanMissingOk:
 
     @pytest.fixture
     def sparse(self, customer_schema, customer_tag_schema):
-        relation = Relation.from_tuples(
-            customer_schema,
-            [
-                ("A Co", "1 St", 1),
-                ("B Co", "2 St", 2),
-                ("C Co", "3 St", 3),
-            ],
-        )
-        built = ColumnarTagStore(relation, customer_tag_schema)
         # Only rows 0 and 2 carry a source; row 1 is untagged.
-        built.set_tag(0, "address", "source", "sales")
-        built.set_tag(2, "address", "source", "acct'g")
-        built.set_tag(0, "employees", "source", "Nexis")
-        return built
+        relation = TaggedRelation(customer_schema, customer_tag_schema)
+        relation.insert(
+            customer_row(
+                "A Co", "1 St", 1, [("source", "sales")], [("source", "Nexis")]
+            )
+        )
+        relation.insert(customer_row("B Co", "2 St", 2))
+        relation.insert(customer_row("C Co", "3 St", 3, [("source", "acct'g")]))
+        return ColumnarTagStore.from_tagged_relation(relation)
 
     def test_four_tuple_misses_untagged(self, sparse):
         assert sparse.scan([("address", "source", "!=", "ghost")]) == [0, 2]
@@ -305,17 +289,62 @@ class TestScanMissingOk:
     def test_matches_indicator_constraint_semantics(self, sparse):
         from repro.tagging.query import IndicatorConstraint
 
-        tagged = sparse.to_tagged_relation()
         for missing_ok in (False, True):
             constraint = IndicatorConstraint(
                 "address", "source", "==", "sales", missing_ok=missing_ok
             )
             per_row = [
                 index
-                for index, row in enumerate(tagged)
+                for index, row in enumerate(sparse.relation)
                 if constraint.test(row)
             ]
             scanned = sparse.scan(
                 [("address", "source", "==", "sales", missing_ok)]
             )
             assert scanned == per_row
+
+
+#: Two indicators allowed on each of two columns: four tag arrays.
+TWO_BY_TWO = TagSchema(
+    [IndicatorDefinition("source"), IndicatorDefinition("age", "FLOAT")],
+    allowed={"a": ["source", "age"], "b": ["source", "age"]},
+)
+T_SCHEMA = RelationSchema("t", [Column("a", "INT"), Column("b", "STR")])
+
+
+def _t_row(i):
+    def cell(value):
+        return QualityCell(
+            value,
+            [IndicatorValue("source", "xyz"[i % 3]), IndicatorValue("age", i / 2)],
+        )
+
+    return {"a": cell(i), "b": cell(f"b{i}")}
+
+
+@pytest.mark.parametrize("layout", ["flat", "partitioned"])
+def test_read_after_append_extends_only_the_tag_array_it_names(layout):
+    """A read after a 10-row append extends the one tag array its
+    statement names by those 10 rows, and builds none of the others."""
+    relation = TaggedRelation(T_SCHEMA, TWO_BY_TWO)
+    relation.insert_many(_t_row(i) for i in range(40))
+    if layout == "partitioned":
+        relation.repartition(hash_partitions("a", 4))
+    sql = "SELECT a FROM t WHERE QUALITY(b.source) <> 'x'"
+    execute(sql, relation.read_snapshot())
+    relation.insert_many(_t_row(i) for i in range(40, 50))
+    snapshot = relation.read_snapshot()
+    with metrics.instrumented() as registry:
+        builds = registry.counter("relation.value_array_builds")
+        rows = registry.counter("relation.value_array_rows")
+        builds_before, rows_before = builds.value, rows.value
+        result = execute(sql, snapshot)
+        assert builds.value - builds_before == 1
+        assert rows.value - rows_before == 10
+        # The pairs the statement does not read were never built: each
+        # is read now from every row.
+        for column, indicator in (("a", "source"), ("a", "age"), ("b", "age")):
+            snapshot.tag_array(column, indicator)
+        assert builds.value - builds_before == 4
+        assert rows.value - rows_before == 10 + 3 * len(snapshot)
+    assert result.rows == naive_execute(sql, snapshot).rows
