@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import threading
 from array import array
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_, is_not, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError, SnapshotWriteError, UnknownColumnError
@@ -142,7 +143,7 @@ class RowStore:
         self._version = 0
         #: Rewrite counter: bumped by every write that is not an append
         #: (delete, update, ``_replace_rows``).  Derived per-row state
-        #: (value and tag arrays, score blocks) is keyed by it
+        #: (value and tag arrays, order indexes, score blocks) is keyed by it
         #: plus the row count, so an append extends that state instead
         #: of rebuilding it.
         self._epoch = 0
@@ -422,6 +423,39 @@ class RowStore:
             key, self, lambda base, count: carry(base, count, self._rows, counted)
         )
 
+    def order_index(self, position: int, descending: bool) -> Optional[array]:
+        """Column ``position``'s positions in key order, or None.
+
+        The positions of :meth:`value_array`, sorted by the engine's
+        None-safe ``(not None, value)`` key — ascending, or descending —
+        with ties in ascending position: one ``array('q')`` per
+        direction (treat as read-only).  It is carried like the value
+        array: after an append the next index — this relation's or a
+        later snapshot's — copies the last one and bisect-inserts only
+        the appended positions (past 1/16 of the rows appended it sorts
+        again), and a snapshot older than the family's index keeps the
+        positions below its own length.
+
+        An index is sorted from nothing only in a rewrite epoch that
+        asked for it before: the first ask answers None (a caller then
+        reads without the index), so a rewrite before every read costs
+        no sort.  An epoch whose values do not compare answers None too.
+        """
+        key = ("order", position, descending)
+        derived = self._derived
+        if not derived.holds(key, self):
+            asked = ("asked", key)
+            if not derived.holds(asked, self):
+                derived.fetch(asked, self, lambda base, count: True)
+                return None
+        return derived.fetch(
+            key,
+            self,
+            lambda base, count: _ordered_positions(
+                self.value_array(position), base, count, descending
+            ),
+        )
+
     # -- snapshot reads --------------------------------------------------------
 
     @property
@@ -506,6 +540,73 @@ class RowStore:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.schema.name}, {len(self._rows)} rows)"
+
+
+def _ordered_positions(
+    values: list, base: Optional[array], count: int, descending: bool
+) -> Optional[array]:
+    """The order index of ``values`` (see :meth:`RowStore.order_index`),
+    carried from ``base``, the index of their first ``count`` values
+    (``None`` with ``count`` 0: none to start from; ``None`` with rows:
+    those values did not compare, and the epoch's later ones still hold
+    them)."""
+    rows = len(values)
+    if base is None and count:
+        return None
+    try:
+        # Past 1/16 of the rows appended, one C-level sort beats that
+        # many Python-level bisects and array inserts.
+        if base is None or (rows - count) * 16 > rows:
+            return _sorted_positions(values, descending)
+        if count >= rows:
+            return base if count == rows else array(
+                "q", compress(base, map(rows.__gt__, base))
+            )
+        index = base[:]
+        for position in range(count, rows):
+            index.insert(
+                _insertion_point(index, values, position, descending), position
+            )
+        return index
+    except TypeError:
+        return None
+
+
+def _sorted_positions(values: list, descending: bool) -> array:
+    """Every position of ``values`` in key order, sorted at C level: the
+    non-NULL positions by value, the NULL positions (whose key sorts
+    lowest) before them ascending and after them descending."""
+    positions = range(len(values))
+    if None not in values:
+        return array(
+            "q", sorted(positions, key=values.__getitem__, reverse=descending)
+        )
+    nulls = list(compress(positions, map(is_, values, repeat(None))))
+    present = sorted(
+        compress(positions, map(is_not, values, repeat(None))),
+        key=values.__getitem__,
+        reverse=descending,
+    )
+    return array("q", present + nulls if descending else nulls + present)
+
+
+def _insertion_point(
+    index: array, values: list, position: int, descending: bool
+) -> int:
+    """Where ``position``, larger than every position in ``index``, goes:
+    after each position whose key sorts before its key or ties with it."""
+    value = values[position]
+    target = (value is not None, value)
+    lo, hi = 0, len(index)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = values[index[mid]]
+        key = (probe is not None, probe)
+        if (key < target) if descending else (target < key):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _record_array_build(rows: int) -> None:

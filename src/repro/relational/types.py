@@ -52,7 +52,11 @@ class Domain:
         return hash(("Domain", self.name))
 
     def contains(self, value: Any) -> bool:
-        """Return True if ``value`` is already a canonical member."""
+        """Return True if ``value`` is already a canonical member.
+
+        A float NaN never is: sorting and ORDER BY rely on every
+        domain's values being totally ordered.
+        """
         if value is None:
             return True
         # bool is a subclass of int; keep INT and BOOL disjoint.
@@ -60,6 +64,8 @@ class Domain:
             return bool in self.pytypes
         if self.excludes and isinstance(value, self.excludes):
             return False
+        if isinstance(value, float) and value != value:
+            return False  # NaN is unequal even to itself: nothing orders it
         return isinstance(value, self.pytypes)
 
     def validate(self, value: Any) -> Any:

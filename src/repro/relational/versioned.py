@@ -7,7 +7,8 @@ Two rules cover every derived cache in the engine:
   snapshot is cached this way, against its mutation counter and
   partition layout.
 - :class:`Carried` — per-row state (a relation's value and tag arrays,
-  the score materializer's blocks) is keyed by the relation's rewrite
+  its order indexes, the score materializer's blocks) is keyed by the
+  relation's rewrite
   *epoch* plus its row count.  An append keeps the epoch, so the state
   is extended by the appended rows (:func:`carry`) instead of being
   rebuilt, on the live relation and across its read snapshots.
@@ -60,7 +61,8 @@ class Carried:
     entries and derives the rows after them.
 
     Entries are keyed (a column position for a value array, a
-    ``(column, indicator)`` pair for a tag array, ``"scores"``) and
+    ``(column, indicator)`` pair for a tag array, ``("order", position,
+    descending)`` for an order index, ``"scores"``) and
     stamped ``(epoch, generation, rows)``; ``generation`` names
     whatever else the state was derived from (a scoring profile's
     registration).  A relation and its read snapshots share one
@@ -85,6 +87,15 @@ class Carried:
     def successor(self) -> "Carried":
         """The cache of a read snapshot cut from this relation."""
         return Carried(self._family, publishes=True)
+
+    def holds(self, key: Any, owner: Any) -> bool:
+        """Whether an entry of ``key`` for ``owner``'s epoch is cached
+        here or in the family, at any row count."""
+        stamp = (owner._epoch, None)
+        return any(
+            entry is not None and entry[0] == stamp
+            for entry in (self._own.get(key), self._family.get(key))
+        )
 
     def fetch(
         self,

@@ -23,9 +23,12 @@ plain and tagged, flat and partitioned relations alike:
 Scan hands out the segment.  Filter narrows the selection: it tests each
 predicate leaf over its operands' values (an equality over a whole
 array hops hit to hit with the C-level ``list.index``).  TopK, Sort and
-Limit reorder or cut the selection; Project remaps columns through a
-compile-time *layout*.  Every operator reads an operand the same way,
-through :func:`_operand`: a column's value array, a ``QUALITY(...)``
+Limit reorder or cut the selection; a TopK with one column key over a
+Filter on a one-part Scan, or over the Scan, walks the relation's order
+index instead and stops at k rows (:func:`_index_walk`).  Project
+remaps columns through a compile-time *layout*.  Every operator reads
+an operand the same way, through :func:`_operand`: a column's value
+array, a ``QUALITY(...)``
 operand's tag or score array, or — for a literal, and for a
 ``QUALITY(...)`` operand no array answers — a per-row getter on the
 selected rows.  Aggregate and QUALITY-valued projections compute new
@@ -66,13 +69,15 @@ Sanitizer mode (``compile_plan(..., sanitize=True)``, defaulted from
 the selection is in bounds, strictly ascending where the operator
 preserves row order and duplicate-free after TopK/Sort — and every row
 list and value, tag or score array an operator reads is as long as its
-segment.  Violations raise :class:`ColumnarSanitizerError`.
+segment, as is a TopK walk's order index, whose walked positions must be
+in bounds and unique.  Violations raise :class:`ColumnarSanitizerError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from array import array
 from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
@@ -237,9 +242,24 @@ class Segment:
             return concatenated
         return [concatenated[i] for i in order]
 
+    def order_index(self, position: int, descending: bool) -> Optional[array]:
+        """A one-part segment's positions in column ``position``'s key
+        order (:meth:`~repro.relational.relation.RowStore.order_index`),
+        or None: over several parts, or before the part has one (treat
+        as read-only)."""
+        if len(self.parts) != 1:
+            return None
+        return self.parts[0][1].order_index(position, descending)
+
+    def walked(self, index: array, start: int, end: int) -> list:
+        """Positions ``start:end`` of an order index a walk reads."""
+        return index[start:end].tolist()
+
 
 class _CheckedSegment(Segment):
-    """Sanitizer: every row list and array read is segment-long."""
+    """Sanitizer: every row list, array and order index read is
+    segment-long, and the positions a walk reads are in bounds and
+    unique."""
 
     __slots__ = ()
 
@@ -248,6 +268,24 @@ class _CheckedSegment(Segment):
 
     def array(self, key: str, read: Callable[[Any, Any], list]) -> list:
         return self._checked(f"{key} array", super().array(key, read))
+
+    def order_index(self, position: int, descending: bool) -> Optional[array]:
+        index = super().order_index(position, descending)
+        if index is None:
+            return None
+        return self._checked(f"column {position} order index", index)
+
+    def walked(self, index: array, start: int, end: int) -> list:
+        chunk = super().walked(index, start, end)
+        prefix = index[:end]
+        if len(set(prefix)) != len(prefix) or (
+            chunk and not 0 <= min(chunk) <= max(chunk) < self.length
+        ):
+            raise ColumnarSanitizerError(
+                f"walked order index positions {start}:{end} repeat a "
+                f"position or leave the segment's {self.length} rows"
+            )
+        return chunk
 
     def _checked(self, what: str, array: list) -> list:
         if len(array) != self.length:
@@ -269,10 +307,15 @@ class CompiledNode:
 
     ``layout`` maps each output column to its position in the segment's
     rows; ``None`` means the segment's rows *are* the output rows, as
-    everywhere below a column-only Project.
+    everywhere below a column-only Project.  ``walkable`` is set on a
+    Scan of at most one part and on a Filter directly over one:
+    ``(segment_of, note, select)`` — the Scan's segment for a binding,
+    its pruned-scan counting (None when unpartitioned) and the Filter's
+    selection function (None for the bare Scan), which a TopK above
+    walks an order index through (:func:`_index_walk`).
     """
 
-    __slots__ = ("run", "schema", "tagged", "tag_schema", "layout")
+    __slots__ = ("run", "schema", "tagged", "tag_schema", "layout", "walkable")
 
     def __init__(
         self,
@@ -281,12 +324,14 @@ class CompiledNode:
         tagged: bool,
         tag_schema: Optional[TagSchema],
         layout: Optional[tuple[int, ...]] = None,
+        walkable: Optional[tuple] = None,
     ) -> None:
         self.run = run
         self.schema = schema
         self.tagged = tagged
         self.tag_schema = tag_schema
         self.layout = layout
+        self.walkable = walkable
 
 
 def _rows_of(node: CompiledNode, batch: Batch) -> list:
@@ -536,7 +581,8 @@ def _compile(
             return batch
 
     return CompiledNode(
-        run, node.schema, node.tagged, node.tag_schema, node.layout
+        run, node.schema, node.tagged, node.tag_schema, node.layout,
+        node.walkable,
     )
 
 
@@ -720,38 +766,56 @@ def _compile_scan(
         raise SQLError(f"unknown relation {name!r} in plan binding") from None
     tagged = isinstance(relation, TaggedRelation)
     segment_type = _segment_type(sanitize)
+    note = None
 
     if plan.partitions is None:
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
-            return segment_type(binding[name]), None
+        def segment_of(binding: Binding) -> Segment:
+            return segment_type(binding[name])
 
     else:
         op_id = None if ids is None else ids[id(plan)]
         pruned_count = plan.partition_total - len(plan.partitions)
-        note = f"{len(plan.partitions)}/{plan.partition_total}"
+        label = f"{len(plan.partitions)}/{plan.partition_total}"
 
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        def segment_of(binding: Binding) -> Segment:
             live = binding[name]
             shards = _surviving_partitions(plan, live)
             if shards is None:
-                return segment_type(live), None
-            segment = segment_type(live, tuple(zip(plan.partitions, shards)))
+                return segment_type(live)
+            return segment_type(live, tuple(zip(plan.partitions, shards)))
+
+        def note(
+            segment: Segment, fed: int, stats: Optional[ExecutionStats]
+        ) -> None:
+            """Count and annotate a pruned scan that fed ``fed`` rows (not
+            its full-scan fallback)."""
+            if segment.parts and segment.parts[0][0] is None:
+                return
             if _obs_metrics.enabled():
-                _record_partition_scan(segment.length, pruned_count)
+                _record_partition_scan(fed, pruned_count)
             if stats is not None and op_id is not None:
                 stats.annotate(
                     op_id,
-                    partitions=note,
-                    partition_rows=tuple(len(shard) for shard in shards),
+                    partitions=label,
+                    partition_rows=tuple(len(part) for _, part in segment.parts),
                 )
-            return segment, None
 
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+        segment = segment_of(binding)
+        if note is not None:
+            note(segment, segment.length, stats)
+        return segment, None
+
+    walkable = None
+    if plan.partitions is None or len(plan.partitions) == 1:
+        walkable = (segment_of, note, None)
     return CompiledNode(
         run,
         relation.schema,
         tagged,
         relation.tag_schema if tagged else None,
+        walkable=walkable,
     )
 
 
@@ -778,7 +842,12 @@ def _compile_filter(
         segment, sel = child_run(binding, stats)
         return segment, select(segment, sel)
 
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+    walkable = None
+    if isinstance(plan.child, Scan) and child.walkable is not None:
+        walkable = child.walkable[:2] + (select,)
+    return CompiledNode(
+        run, child.schema, child.tagged, child.tag_schema, walkable=walkable
+    )
 
 
 #: A compiled WHERE tree: ``(segment, sel) -> kept positions``.
@@ -1200,6 +1269,13 @@ def _compile_topk(
                 key = lambda i: tuple(part(i) for part in keys)  # noqa: E731
             return segment, select(count, _positions(segment, sel), key=key)
 
+        walk = _index_walk(plan, child, ids)
+        if walk is not None:
+            heap_run = run
+
+            def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
+                return walk(binding, stats) or heap_run(binding, stats)
+
         return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> Batch:
@@ -1223,6 +1299,118 @@ def _compile_topk(
         )
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+
+
+#: An order-index walk gives up — TopK then answers on the heap path —
+#: once reaching k would examine more than 1/_WALK_SHARE of the segment
+#: (DESIGN.md §12).
+_WALK_SHARE = 8
+#: Positions in a walk's first chunk; each later chunk is twice the
+#: last.  A segment of at most this many rows is walked whole.
+_WALK_FIRST = 64
+
+
+def _index_walk(
+    plan: TopK, child: CompiledNode, ids: OpIds
+) -> Optional[Callable[[Binding, Optional[ExecutionStats]], Optional[Batch]]]:
+    """TopK's read in key order, or None for a plan it never serves.
+
+    It serves one column key over a Scan of at most one part, or over a
+    Filter directly on one (``child.walkable``).  ``walk(binding,
+    stats)`` reads the segment's order index (:meth:`Segment.order_index`)
+    in doubling chunks, runs the Filter's selection function on each
+    chunk, and stops once ``k`` positions pass: the heap path's rows in
+    its order.  It answers None — TopK then takes the heap path — when
+    the segment has no index yet, when a WHERE ``QUALITY(parameter)`` is
+    not defined by the bound profile (its getter raises, and a walk
+    would read fewer rows than the heap path), or when, after a chunk,
+    the hit rate so far projects more than ``max(length //
+    _WALK_SHARE, _WALK_FIRST)`` positions to reach ``k``.
+
+    When it answers, the Scan's ``rows=`` is the positions walked and
+    the Filter's the positions that passed; TopK notes the walk.
+    """
+    if len(plan.order_by) != 1 or child.walkable is None:
+        return None
+    (item,) = plan.order_by
+    if not isinstance(item.key, ColumnRef):
+        return None
+    segment_of, note, select = child.walkable
+    position = child.schema.position(item.key.column)
+    descending = item.descending
+    count = plan.count
+    name = child.schema.name
+    parameters = () if select is None else _score_parameters(plan.child.predicate)
+    scan_plan = plan.child if select is None else plan.child.child
+    timed = ids is not None
+    if timed:
+        topk_id, scan_id = ids[id(plan)], ids[id(scan_plan)]
+        filter_id = None if select is None else ids[id(plan.child)]
+
+    def walk(binding: Binding, stats: Optional[ExecutionStats]) -> Optional[Batch]:
+        if parameters and not _profile_defines(name, parameters):
+            return None
+        begin = perf_counter() if stats is not None else 0.0
+        segment = segment_of(binding)
+        length = segment.length
+        budget = max(length // _WALK_SHARE, _WALK_FIRST)
+        if select is not None and count > budget < length:
+            return None
+        index = segment.order_index(position, descending)
+        if index is None or len(index) != length:
+            return None
+        if select is None:
+            hits = segment.walked(index, 0, count)
+            walked = passed = len(hits)
+        else:
+            hits = []
+            walked, step = 0, _WALK_FIRST
+            while len(hits) < count and walked < length:
+                if walked and (not hits or walked * count > budget * len(hits)):
+                    if stats is not None and timed:
+                        stats.annotate(topk_id, walk=f"abandoned at {walked}/{length}")
+                    return None
+                end = min(walked + step, budget, length)
+                hits += select(segment, segment.walked(index, walked, end))
+                walked, step = end, step * 2
+            passed = len(hits)
+            del hits[count:]
+        if note is not None:
+            note(segment, walked, stats)
+        if stats is not None and timed:
+            seconds = perf_counter() - begin
+            stats.record(scan_id, walked, seconds)
+            if filter_id is not None:
+                stats.record(filter_id, passed, seconds)
+            stats.annotate(topk_id, walk=f"{walked}/{length}")
+        return segment, hits
+
+    return walk
+
+
+def _score_parameters(expr: Any) -> tuple[str, ...]:
+    """The parameters a WHERE tree's ``QUALITY(parameter)`` operands name."""
+    if isinstance(expr, BoolOp):
+        return _score_parameters(expr.left) + _score_parameters(expr.right)
+    if isinstance(expr, NotOp):
+        return _score_parameters(expr.operand)
+    if isinstance(expr, Comparison):
+        operands = (expr.left, expr.right)
+    else:
+        operands = (expr.operand,)
+    return tuple(
+        operand.parameter
+        for operand in operands
+        if isinstance(operand, QualityScoreRef)
+    )
+
+
+def _profile_defines(name: str, parameters: tuple[str, ...]) -> bool:
+    """Whether the profile bound to relation ``name`` defines them all."""
+    from repro.quality.materialize import profile_for
+
+    profile = profile_for(name)
+    return profile is not None and all(map(profile.defines, parameters))
 
 
 def _compile_distinct(

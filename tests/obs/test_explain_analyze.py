@@ -56,9 +56,13 @@ SQL = (
 class TestExplainAnalyze:
     def test_annotates_rows_time_selectivity(self, tagged):
         clear_plan_cache()
+        # The first TopK read of the relation answers on the heap path;
+        # from the second on, TopK walks the order index of b.
+        execute(SQL, tagged)
         result = execute(f"EXPLAIN ANALYZE {SQL}", tagged)
         assert result.schema.column_names == ("plan",)
-        text = "\n".join(row["plan"] for row in result)
+        lines = [row["plan"] for row in result]
+        text = "\n".join(lines)
         # Same operators as plain EXPLAIN...
         assert "Project" in text and "TopK" in text
         assert "Filter [(QUALITY(a.source) = 's1' AND b > 6)]" in text
@@ -66,7 +70,21 @@ class TestExplainAnalyze:
         # ...but annotated with measured facts from a real execution.
         assert "rows=4" in text  # the TopK/Project output
         assert " ms" in text and "time=" in text
+        # The 20 rows fit the walk's first chunk, so it reads them all:
         # 10 of 20 rows carry source=s1, 9 of them with b > 6.
+        topk, where, scan = lines[1], lines[2], lines[3]
+        assert "rows=4," in topk and "walk=20/20" in topk
+        assert "rows=9," in where and "selectivity=45.0%" in where
+        assert "rows=20," in scan
+
+    def test_sort_without_limit_filters_every_row(self, tagged):
+        sql = SQL.replace(" LIMIT 4", "")
+        clear_plan_cache()
+        for _ in range(2):
+            result = execute(f"EXPLAIN ANALYZE {sql}", tagged)
+        text = "\n".join(row["plan"] for row in result)
+        assert "Sort [b DESC]" in text and "walk=" not in text
+        assert "rows=9," in text and "rows=20," in text
         assert "selectivity=45.0%" in text
 
     def test_matches_plain_explain_shape(self, tagged):
@@ -112,9 +130,15 @@ class TestStatsCollector:
         assert collector.cache_hit
         assert "plan-cache hit; rows: 4" in collector.render()
         assert collector.rows == len(warm) == 4
-        quality = collector.execution.operator("Filter")
+        # The warm read walks the order index of b: all 20 rows fit its
+        # first chunk, and 9 pass the filter.
+        execution = collector.execution
+        assert execution.operator("TopK").extras == {"walk": "20/20"}
+        assert execution.operator("Scan").rows_out == 20
+        quality = execution.operator("Filter")
         assert quality is not None and quality.executed
-        assert collector.execution.selectivity(quality) == pytest.approx(0.45)
+        assert quality.rows_out == 9
+        assert execution.selectivity(quality) == pytest.approx(0.45)
 
     def test_collection_does_not_change_results(self, tagged):
         clear_plan_cache()

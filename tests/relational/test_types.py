@@ -58,6 +58,14 @@ class TestFloatDomain:
     def test_coerces_string(self):
         assert FLOAT.validate("2.25") == 2.25
 
+    def test_rejects_nan(self):
+        # NaN is unordered: sorting would disagree with any total order.
+        assert not FLOAT.contains(float("nan"))
+        for value in (float("nan"), "nan", "-NaN"):
+            with pytest.raises(DomainError):
+                FLOAT.validate(value)
+        assert FLOAT.validate(float("inf")) == float("inf")
+
 
 class TestStrDomain:
     def test_accepts_str(self):

@@ -380,3 +380,319 @@ class TestComputedValuesOverPrunedShards:
                     (c.name, c.domain) for c in expected.schema.columns
                 ]
                 assert_same(result, expected)
+
+
+def tagged_relation(n):
+    """``make_relation``'s rows, tagged: ``a`` carries a ``source`` tag
+    on three rows in four."""
+    from repro.tagging.cell import QualityCell
+    from repro.tagging.indicators import (
+        IndicatorDefinition,
+        IndicatorValue,
+        TagSchema,
+    )
+    from repro.tagging.relation import TaggedRelation
+
+    relation = TaggedRelation(
+        SCHEMA,
+        TagSchema([IndicatorDefinition("source")], allowed={"a": ["source"]}),
+    )
+    for row in make_relation(n):
+        a, b, c = row.values_tuple()
+        tags = [IndicatorValue("source", "s1" if a % 3 else "s2")] if a % 4 else []
+        relation.insert(
+            {"a": QualityCell(a, tags), "b": QualityCell(b), "c": QualityCell(c)}
+        )
+    return relation
+
+
+def walked(sql, source, expect_rows=None):
+    """Run ``sql`` twice against ``source``, checking both against the
+    oracle in order, and return the second run's ExecutionStats.
+
+    A rewrite epoch's first TopK read answers on the heap path, so the
+    second run is the one that must walk the order index: TopK notes
+    ``walk=<walked>/<segment rows>`` and the Scan's ``rows=`` is the
+    positions walked.
+    """
+    expected = [r.values_tuple() for r in naive_execute(sql, source)]
+    assert [r.values_tuple() for r in execute(sql, source)] == expected
+    collector = StatsCollector()
+    result = execute(sql, source, stats=collector)
+    assert [r.values_tuple() for r in result] == expected
+    if expect_rows is not None:
+        assert len(expected) == expect_rows
+    stats = collector.execution
+    note = stats.operator("TopK").extras.get("walk", "")
+    assert note.split("/")[0] == str(stats.operator("Scan").rows_out), (
+        f"the heap path answered, not the walk ({note!r})"
+    )
+    return stats
+
+
+class TestOrderIndexWalk:
+    """TopK over a Filter (or a bare Scan) reads a carried order index
+    and stops at k rows; every answer equals the oracle's, in order."""
+
+    N = 2000
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_null_keys_and_ties(self, direction):
+        relation = make_relation(self.N)
+        # b is NULL on every fifth row and repeats every 7 rows: ties
+        # resolve in row order, NULLs sort first ascending, last
+        # descending.
+        stats = walked(
+            f"SELECT a, b FROM t WHERE a >= 0 ORDER BY b {direction} LIMIT 30",
+            relation,
+            expect_rows=30,
+        )
+        assert stats.operator("Scan").rows_out == 64  # one chunk
+        # NULL keys and ties both in the answer (a segment of one chunk
+        # is walked whole).
+        walked(
+            f"SELECT a, b FROM t WHERE b IS NULL OR b = 6 "
+            f"ORDER BY b {direction} LIMIT 14",
+            make_relation(60),
+            expect_rows=14,
+        )
+
+    def test_stops_at_k_and_counts_the_walk(self):
+        relation = make_relation(self.N)
+        sql = "SELECT a, c FROM t WHERE c = 'y' AND b >= 3 ORDER BY a DESC LIMIT 20"
+        stats = walked(sql, relation, expect_rows=20)
+        scan, where = stats.operator("Scan"), stats.operator("Filter")
+        # The first chunk of 64 positions holds 12 hits, so a second of
+        # 128 follows; the 192 positions walked hold 30.
+        assert scan.rows_out == 192
+        assert where.rows_out == 30
+        assert stats.selectivity(where) == 30 / 192
+
+    def test_limit_zero_walks_nothing(self):
+        relation = make_relation(self.N)
+        stats = walked(
+            "SELECT a FROM t WHERE b > 1 ORDER BY b LIMIT 0", relation, expect_rows=0
+        )
+        assert stats.operator("Scan").rows_out == 0
+
+    def test_limit_above_row_count(self):
+        relation = make_relation(self.N)
+        stats = walked(
+            "SELECT a, b FROM t ORDER BY b DESC LIMIT 5000", relation,
+            expect_rows=self.N,
+        )
+        assert stats.operator("Scan").rows_out == self.N
+        small = make_relation(40)
+        walked(
+            "SELECT a FROM t WHERE c = 'x' ORDER BY b LIMIT 100", small,
+            expect_rows=14,
+        )
+
+    def test_zero_hits_and_all_hits(self):
+        # A segment of at most one chunk is walked whole.
+        walked(
+            "SELECT a FROM t WHERE a > 1000 ORDER BY b LIMIT 5",
+            make_relation(40),
+            expect_rows=0,
+        )
+        stats = walked(
+            "SELECT a FROM t WHERE a >= 0 ORDER BY a DESC LIMIT 10",
+            make_relation(self.N),
+            expect_rows=10,
+        )
+        assert stats.operator("Filter").rows_out == 64
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "QUALITY(a.source) = 's1' AND b > 2",
+            "QUALITY(a.source) = 's2' OR c = 'z'",
+            "NOT (QUALITY(a.source) = 's1') AND NOT b IS NULL",
+            "(QUALITY(a.source) <> 's1' OR b = 6) AND NOT (c = 'x')",
+        ],
+    )
+    def test_boolean_trees_with_tag_leaves(self, where):
+        relation = tagged_relation(self.N)
+        for direction in ("ASC", "DESC"):
+            stats = walked(
+                f"SELECT a, b FROM t WHERE {where} ORDER BY a {direction} LIMIT 15",
+                relation,
+                expect_rows=15,
+            )
+            assert stats.operator("Scan").rows_out < self.N
+
+    def test_undefined_parameter_raises_like_the_oracle(self):
+        from repro.quality.materialize import (
+            ScoringProfile,
+            clear_profiles,
+            register_profile,
+        )
+        from repro.quality.scoring import credibility_scorer, timeliness_scorer
+        from repro.sql.errors import SQLError
+
+        relation = tagged_relation(self.N)
+        sql = (
+            "SELECT a FROM t WHERE b > 2 AND QUALITY(credibility) > 0.5 "
+            "ORDER BY a DESC LIMIT 5"
+        )
+        try:
+            for profile in (None, ScoringProfile("p", [timeliness_scorer(30.0)])):
+                clear_profiles()
+                if profile is not None:
+                    register_profile(profile, relations=["t"])
+                # LIMIT 0 too: a walk would read no row, the oracle all.
+                for statement in (sql, sql.replace("LIMIT 5", "LIMIT 0")):
+                    for _ in range(3):
+                        with pytest.raises(SQLError, match="credibility"):
+                            naive_execute(statement, relation)
+                        with pytest.raises(SQLError, match="credibility"):
+                            execute(statement, relation)
+            register_profile(
+                ScoringProfile("q", [credibility_scorer({"s1": 0.9})]),
+                relations=["t"],
+            )
+            walked(sql, relation, expect_rows=5)
+        finally:
+            clear_profiles()
+
+    def test_flat_unpruned_and_single_shard_sources(self):
+        from repro.relational import hash_partitions
+
+        flat = make_relation(self.N)
+        partitioned = flat.copy()
+        partitioned.repartition(hash_partitions("c", 8))
+        unpruned = "SELECT a, c FROM t WHERE b >= 4 ORDER BY a DESC LIMIT 8"
+        pruned = "SELECT a, b FROM t WHERE c = 'y' AND b < 3 ORDER BY a DESC LIMIT 8"
+        assert "partitions=1/8" in explain(pruned, partitioned)
+        for source in (flat, partitioned, flat.read_snapshot(),
+                       partitioned.read_snapshot()):
+            walked(unpruned, source, expect_rows=8)
+        for source in (flat, partitioned, partitioned.read_snapshot()):
+            stats = walked(pruned, source, expect_rows=8)
+            assert stats.operator("Scan").rows_out < self.N
+        # A walked pruned scan counts the positions it walked as the
+        # rows its shard fed, as the Scan's rows= does.
+        from repro.obs import metrics
+
+        with metrics.instrumented() as registry:
+            counter = registry.counter("partition.scanned")
+            before = counter.value
+            collector = StatsCollector()
+            execute(pruned, partitioned, stats=collector)
+            fed = counter.value - before
+        scan = collector.execution.operator("Scan")
+        assert scan.extras["partitions"] == "1/8"
+        assert fed == scan.rows_out < len(partitioned) // 8
+
+    def test_append_extends_the_index(self, monkeypatch):
+        from repro.relational import relation as relation_module
+
+        relation = make_relation(self.N)
+        sql = "SELECT a, b FROM t WHERE c <> 'x' ORDER BY b DESC LIMIT 6"
+        walked(sql, relation.read_snapshot())
+        sorts = []
+        sort = relation_module._sorted_positions
+        monkeypatch.setattr(
+            relation_module,
+            "_sorted_positions",
+            lambda *args: sorts.append(args) or sort(*args),
+        )
+        for step in range(3):
+            for i in range(10):
+                relation.insert({"a": 10_000 + 10 * step + i, "b": i % 8, "c": "y"})
+            for source in (relation.read_snapshot(), relation):
+                walked(sql, source, expect_rows=6)
+        assert sorts == []  # every read after an append extended the index
+        # Past 1/16 of the rows appended, one sort beats that many bisects.
+        for i in range(200):
+            relation.insert({"a": 20_000 + i, "b": i % 9, "c": "z"})
+        walked(sql, relation, expect_rows=6)
+        assert len(sorts) == 1
+
+    def test_delete_and_update(self):
+        relation = make_relation(self.N)
+        sql = "SELECT a, b FROM t WHERE c = 'z' ORDER BY b LIMIT 7"
+        walked(sql, relation)
+        relation.delete(lambda row: row["b"] is None)
+        # A rewrite drops the index, and the epoch's first TopK read
+        # answers on the heap path rather than sorting a new one.
+        collector = StatsCollector()
+        execute(sql, relation, stats=collector)
+        assert "walk" not in collector.execution.operator("TopK").extras
+        assert collector.execution.operator("Scan").rows_out == len(relation)
+        walked(sql, relation.read_snapshot())
+        relation.update(lambda row: row["a"] % 6 == 5, lambda row: {"b": -row["a"]})
+        stats = walked(sql, relation, expect_rows=7)
+        assert stats.operator("Scan").rows_out == 64
+
+    def test_older_snapshot_keeps_its_own_positions(self):
+        relation = make_relation(self.N)
+        sql = "SELECT a, b FROM t WHERE c = 'x' ORDER BY b DESC LIMIT 9"
+        older = relation.read_snapshot()
+        for i in range(40):
+            relation.insert({"a": 5000 + i, "b": 100 + i, "c": "x"})
+        newer = relation.read_snapshot()
+        walked(sql, newer)  # sorts the family's index at the newer length
+        stats = walked(sql, older)  # keeps the positions below its length
+        assert stats.operator("Scan").rows_out < self.N
+
+    def test_far_hits_fall_back_to_the_heap(self):
+        relation = make_relation(self.N)
+        sql = "SELECT a FROM t WHERE a < 5 ORDER BY a DESC LIMIT 3"
+        expected = [r.values_tuple() for r in naive_execute(sql, relation)]
+        for _ in range(3):
+            collector = StatsCollector()
+            result = execute(sql, relation, stats=collector)
+            assert [r.values_tuple() for r in result] == expected
+        stats = collector.execution
+        assert stats.operator("Scan").rows_out == self.N
+        assert stats.operator("TopK").extras["walk"] == f"abandoned at 64/{self.N}"
+
+
+class TestNaN:
+    """FLOAT holds no NaN, so ORDER BY ... LIMIT agrees with the oracle
+    over every FLOAT column: NaN compares false both ways and breaks the
+    total order a heap and an order index rely on."""
+
+    FLOATS = RelationSchema("f", [Column("i", "INT"), Column("x", "FLOAT")])
+
+    def test_insert_rejects_nan(self):
+        from repro.errors import DomainError
+
+        relation = Relation(self.FLOATS)
+        for value in (float("nan"), "nan", float("-nan")):
+            with pytest.raises(DomainError, match="FLOAT"):
+                relation.insert({"i": 0, "x": value})
+        assert len(relation) == 0
+
+    def test_tags_and_aggregate_outputs_reject_nan(self):
+        from repro.errors import DomainError
+        from repro.tagging.indicators import IndicatorDefinition
+
+        with pytest.raises(DomainError, match="FLOAT"):
+            IndicatorDefinition("age", "FLOAT").value(float("nan"))
+        relation = Relation.from_tuples(
+            self.FLOATS, [(0, float("inf")), (1, float("-inf"))]
+        )
+        sql = "SELECT SUM(x) AS s FROM f"  # inf + -inf is NaN
+        for run in (execute, naive_execute):
+            with pytest.raises(DomainError, match="FLOAT"):
+                run(sql, relation)
+
+    @pytest.mark.parametrize("direction", ["DESC", "ASC"])
+    def test_topk_matches_oracle(self, direction):
+        import random
+
+        rng = random.Random(5)
+        sql = f"SELECT i, x FROM f ORDER BY x {direction} LIMIT 3"
+        for _ in range(200):
+            relation = Relation.from_tuples(
+                self.FLOATS,
+                [
+                    (i, rng.choice([None, 0.0, 1.5, 2.0, 3.0, 5.0]))
+                    for i in range(rng.randint(5, 30))
+                ],
+            )
+            expected = [r.values_tuple() for r in naive_execute(sql, relation)]
+            for _ in range(2):  # the heap path, then the walk
+                assert [r.values_tuple() for r in execute(sql, relation)] == expected

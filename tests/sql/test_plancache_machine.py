@@ -18,6 +18,11 @@ and off, checking:
   live source, so a plan that merely happens to return the right rows
   (a stale access path, a stale score pushdown) is caught too.
 
+Each check runs a statement twice, so the single-key TopK statements
+also drive a relation's carried order index through every change: the
+first read of a rewrite epoch answers on the heap path, the second
+sorts or extends the index and walks it.
+
 It passes with and without ``REPRO_VERIFY_PLANS=1``; under the flag
 every hit is additionally audited for DQ409.
 """
@@ -79,6 +84,15 @@ CUST_STATEMENTS = [
     ("SELECT k FROM cust WHERE k >= 3 AND v = 'x'", False),
     ("SELECT v FROM cust WHERE k = 7", False),
     ("SELECT k FROM cust WHERE k < 15", False),
+    # Single-key TopK: from a relation's second read in a rewrite epoch
+    # on, these walk its carried order index.
+    ("SELECT k, v FROM cust WHERE v = 'x' ORDER BY k DESC LIMIT 3", True),
+    ("SELECT k, v FROM cust ORDER BY v DESC LIMIT 5", True),
+    (
+        "SELECT k FROM cust WHERE QUALITY(v.source) <> 'phone' "
+        "AND QUALITY(credibility) > 0.3 ORDER BY k LIMIT 4",
+        True,
+    ),
 ]
 
 #: Statements over the Database-held plain ``events`` relation.

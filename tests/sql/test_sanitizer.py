@@ -5,6 +5,8 @@ the end-to-end tests run real statements with the sanitizer wrappers
 installed and assert they stay silent on well-formed plans.
 """
 
+from array import array
+
 import pytest
 
 from repro.relational.relation import Relation
@@ -161,6 +163,31 @@ class TestEndToEnd:
                 execute(sql, relation)
         finally:
             clear_profiles()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda index: index[:-1], "5 entries"),
+            (lambda index: index[:-1] + index[:1], "repeat a position"),
+            (lambda index: index[:-1] + array("q", [6]), "leave the segment"),
+        ],
+        ids=["short", "repeated", "out-of-bounds"],
+    )
+    def test_corrupt_order_index_raises(self, monkeypatch, corrupt, message):
+        # The order index a TopK walk reads passes the same length check
+        # as the arrays, and must hold each position once.
+        from repro.relational.relation import RowStore
+
+        relation = make_relation(6)
+        sql = "SELECT a FROM t WHERE b <> 's0' ORDER BY a DESC LIMIT 2"
+        for _ in range(2):  # the second read walks the order index
+            assert [row["a"] for row in execute(sql, relation)] == [4, 3]
+        full = RowStore.order_index
+        monkeypatch.setattr(
+            RowStore, "order_index", lambda self, *args: corrupt(full(self, *args))
+        )
+        with pytest.raises(ColumnarSanitizerError, match=message):
+            execute(sql, relation)
 
     def test_cached_sanitized_plan_reruns_clean(self):
         relation = make_relation()
